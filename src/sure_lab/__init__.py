@@ -6,6 +6,7 @@ from .sequence_model import (
     GaussianSequenceModel,
     Observation,
     derive_stream,
+    standard_normal_rows,
     make_theta0,
     sample,
 )
@@ -34,6 +35,7 @@ from .criteria import (
     r_star,
     risk,
     shell_index,
+    shell_indices,
     sure,
     sure_identity_residual,
     sure_select,
@@ -41,6 +43,7 @@ from .criteria import (
 from .montecarlo import (
     MonteCarloSummary,
     ReplicateRecord,
+    ReplicateRecords,
     ShellDecayReport,
     records_to_csv,
     replicate,

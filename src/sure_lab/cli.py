@@ -44,6 +44,10 @@ def _require_keys(obj, allowed, required, where):
         raise ConfigError(f"{where}: missing required keys {missing}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not 1
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -58,7 +62,7 @@ def _load_json(path):
 def _build_model(spec) -> GaussianSequenceModel:
     _require_keys(spec, {"n", "sigma", "theta0"}, {"n", "sigma", "theta0"}, "model")
     n = spec["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ConfigError(f"model.n: must be a positive integer, got {n!r}")
     sigma = spec["sigma"]
     if not isinstance(sigma, (int, float)) or sigma <= 0:
@@ -106,10 +110,10 @@ def _parse_experiment_config(doc):
     model = _build_model(doc["model"])
     family = _build_family(doc["family"], model.n)
     n_reps = doc["n_reps"]
-    if not isinstance(n_reps, int) or n_reps < 1:
+    if not _is_int(n_reps) or n_reps < 1:
         raise ConfigError(f"n_reps: must be a positive integer, got {n_reps!r}")
     master_seed = doc["master_seed"]
-    if not isinstance(master_seed, int) or not 0 <= master_seed < 2**64:
+    if not _is_int(master_seed) or not 0 <= master_seed < 2**64:
         raise ConfigError(f"master_seed: must be a 64-bit unsigned integer, got {master_seed!r}")
     outputs = doc.get("outputs", {})
     _require_keys(outputs, {"summary", "records", "keep_records"}, (), "outputs")

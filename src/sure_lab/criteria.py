@@ -26,6 +26,7 @@ __all__ = [
     "sure_identity_residual",
     "r_star",
     "shell_index",
+    "shell_indices",
     "edf_bound",
     "oracle_gap_bound",
     "DegenerateFamilyError",
@@ -142,18 +143,29 @@ def shell_index(smoother: Smoother, family: SmootherFamily,
     Half-open on the right so the shells partition the family; the oracle
     member itself lands in shell 0.
     """
+    risks = [risk(smoother, model)] + [risk(m, model) for m in family.members]
+    # Its own risk joins the minimum: no change for a member, and a
+    # non-member below every member lands in shell 0 either way.
+    return int(shell_indices(risks, model.sigma_sq, r_star_value)[0])
+
+
+def shell_indices(risks, sigma_sq: float, r_star_value: float) -> np.ndarray:
+    """Dyadic shell of every entry of a risk vector, measured from its minimum
+    (see shell_index), in one pass over the vector.
+    """
     if r_star_value <= 0:
         raise DegenerateFamilyError(
             f"shell decomposition requires r_star > 0, got {r_star_value}")
-    min_risk = min(risk(m, model) for m in family.members)
-    diff = risk(smoother, model) - min_risk
-    ratio = diff / (model.sigma_sq * r_star_value) + 1.0
-    level = int(math.floor(math.log2(ratio))) if ratio > 1.0 else 0
+    risks = np.asarray(risks, dtype=float)
+    ratio = (risks - risks.min()) / (sigma_sq * r_star_value) + 1.0
+    level = np.zeros(ratio.shape, dtype=int)
+    above = ratio > 1.0
+    level[above] = np.floor(np.log2(ratio[above]))
     # guard against log2 rounding at exact powers of two
-    while 2.0 ** (level + 1) <= ratio:
-        level += 1
-    while level > 0 and 2.0 ** level > ratio:
-        level -= 1
+    while np.any(up := np.ldexp(1.0, level + 1) <= ratio):
+        level[up] += 1
+    while np.any(down := (level > 0) & (np.ldexp(1.0, level) > ratio)):
+        level[down] -= 1
     return level
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "Observation",
     "make_theta0",
     "derive_stream",
+    "standard_normal_rows",
     "sample",
 ]
 
@@ -113,6 +114,19 @@ def make_theta0(kind: str, n: int, **params) -> np.ndarray:
     return out
 
 
+_MASK64 = 2**64 - 1
+
+
+def _philox(master_seed: int, replicate_index: int) -> np.random.Philox:
+    master_seed = int(master_seed)
+    replicate_index = int(replicate_index)
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
+    if replicate_index < 0:
+        raise ValueError(f"replicate_index must be >= 0, got {replicate_index}")
+    return np.random.Philox(key=master_seed, counter=replicate_index << 64)
+
+
 def derive_stream(master_seed: int, replicate_index: int) -> np.random.Generator:
     """Counter-based stream for one replicate.
 
@@ -122,14 +136,28 @@ def derive_stream(master_seed: int, replicate_index: int) -> np.random.Generator
     numpy's ziggurat standard_normal; golden outputs are stable within this
     repo, while cross-implementation comparisons should be statistical.
     """
-    master_seed = int(master_seed)
-    replicate_index = int(replicate_index)
-    if not 0 <= master_seed < 2**64:
-        raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
-    if replicate_index < 0:
-        raise ValueError(f"replicate_index must be >= 0, got {replicate_index}")
-    bitgen = np.random.Philox(key=master_seed, counter=replicate_index << 64)
-    return np.random.Generator(bitgen)
+    return np.random.Generator(_philox(master_seed, replicate_index))
+
+
+def standard_normal_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Standard normal rows for replicates start..stop-1, shape (stop - start, n).
+
+    Row k is bit-identical to derive_stream(master_seed, start + k)
+    .standard_normal(n). One Philox generator serves the whole range: before
+    each row its counter is reset to (replicate index) << 64 with an empty
+    output buffer, which is the state a fresh derive_stream starts from and
+    costs a fraction of building one.
+    """
+    bitgen = _philox(master_seed, start)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    out = np.empty((max(0, stop - start), n))
+    for row, index in enumerate(range(start, stop)):
+        counter[1:] = (index & _MASK64, (index >> 64) & _MASK64, index >> 128)
+        bitgen.state = state
+        gen.standard_normal(out=out[row])
+    return out
 
 
 def sample(model: GaussianSequenceModel, stream: np.random.Generator) -> Observation:

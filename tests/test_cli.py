@@ -87,6 +87,9 @@ def test_simulate_csv_format(tmp_path, capsys):
     (lambda c: c["model"]["theta0"].update(kind="bogus"), "theta0"),
     (lambda c: c.update(master_seed=-1), "master_seed"),
     (lambda c: c.update(bounds={"eta_grid": [0.0]}), "eta_grid"),
+    pytest.param(lambda c: c.update(n_reps=True), "n_reps", id="bool-n_reps"),
+    pytest.param(lambda c: c.update(master_seed=False), "master_seed", id="bool-master_seed"),
+    pytest.param(lambda c: c["model"].update(n=True), "model.n", id="bool-model.n"),
 ])
 def test_simulate_validation_errors(tmp_path, capsys, mutate, needle):
     cfg = base_config()

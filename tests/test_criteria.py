@@ -17,6 +17,7 @@ from sure_lab import (
     r_star,
     risk,
     shell_index,
+    shell_indices,
     sure,
     sure_identity_residual,
     sure_select,
@@ -165,6 +166,46 @@ def test_shell_index_boundaries():
     # r_star is 0 here, so inject r_star = 1 directly (sigma^2 r_star = 1)
     assert shell_index(fam.member("s1"), fam, model, 1.0) == 1
     assert shell_index(fam.member("s2"), fam, model, 1.0) == 2
+
+
+def _shell_reference(diff, scale):
+    """Scalar shell rule: the loop shell_indices vectorises."""
+    ratio = diff / scale + 1.0
+    level = int(math.floor(math.log2(ratio))) if ratio > 1.0 else 0
+    while 2.0 ** (level + 1) <= ratio:
+        level += 1
+    while level > 0 and 2.0 ** level > ratio:
+        level -= 1
+    return level
+
+
+def test_shell_indices_power_of_two_boundaries():
+    # Ratios one ulp below, exactly at and one ulp above each power of two
+    # 2^k; their gaps ratio - 1 are exact, so the ratio is rebuilt exactly.
+    diffs, expected = [0.0], [0]
+    for k in range(1, 53):
+        edge = 2.0**k
+        diffs += [np.nextafter(edge, 0.0) - 1.0, edge - 1.0, np.nextafter(edge, np.inf) - 1.0]
+        expected += [k - 1, k, k]
+    got = shell_indices(np.array(diffs), 1.0, 1.0)  # minimum risk 0
+    assert got.tolist() == expected
+    assert expected == [_shell_reference(d, 1.0) for d in diffs]
+    # A shifted minimum and a non-unit scale follow the scalar rule.
+    shifted = np.array(diffs) * 0.25 + 7.0
+    assert shell_indices(shifted, 0.5, 0.5).tolist() == [
+        _shell_reference(float(r - 7.0), 0.25) for r in shifted]
+    with pytest.raises(DegenerateFamilyError):
+        shell_indices(diffs, 1.0, 0.0)
+
+
+def test_shell_index_agrees_with_shell_indices():
+    rng = np.random.default_rng(5)
+    model = GaussianSequenceModel(theta0=rng.standard_normal(6), sigma=0.7)
+    fam = SmootherFamily.of(
+        [from_matrix(f"m{i}", rng.standard_normal((6, 6)) * 0.5) for i in range(9)])
+    rs = r_star(fam, model)
+    vector = shell_indices([risk(m, model) for m in fam.members], model.sigma_sq, rs)
+    assert vector.tolist() == [shell_index(m, fam, model, rs) for m in fam.members]
 
 
 def test_shell_membership_frobenius_bound():

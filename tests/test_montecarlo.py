@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,11 +7,19 @@ import pytest
 from sure_lab import (
     GaussianSequenceModel,
     SmootherFamily,
+    centered_variables,
+    derive_stream,
     from_matrix,
+    krr_from_gram,
+    montecarlo,
+    projection_from_design,
     records_to_csv,
     replicate,
+    risk,
     run_experiment,
     shell_decay_report,
+    sure,
+    sure_select,
     sure_unbiasedness_check,
 )
 from sure_lab.criteria import DegenerateFamilyError
@@ -186,3 +195,146 @@ def test_records_csv_round_trip(zero_id_family, model):
     parsed = dict(zip(RECORD_CSV_COLUMNS, cells))
     assert float(parsed["sure_min"]) == records[0].sure_min  # full precision
     assert int(parsed["replicate_index"]) == 0
+
+
+def test_replicate_sure_tie_keeps_first_member(zero_id_family, model):
+    # y = (2, 0): SURE(zero) = |y|^2 = 4 = 2 sigma^2 tr(I) = SURE(identity)
+    assert replicate(zero_id_family, model, FixedNoise([1.0, 0.0])).selected == "a"
+
+
+def _random_family(rng, n, size):
+    members = []
+    for i in range(size):
+        kind = i % 3
+        if kind == 0:
+            members.append(from_matrix(f"m{i}", rng.standard_normal((n, n)) / np.sqrt(n)))
+        elif kind == 1:
+            subset = list(range(int(rng.integers(1, n + 1))))
+            members.append(projection_from_design(f"p{i}", rng.standard_normal((n, n)), subset))
+        else:
+            a = rng.standard_normal((n, n))
+            members.append(krr_from_gram(f"k{i}", a @ a.T, float(rng.uniform(0.1, 5.0))))
+    return SmootherFamily.of(members)
+
+
+@pytest.mark.parametrize("n", [2, 7, 20])
+def test_block_kernel_matches_criteria(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        family = _random_family(rng, n, int(rng.integers(1, 7)))
+        model = GaussianSequenceModel(theta0=rng.normal(scale=2.0, size=n),
+                                      sigma=float(rng.uniform(0.3, 2.0)))
+        s2 = model.sigma_sq
+        _, records = run_experiment(family, model, 40, 9, keep_records=True)
+        oracle = min(family.members, key=lambda m: risk(m, model))
+        for rec in records:
+            z = model.sigma * derive_stream(9, rec.replicate_index).standard_normal(n)
+            y = model.theta0 + z
+            assert rec.selected == sure_select(family, y, model.sigma).selected
+            h = family.member(rec.selected)
+            cv, cv0 = centered_variables(h, model, z), centered_variables(oracle, model, z)
+            diff = h.h @ y - model.theta0
+            expected = {
+                "sure_min": sure(h, y, model.sigma),
+                "loss_selected": diff @ diff,
+                "edf_total": (h.h @ y) @ z / s2 - h.df,
+                "edf_quadratic": (h.h @ z) @ z / s2 - h.df,
+                "edf_linear": (h.h @ model.theta0) @ z / s2,
+                "noise_sq_gap": n * s2 - z @ z,
+                "signal_cross": 2.0 * model.theta0 @ z,
+                "basic_inequality_slack": (cv.w - cv0.w) + 2.0 * (cv.zlin - cv0.zlin)
+                - (risk(h, model) - risk(oracle, model)) / s2,
+            }
+            expected["exopt_stat"] = expected["loss_selected"] + n * s2 - expected["sure_min"]
+            for name, want in expected.items():
+                assert getattr(rec, name) == pytest.approx(want, rel=1e-10, abs=1e-10), name
+
+
+def test_engine_rows_match_replicate():
+    rng = np.random.default_rng(8)
+    n = 200
+    family = SmootherFamily.of(
+        [from_matrix(f"m{i}", rng.standard_normal((n, n)) / n) for i in range(20)])
+    model = GaussianSequenceModel(theta0=rng.standard_normal(n), sigma=1.0)
+    block = montecarlo._Context(family, model).block_len
+    assert block == 65
+    _, records = run_experiment(family, model, block + 1, 3, keep_records=True)
+    for i in (0, block - 1, block):
+        one = replicate(family, model, derive_stream(3, i), i)
+        row = records[i]
+        assert row.replicate_index == one.replicate_index == i
+        assert row.selected == one.selected and row.shell == one.shell
+        for name in ("sure_min", "edf_total", "basic_inequality_slack"):
+            assert getattr(row, name) == pytest.approx(getattr(one, name), rel=1e-12)
+
+
+def test_outputs_byte_identical_across_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # let 3 workers really run
+    n = 128
+    family = SmootherFamily.of([projection_from_design(f"p{m}", np.eye(n), list(range(m)))
+                                for m in (1, 2, 4, 8, 16, 32, 64, 128)])
+    model = GaussianSequenceModel(theta0=5.0 / np.arange(1, n + 1), sigma=1.0)
+    n_reps = 1000
+    assert n_reps % montecarlo._Context(family, model).block_len != 0
+    outputs = set()
+    for threads in (1, 2, 3):
+        summary, records = run_experiment(family, model, n_reps, 77, n_threads=threads,
+                                          keep_records=True)
+        outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True),
+                     records_to_csv(records)))
+    assert len(outputs) == 1
+
+
+class RecordingPool:
+    """Stand-in ThreadPoolExecutor that records max_workers and runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_worker_pool_bounded(monkeypatch, zero_id_family, model):
+    RecordingPool.sizes = []
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    block = montecarlo._Context(zero_id_family, model).block_len
+    run_experiment(zero_id_family, model, 3 * block, 1, n_threads=10**6)  # 3 blocks
+    run_experiment(zero_id_family, model, 10 * block, 1, n_threads=10**6)  # 4 CPUs
+    run_experiment(zero_id_family, model, block, 1, n_threads=10**6)  # 1 block: no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_experiment(zero_id_family, model, 10 * block, 1, n_threads=10**6)  # unknown: 1
+    assert RecordingPool.sizes == [3, 4]
+
+
+def _csv_reference(records):
+    """Row-by-row serializer that records_to_csv must reproduce byte for byte."""
+    lines = [",".join(RECORD_CSV_COLUMNS)]
+    for r in records:
+        cells = []
+        for col in RECORD_CSV_COLUMNS:
+            value = getattr(r, col)
+            cells.append("" if value is None else
+                         repr(float(value)) if isinstance(value, float) else str(value))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_records_csv_matches_row_reference(zero_id_family, model):
+    _, records = run_experiment(zero_id_family, model, 300, 5, keep_records=True)
+    assert records_to_csv(records) == _csv_reference(records)
+    zero_model = GaussianSequenceModel(theta0=[0.0, 0.0], sigma=1.0)
+    _, no_shells = run_experiment(zero_id_family, zero_model, 30, 5, keep_records=True)
+    assert records_to_csv(no_shells) == _csv_reference(no_shells)
+    assert records[-1].replicate_index == 299 and len(list(records)) == 300
+    with pytest.raises(IndexError):
+        records[300]

@@ -7,6 +7,7 @@ from sure_lab import (
     make_theta0,
     run_experiment,
     sample,
+    standard_normal_rows,
 )
 from sure_lab.smoothers import SmootherFamily, from_matrix
 
@@ -81,6 +82,18 @@ def test_derive_stream_validation():
         derive_stream(42, -1)
     with pytest.raises(ValueError):
         derive_stream(-1, 0)
+
+
+def test_standard_normal_rows_match_derive_stream():
+    block = 65  # block length of a 20-member family at n = 200
+    rows = standard_normal_rows(42, 0, block + 1, 200)
+    for i in (0, block - 1, block):
+        assert np.array_equal(rows[i], derive_stream(42, i).standard_normal(200))
+    far = standard_normal_rows(42, 2**40, 2**40 + 2, 7)
+    for k in range(2):
+        assert np.array_equal(far[k], derive_stream(42, 2**40 + k).standard_normal(7))
+    with pytest.raises(ValueError):
+        standard_normal_rows(-1, 0, 1, 3)
 
 
 def test_records_independent_of_thread_count():
