@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -48,6 +49,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not 1
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number (JSON true is not 1; NaN and Infinity are rejected)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        return False
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -65,7 +74,7 @@ def _build_model(spec) -> GaussianSequenceModel:
     if not _is_int(n) or n < 1:
         raise ConfigError(f"model.n: must be a positive integer, got {n!r}")
     sigma = spec["sigma"]
-    if not isinstance(sigma, (int, float)) or sigma <= 0:
+    if not _is_number(sigma) or sigma <= 0:
         raise ConfigError(f"model.sigma: must be a positive number, got {sigma!r}")
     theta_spec = spec["theta0"]
     if not isinstance(theta_spec, dict) or "kind" not in theta_spec:
@@ -120,11 +129,11 @@ def _parse_experiment_config(doc):
     bounds = doc.get("bounds", {})
     _require_keys(bounds, {"c_test", "eta_grid"}, (), "bounds")
     c_test = bounds.get("c_test", 1.0)
-    if not isinstance(c_test, (int, float)) or c_test <= 0:
+    if not _is_number(c_test) or c_test <= 0:
         raise ConfigError(f"bounds.c_test: must be a positive number, got {c_test!r}")
     eta_grid = bounds.get("eta_grid", [0.1, 0.5, 1.0])
     if (not isinstance(eta_grid, list) or not eta_grid
-            or any(not isinstance(e, (int, float)) or e <= 0 for e in eta_grid)):
+            or any(not _is_number(e) or e <= 0 for e in eta_grid)):
         raise ConfigError(f"bounds.eta_grid: must be a nonempty list of positive numbers")
     return {
         "model": model,

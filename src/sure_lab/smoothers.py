@@ -28,61 +28,23 @@ __all__ = [
     "load_family",
 ]
 
-_OPNORM_MAX_ITER = 100_000
-_OPNORM_TOL = 1e-13
-
-
 def operator_norm(h) -> float:
-    """Largest singular value of a square matrix via power iteration on H^T H.
-
-    Deterministic seeded start vector; restarts from a second start on
-    stagnation and raises if neither run converges within the iteration cap.
-    """
+    """Largest singular value of a square matrix (LAPACK SVD)."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
-    n = h.shape[0]
-    scale = float(np.max(np.abs(h))) if h.size else 0.0
-    if scale == 0.0:
-        return 0.0
-    hs = h / scale  # unit max entry, so H^T H cannot under/overflow
-    g = hs.T @ hs
-
-    starts = [
-        np.random.Generator(np.random.PCG64(0x5EED)).standard_normal(n),
-        np.ones(n),
-    ]
-    for v in starts:
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            continue
-        v = v / nv
-        lam_prev = -np.inf
-        for _ in range(_OPNORM_MAX_ITER):
-            w = g @ v
-            # Rayleigh quotient of the unit iterate: when the two leading
-            # eigenvalues nearly tie it still sits inside their (tiny) gap,
-            # so stagnation there means the estimate is accurate even though
-            # the iterate itself has stopped making progress.
-            lam = float(v @ w)
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0:
-                break  # start vector fell in the null space; restart
-            v = w / norm_w
-            if abs(lam - lam_prev) <= _OPNORM_TOL * lam:
-                return scale * float(np.sqrt(lam))
-            lam_prev = lam
-    raise ArithmeticError(
-        f"power iteration failed to converge for a {n}x{n} matrix "
-        f"(last eigenvalue estimate {lam_prev!r}, {_OPNORM_MAX_ITER} iterations, 2 starts)"
-    )
+    return float(np.linalg.norm(h, 2))
 
 
 @dataclass(frozen=True)
 class Smoother:
-    """Labeled n x n matrix with cached tr(H), ||H||_F^2, and ||H||_op."""
+    """Labeled n x n matrix with cached tr(H), ||H||_F^2, and ||H||_op.
+
+    `params` holds the constructor inputs; array inputs are kept as
+    read-only ndarrays and become lists only in `family_to_doc`.
+    """
 
     label: str
     h: np.ndarray
@@ -97,7 +59,15 @@ class Smoother:
         return self.h.shape[0]
 
 
-def _make(label, h, kind, params, df=None, frob_sq=None) -> Smoother:
+def _frozen(a, shape=(-1,)) -> np.ndarray:
+    """Read-only float copy of `a`, reshaped (flattened by default)."""
+    a = np.array(a, dtype=float).reshape(shape)
+    a.setflags(write=False)
+    return a
+
+
+def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None) -> Smoother:
+    """Wrap `h`; statistics the constructor knows in closed form are passed in."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"smoother matrix must be square, got shape {h.shape}")
@@ -114,7 +84,7 @@ def _make(label, h, kind, params, df=None, frob_sq=None) -> Smoother:
         h=h,
         df=df,
         frob_sq=frob_sq,
-        opnorm=operator_norm(h),
+        opnorm=operator_norm(h) if opnorm is None else float(opnorm),
         kind=kind,
         params=dict(params),
     )
@@ -123,7 +93,7 @@ def _make(label, h, kind, params, df=None, frob_sq=None) -> Smoother:
 def from_matrix(label: str, h) -> Smoother:
     """Wrap an explicit square matrix, computing all cached statistics."""
     h = np.asarray(h, dtype=float)
-    return _make(label, h, "explicit", {"matrix": h.reshape(-1).tolist()})
+    return _make(label, h, "explicit", {"matrix": _frozen(h)})
 
 
 _RANK_TOL = 1e-10
@@ -152,8 +122,8 @@ def projection_from_design(label: str, design, subset) -> Smoother:
     ur = u[:, :rank]
     h = ur @ ur.T
     h = 0.5 * (h + h.T)
-    return _make(label, h, "projection", {"design": design.reshape(-1).tolist(),
-                                          "p": p, "subset": subset})
+    return _make(label, h, "projection", {"design": _frozen(design), "p": p, "subset": subset},
+                 opnorm=float(rank > 0))
 
 
 def krr_from_gram(label: str, gram, lam: float) -> Smoother:
@@ -178,16 +148,16 @@ def krr_from_gram(label: str, gram, lam: float) -> Smoother:
     if eigvals.min() < -1e-10 * scale:
         raise ValueError(f"gram matrix has negative eigenvalue {eigvals.min():g}")
     eigvals = np.clip(eigvals, 0.0, None)
-    params = {"gram": gram.reshape(-1).tolist(), "lambda": lam}
+    params = {"gram": _frozen(gram), "lambda": lam}
     n = gram.shape[0]
     if lam == 0.0:
         if eigvals.min() <= 1e-12 * max(eigvals.max(), 1.0):
             raise np.linalg.LinAlgError("lambda = 0 requires a nonsingular gram matrix")
-        return _make(label, np.eye(n), "krr", params)
+        return _make(label, np.eye(n), "krr", params, opnorm=1.0)
     shrink = eigvals / (eigvals + lam)
     h = (eigvecs * shrink) @ eigvecs.T
     h = 0.5 * (h + h.T)
-    return _make(label, h, "krr", params, df=float(np.sum(shrink)))
+    return _make(label, h, "krr", params, df=float(np.sum(shrink)), opnorm=float(shrink.max()))
 
 
 def knn_from_points(label: str, points, k: int) -> Smoother:
@@ -206,14 +176,15 @@ def knn_from_points(label: str, points, k: int) -> Smoother:
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("k-NN points must be finite")
     diffs = points[:, None, :] - points[None, :, :]
     dist_sq = np.sum(diffs * diffs, axis=2)
+    np.fill_diagonal(dist_sq, -np.inf)  # each point is its own first neighbor
+    neighbors = np.argsort(dist_sq, axis=1, kind="stable")[:, :k]  # ties: smallest index
     h = np.zeros((n, n))
-    for i in range(n):
-        order = sorted((j for j in range(n) if j != i), key=lambda j: (dist_sq[i, j], j))
-        neighbors = [i] + order[: k - 1]
-        h[i, neighbors] = 1.0 / k
-    return _make(label, h, "knn", {"points": points.tolist(), "k": k},
+    np.put_along_axis(h, neighbors, 1.0 / k, axis=1)
+    return _make(label, h, "knn", {"points": _frozen(points, points.shape), "k": k},
                  frob_sq=n / k)
 
 
@@ -277,8 +248,18 @@ class SmootherFamily:
 FAMILY_SCHEMA_VERSION = 1
 
 
+# Parameter keys of each smoother kind; all are required.
+_KIND_PARAMETERS = {"zero": (), "identity": (), "explicit": ("matrix",),
+                    "projection": ("design", "p", "subset"), "krr": ("gram", "lambda"),
+                    "knn": ("points", "k")}
+
+
 def build_smoother(spec: dict, n: int) -> Smoother:
-    """Build one smoother from its JSON description for dimension n."""
+    """Build one smoother from its JSON description for dimension n.
+
+    Malformed members (unknown kind, missing or unknown `parameters` keys,
+    values of the wrong type or shape) raise ValueError.
+    """
     if not isinstance(spec, dict):
         raise ValueError(f"smoother spec must be an object, got {type(spec).__name__}")
     known = {"label", "kind", "parameters"}
@@ -290,24 +271,34 @@ def build_smoother(spec: dict, n: int) -> Smoother:
         kind = spec["kind"]
     except KeyError as exc:
         raise ValueError(f"smoother spec missing required key {exc.args[0]!r}") from None
+    if not isinstance(kind, str) or kind not in _KIND_PARAMETERS:
+        raise ValueError(f"unknown smoother kind {kind!r}")
     params = spec.get("parameters", {})
-    if kind == "zero":
-        return _make(label, np.zeros((n, n)), "zero", {})
-    if kind == "identity":
-        return _make(label, np.eye(n), "identity", {})
-    if kind == "explicit":
-        matrix = np.asarray(params["matrix"], dtype=float).reshape(n, n)
-        return from_matrix(label, matrix)
-    if kind == "projection":
-        p = int(params["p"])
-        design = np.asarray(params["design"], dtype=float).reshape(n, p)
-        return projection_from_design(label, design, params["subset"])
-    if kind == "krr":
-        gram = np.asarray(params["gram"], dtype=float).reshape(n, n)
-        return krr_from_gram(label, gram, params["lambda"])
-    if kind == "knn":
+    if not isinstance(params, dict):
+        raise ValueError(f"smoother {label!r}: parameters must be an object")
+    missing = sorted(set(_KIND_PARAMETERS[kind]) - set(params))
+    unknown = sorted(set(params) - set(_KIND_PARAMETERS[kind]))
+    if missing or unknown:
+        raise ValueError(f"smoother {label!r} ({kind}): parameters missing keys {missing}, "
+                         f"unknown keys {unknown}")
+    try:
+        if kind == "zero":
+            return _make(label, np.zeros((n, n)), "zero", {}, opnorm=0.0)
+        if kind == "identity":
+            return _make(label, np.eye(n), "identity", {}, opnorm=float(n > 0))
+        if kind == "explicit":
+            matrix = np.asarray(params["matrix"], dtype=float).reshape(n, n)
+            return from_matrix(label, matrix)
+        if kind == "projection":
+            p = int(params["p"])
+            design = np.asarray(params["design"], dtype=float).reshape(n, p)
+            return projection_from_design(label, design, params["subset"])
+        if kind == "krr":
+            gram = np.asarray(params["gram"], dtype=float).reshape(n, n)
+            return krr_from_gram(label, gram, params["lambda"])
         return knn_from_points(label, params["points"], params["k"])
-    raise ValueError(f"unknown smoother kind {kind!r}")
+    except (TypeError, OverflowError) as exc:  # e.g. null or Infinity where an int is expected
+        raise ValueError(f"smoother {label!r} ({kind}): {exc}") from None
 
 
 def family_to_doc(family: SmootherFamily) -> dict:
@@ -315,7 +306,9 @@ def family_to_doc(family: SmootherFamily) -> dict:
         "schema_version": FAMILY_SCHEMA_VERSION,
         "n": family.n,
         "smoothers": [
-            {"label": m.label, "kind": m.kind, "parameters": m.params}
+            {"label": m.label, "kind": m.kind,
+             "parameters": {key: value.tolist() if isinstance(value, np.ndarray) else value
+                            for key, value in m.params.items()}}
             for m in family.members
         ],
     }
@@ -332,9 +325,11 @@ def family_from_doc(doc: dict) -> SmootherFamily:
         raise ValueError(f"unsupported family schema_version {version!r}")
     try:
         n = int(doc["n"])
-        specs = doc["smoothers"]
+        specs = list(doc["smoothers"])
     except KeyError as exc:
         raise ValueError(f"family document missing key {exc.args[0]!r}") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"family document: {exc}") from None
     return SmootherFamily.of(build_smoother(spec, n) for spec in specs)
 
 

@@ -90,6 +90,17 @@ def test_simulate_csv_format(tmp_path, capsys):
     pytest.param(lambda c: c.update(n_reps=True), "n_reps", id="bool-n_reps"),
     pytest.param(lambda c: c.update(master_seed=False), "master_seed", id="bool-master_seed"),
     pytest.param(lambda c: c["model"].update(n=True), "model.n", id="bool-model.n"),
+    pytest.param(lambda c: c["model"].update(sigma=True), "model.sigma", id="bool-model.sigma"),
+    pytest.param(lambda c: c.update(bounds={"c_test": True}), "bounds.c_test",
+                 id="bool-bounds.c_test"),
+    pytest.param(lambda c: c.update(bounds={"eta_grid": [0.5, True]}), "bounds.eta_grid",
+                 id="bool-bounds.eta_grid"),
+    pytest.param(lambda c: c.update(bounds={"c_test": float("nan")}), "bounds.c_test",
+                 id="nan-bounds.c_test"),
+    pytest.param(lambda c: c.update(bounds={"eta_grid": [float("inf")]}), "bounds.eta_grid",
+                 id="inf-bounds.eta_grid"),
+    pytest.param(lambda c: c["model"].update(sigma=10**400), "model.sigma",
+                 id="huge-int-model.sigma"),
 ])
 def test_simulate_validation_errors(tmp_path, capsys, mutate, needle):
     cfg = base_config()
@@ -135,6 +146,45 @@ def test_family_info_malformed(tmp_path, capsys):
     path.write_text(json.dumps({"schema_version": 1}))
     assert main(["family-info", "--family", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"schema_version": 1, "n": None, "smoothers": []}, id="null-n"),
+    pytest.param({"schema_version": 1, "n": 2, "smoothers": 5}, id="smoothers-not-list"),
+])
+def test_family_info_malformed_document(tmp_path, capsys, doc):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    assert main(["family-info", "--family", str(path)]) == 1
+    assert "family document" in capsys.readouterr().err
+
+
+_KNN_POINTS = [[0.0], [1.0]]
+
+
+@pytest.mark.parametrize("member,needle", [
+    pytest.param({"kind": "explicit", "parameters": {}}, "'matrix'", id="explicit-no-matrix"),
+    pytest.param({"kind": "knn", "parameters": {"points": _KNN_POINTS, "k": 1, "typo": 0}},
+                 "'typo'", id="knn-unknown-key"),
+    pytest.param({"kind": "knn", "parameters": {"points": [[0.0], [float("nan")]], "k": 1}},
+                 "finite", id="knn-nan-point"),
+    pytest.param({"kind": "knn", "parameters": {"points": [[0.0], [float("inf")]], "k": 1}},
+                 "finite", id="knn-inf-point"),
+    pytest.param({"kind": "knn", "parameters": {"points": _KNN_POINTS, "k": None}},
+                 "'m'", id="knn-null-k"),
+    pytest.param({"kind": "identity", "parameters": []}, "object", id="parameters-not-object"),
+    pytest.param({"kind": ["zero"]}, "unknown smoother kind", id="kind-not-string"),
+])
+def test_family_info_bad_member(tmp_path, capsys, member, needle):
+    path = tmp_path / "family.json"
+    doc = {"schema_version": 1, "n": 2, "smoothers": [{"label": "m", **member}]}
+    path.write_text(json.dumps(doc))
+    assert main(["family-info", "--family", str(path)]) == 1
+    assert needle in capsys.readouterr().err
+
+    cfg_path = write_config(tmp_path, base_config(family={"smoothers": doc["smoothers"]}))
+    assert main(["simulate", "--config", cfg_path]) == 1
+    assert needle in capsys.readouterr().err
 
 
 def test_family_info_krr_grid_df_decreasing(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +19,12 @@ from sure_lab import (
     projection_from_design,
     save_family,
 )
+from sure_lab.smoothers import build_smoother
 
 
-# -- operator norm: implementation is power iteration, oracle is full SVD ----
+# -- operator norm: implementation is LAPACK's largest singular value -------
+# (np.linalg.norm(h, 2)), oracle is the full SVD; constructors that know the
+# norm in closed form skip the SVD and are checked against it below.
 
 def test_operator_norm_identity_and_diag():
     assert operator_norm(np.eye(5)) == pytest.approx(1.0, rel=1e-10)
@@ -46,6 +50,49 @@ def test_operator_norm_against_svd_oracle():
         a = rng.standard_normal((n, n))
         oracle = np.linalg.svd(a, compute_uv=False)[0]
         assert operator_norm(a) == pytest.approx(oracle, rel=1e-9)
+
+
+def _svd_norm(h):
+    return np.linalg.svd(h, compute_uv=False)[0]
+
+
+def _gaussian_gram(n, bandwidth, seed):
+    x = (np.arange(n) + np.random.default_rng(seed).uniform(0.0, 1.0, n)) / n
+    diff = x[:, None] - x[None, :]
+    return np.exp(-diff * diff / (2.0 * bandwidth**2))
+
+
+def test_closed_form_norms_match_svd():
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((7, 7))
+    members = [
+        build_smoother({"label": "zero", "kind": "zero", "parameters": {}}, 5),
+        build_smoother({"label": "id", "kind": "identity", "parameters": {}}, 5),
+        projection_from_design("proj", rng.standard_normal((6, 4)), [0, 2, 3]),
+        projection_from_design("proj0", np.zeros((6, 2)), [1]),
+        krr_from_gram("krr0", a @ a.T, 0.0),
+        krr_from_gram("krr_small", a @ a.T, 1e-3),
+        krr_from_gram("krr_large", a @ a.T, 1e3),
+        krr_from_gram("krr_singular", np.diag([2.0, 1.0, 0.0]), 0.5),
+    ]
+    for s in members:
+        assert abs(s.opnorm - _svd_norm(s.h)) <= 1e-12 * _svd_norm(s.h), s.label
+    assert [s.opnorm for s in members[:4]] == [0.0, 1.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-6, 1e-10])
+def test_krr_small_lambda_builds_with_exact_norm(lam):
+    s = krr_from_gram("krr", _gaussian_gram(200, 0.1, [2, 1]), lam)
+    assert s.opnorm == pytest.approx(_svd_norm(s.h), rel=1e-12)
+    assert s.opnorm <= 1.0
+
+
+def test_knn_layout_that_stalled_power_iteration_builds():
+    rng = np.random.default_rng([107, 0])
+    rng.uniform(size=2)
+    points = (np.arange(200) + rng.uniform(0.0, 1.0, 200)) / 200
+    s = knn_from_points("knn", points, 3)
+    assert s.opnorm == pytest.approx(_svd_norm(s.h), rel=1e-12)
 
 
 # -- from_matrix -------------------------------------------------------------
@@ -204,6 +251,37 @@ def test_knn_k_too_large():
         knn_from_points("knn", np.arange(3.0), 4)
 
 
+def test_knn_rejects_non_finite_points():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            knn_from_points("knn", [[0.0, 1.0], [bad, 0.0], [2.0, 2.0]], 2)
+
+
+def _knn_reference(points, k):
+    """Row i: i itself, then the k-1 closest other points, ties by index."""
+    points = np.asarray(points, dtype=float).reshape(len(points), -1)
+    n = len(points)
+    diffs = points[:, None, :] - points[None, :, :]
+    dist_sq = np.sum(diffs * diffs, axis=2)
+    h = np.zeros((n, n))
+    for i in range(n):
+        order = sorted((j for j in range(n) if j != i), key=lambda j: (dist_sq[i, j], j))
+        h[i, [i] + order[: k - 1]] = 1.0 / k
+    return h
+
+
+def test_knn_matches_sorted_reference_with_ties_and_duplicates():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        d = int(rng.integers(1, 3))
+        # small integer grid: many equal distances and repeated points
+        points = rng.integers(-2, 3, size=(n, d)).astype(float)
+        for k in {1, n, int(rng.integers(1, n + 1))}:
+            np.testing.assert_array_equal(knn_from_points("knn", points, k).h,
+                                          _knn_reference(points, k))
+
+
 def test_knn_gershgorin_bound():
     ident = knn_from_points("k1", np.arange(3.0), 1)
     assert knn_opnorm_bound(ident, 1) == 1.0
@@ -269,6 +347,47 @@ def test_family_json_round_trip(tmp_path):
     for orig, back in zip(fam.members, loaded.members):
         np.testing.assert_array_equal(orig.h, back.h)
         assert (orig.df, orig.frob_sq, orig.opnorm) == (back.df, back.frob_sq, back.opnorm)
+
+
+def test_save_family_bytes_match_list_params(tmp_path):
+    """Array parameters serialize exactly as the list form did."""
+    rng = np.random.default_rng(4)
+    design, gram = rng.standard_normal((3, 2)), np.diag([2.0, 1.0, 0.5])
+    points2d, points1d = rng.standard_normal((3, 2)), rng.standard_normal(3)
+    matrix = rng.standard_normal((3, 3))
+    fam = SmootherFamily.of([
+        build_smoother({"label": "zero", "kind": "zero", "parameters": {}}, 3),
+        build_smoother({"label": "id", "kind": "identity", "parameters": {}}, 3),
+        from_matrix("expl", matrix),
+        projection_from_design("proj", design, [1]),
+        krr_from_gram("krr", gram, 0.25),
+        krr_from_gram("krr0", gram, 0.0),
+        knn_from_points("knn2d", points2d, 2),
+        knn_from_points("knn1d", points1d, 3),
+    ])
+    expected = [
+        ("zero", "zero", {}),
+        ("id", "identity", {}),
+        ("expl", "explicit", {"matrix": matrix.reshape(-1).tolist()}),
+        ("proj", "projection", {"design": design.reshape(-1).tolist(), "p": 2, "subset": [1]}),
+        ("krr", "krr", {"gram": gram.reshape(-1).tolist(), "lambda": 0.25}),
+        ("krr0", "krr", {"gram": gram.reshape(-1).tolist(), "lambda": 0.0}),
+        ("knn2d", "knn", {"points": points2d.tolist(), "k": 2}),
+        ("knn1d", "knn", {"points": points1d[:, None].tolist(), "k": 3}),
+    ]
+    doc = {"schema_version": 1, "n": 3, "smoothers": [
+        {"label": label, "kind": kind, "parameters": params}
+        for label, kind, params in expected]}
+    path = tmp_path / "family.json"
+    save_family(fam, path)
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_params_are_read_only_arrays():
+    s = krr_from_gram("krr", np.eye(3), 1.0)
+    assert isinstance(s.params["gram"], np.ndarray) and s.params["gram"].shape == (9,)
+    with pytest.raises(ValueError):
+        s.params["gram"][0] = 5.0
 
 
 def test_family_doc_rejects_unknown_keys():
