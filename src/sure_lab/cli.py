@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
+from . import _validate as validate
 from . import concentration, criteria, montecarlo, smoothers
+from ._validate import ConfigError
 from .sequence_model import GaussianSequenceModel, make_theta0
 from .smoothers import SmootherFamily, build_smoother, load_family
 
@@ -30,77 +31,40 @@ EXIT_CHECK_FAILED = 2
 EXIT_DOMAIN = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _require_keys(obj, allowed, required, where):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = [key for key in required if key not in obj]
-    if missing:
-        raise ConfigError(f"{where}: missing required keys {missing}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not 1
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number (JSON true is not 1; NaN and Infinity are rejected)."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int beyond float range
-        return False
-
-
 def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
 
 
 def _build_model(spec) -> GaussianSequenceModel:
-    _require_keys(spec, {"n", "sigma", "theta0"}, {"n", "sigma", "theta0"}, "model")
-    n = spec["n"]
-    if not _is_int(n) or n < 1:
-        raise ConfigError(f"model.n: must be a positive integer, got {n!r}")
-    sigma = spec["sigma"]
-    if not _is_number(sigma) or sigma <= 0:
-        raise ConfigError(f"model.sigma: must be a positive number, got {sigma!r}")
-    theta_spec = spec["theta0"]
-    if not isinstance(theta_spec, dict) or "kind" not in theta_spec:
-        raise ConfigError("model.theta0: must be an object with a 'kind' key")
-    params = {key: value for key, value in theta_spec.items() if key != "kind"}
-    try:
-        theta0 = make_theta0(theta_spec["kind"], n, **params)
-    except ValueError as exc:
-        raise ConfigError(f"model.theta0: {exc}") from exc
-    return GaussianSequenceModel(theta0=theta0, sigma=float(sigma))
+    validate.obj(spec, "model", ("n", "sigma", "theta0"))
+    n = validate.integer(spec["n"], "model.n", 1)
+    sigma = validate.number(spec["sigma"], "model.sigma", positive=True)
+    # any keys besides kind: make_theta0 checks the parameters of the kind
+    params = dict(validate.obj(spec["theta0"], "model.theta0", ("kind",), spec["theta0"]))
+    kind = params.pop("kind")
+    return GaussianSequenceModel(theta0=make_theta0(kind, n, **params), sigma=sigma)
 
 
 def _build_family(spec, n) -> SmootherFamily:
-    _require_keys(spec, {"smoothers", "path"}, (), "family")
+    validate.obj(spec, "family", optional=("smoothers", "path"))
     if ("path" in spec) == ("smoothers" in spec):
         raise ConfigError("family: provide exactly one of 'smoothers' or 'path'")
     if "path" in spec:
+        path = validate.string(spec["path"], "family.path")
         try:
-            family = load_family(spec["path"])
+            family = load_family(path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"family.path: {exc}") from exc
     else:
         try:
-            family = SmootherFamily.of(
-                build_smoother(item, n) for item in spec["smoothers"])
-        except (ValueError, KeyError) as exc:
+            family = SmootherFamily.of(validate.list_of(
+                spec["smoothers"], "family.smoothers", lambda item, _: build_smoother(item, n)))
+        except ValueError as exc:
             raise ConfigError(f"family.smoothers: {exc}") from exc
     if n is not None and family.n != n:
         raise ConfigError(f"family: dimension {family.n} does not match model.n = {n}")
@@ -108,51 +72,34 @@ def _build_family(spec, n) -> SmootherFamily:
 
 
 def _parse_experiment_config(doc):
-    _require_keys(
-        doc,
-        {"schema_version", "model", "family", "n_reps", "master_seed", "outputs", "bounds"},
-        {"schema_version", "model", "family", "n_reps", "master_seed"},
-        "config",
-    )
-    if doc["schema_version"] != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: unsupported value {doc['schema_version']!r}")
+    validate.obj(doc, "config", ("schema_version", "model", "family", "n_reps", "master_seed"),
+                 ("outputs", "bounds"))
+    validate.integer(doc["schema_version"], "schema_version",
+                     CONFIG_SCHEMA_VERSION, CONFIG_SCHEMA_VERSION)
+    n_reps = validate.integer(doc["n_reps"], "n_reps", 1, sys.maxsize)  # len() of the block range
+    master_seed = validate.integer(doc["master_seed"], "master_seed", 0, 2**64 - 1)
+    outputs = validate.obj(doc.get("outputs", {}), "outputs",
+                           optional=("summary", "records", "keep_records"))
+    for key in ("summary", "records"):
+        if outputs.get(key) is not None:
+            validate.string(outputs[key], f"outputs.{key}")
+    validate.boolean(outputs.get("keep_records", False), "outputs.keep_records")
+    bounds = validate.obj(doc.get("bounds", {}), "bounds", optional=("c_test", "eta_grid"))
+    c_test = validate.number(bounds.get("c_test", 1.0), "bounds.c_test", positive=True)
+    eta_grid = validate.list_of(bounds.get("eta_grid", [0.1, 0.5, 1.0]), "bounds.eta_grid",
+                                validate.number, True)
+    if not eta_grid:
+        raise ConfigError("bounds.eta_grid: must be a nonempty list of positive numbers")
     model = _build_model(doc["model"])
-    family = _build_family(doc["family"], model.n)
-    n_reps = doc["n_reps"]
-    if not _is_int(n_reps) or n_reps < 1:
-        raise ConfigError(f"n_reps: must be a positive integer, got {n_reps!r}")
-    master_seed = doc["master_seed"]
-    if not _is_int(master_seed) or not 0 <= master_seed < 2**64:
-        raise ConfigError(f"master_seed: must be a 64-bit unsigned integer, got {master_seed!r}")
-    outputs = doc.get("outputs", {})
-    _require_keys(outputs, {"summary", "records", "keep_records"}, (), "outputs")
-    bounds = doc.get("bounds", {})
-    _require_keys(bounds, {"c_test", "eta_grid"}, (), "bounds")
-    c_test = bounds.get("c_test", 1.0)
-    if not _is_number(c_test) or c_test <= 0:
-        raise ConfigError(f"bounds.c_test: must be a positive number, got {c_test!r}")
-    eta_grid = bounds.get("eta_grid", [0.1, 0.5, 1.0])
-    if (not isinstance(eta_grid, list) or not eta_grid
-            or any(not _is_number(e) or e <= 0 for e in eta_grid)):
-        raise ConfigError(f"bounds.eta_grid: must be a nonempty list of positive numbers")
     return {
         "model": model,
-        "family": family,
+        "family": _build_family(doc["family"], model.n),
         "n_reps": n_reps,
         "master_seed": master_seed,
         "outputs": outputs,
-        "c_test": float(c_test),
-        "eta_grid": [float(e) for e in eta_grid],
+        "c_test": c_test,
+        "eta_grid": eta_grid,
     }
-
-
-def _dump_json(doc, path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def _flatten(doc, prefix=""):
@@ -172,13 +119,13 @@ def _flatten(doc, prefix=""):
 def _write_report(doc, path, fmt):
     if fmt == "csv":
         text = "key,value\n" + "\n".join(_flatten(doc)) + "\n"
-        if path is None or path == "-":
-            sys.stdout.write(text)
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
     else:
-        _dump_json(doc, path)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if path is None or path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def _bound_table(summary, cfg):
@@ -186,7 +133,7 @@ def _bound_table(summary, cfg):
     family = cfg["family"]
     oracle_risk = min(criteria.risk(m, model) for m in family.members)
     edf_est = summary.estimates["edf_total"]["mean"]
-    h_op_eff = max(1.0, family.h_op)
+    h_op_eff = family.h_op_effective
     if summary.r_star > 0:
         bound = criteria.edf_bound(summary.r_star, len(family), h_op_eff)
     else:
@@ -248,35 +195,41 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-DEFAULT_LEMMA_CONFIG = {
-    "schema_version": 1,
-    "master_seed": 42,
-    "maxima": {"n_samples": 100_000, "n_vars": [1, 10, 100], "k": [1, 2, 4],
-               "tau": [1.0, 2.0]},
-    "quadratic": {"n_samples": 200_000, "slack": 0.0, "n_matrices": 5, "dim": 4,
-                  "lambda_fractions": [0.9, 0.5, 0.1]},
+# Every lemma battery field: its default and its check(value, where).
+_LEMMA_FIELDS = {
+    "maxima": {
+        "n_samples": (100_000, lambda v, w: validate.integer(v, w, 2)),
+        "n_vars": ([1, 10, 100], lambda v, w: validate.list_of(v, w, validate.integer, 1)),
+        "k": ([1, 2, 4], lambda v, w: validate.list_of(v, w, validate.number, True)),
+        "tau": ([1.0, 2.0], lambda v, w: validate.list_of(v, w, validate.number, True)),
+    },
+    "quadratic": {
+        "n_samples": (200_000, lambda v, w: validate.integer(v, w, 10**4)),
+        "slack": (0.0, validate.number),
+        "n_matrices": (5, lambda v, w: validate.integer(v, w, 0)),
+        "dim": (4, lambda v, w: validate.integer(v, w, 1)),
+        "lambda_fractions": ([0.9, 0.5, 0.1],
+                             lambda v, w: validate.list_of(v, w, validate.number)),
+    },
 }
 
 
 def _parse_lemma_config(doc):
-    _require_keys(doc, {"schema_version", "master_seed", "maxima", "quadratic"},
-                  (), "config")
-    cfg = json.loads(json.dumps(DEFAULT_LEMMA_CONFIG))
-    if doc.get("schema_version", 1) != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: unsupported value {doc['schema_version']!r}")
-    if "master_seed" in doc:
-        cfg["master_seed"] = doc["master_seed"]
-    for section in ("maxima", "quadratic"):
-        sub = doc.get(section, {})
-        _require_keys(sub, set(cfg[section]), (), section)
-        cfg[section].update(sub)
+    """The battery settings: each field as given in `doc`, or its default, once checked."""
+    validate.obj(doc, "config", optional=("schema_version", "master_seed", *_LEMMA_FIELDS))
+    validate.integer(doc.get("schema_version", CONFIG_SCHEMA_VERSION), "schema_version",
+                     CONFIG_SCHEMA_VERSION, CONFIG_SCHEMA_VERSION)
+    cfg = {"master_seed": validate.integer(doc.get("master_seed", 42), "master_seed",
+                                           0, 2**64 - 1)}
+    for section, fields in _LEMMA_FIELDS.items():
+        given = validate.obj(doc.get(section, {}), section, optional=fields)
+        cfg[section] = {key: given.get(key, default) for key, (default, _) in fields.items()}
+        for key, (_, check) in fields.items():
+            check(cfg[section][key], f"{section}.{key}")
     if cfg["quadratic"]["slack"] < 0:
         raise ConfigError("quadratic.slack: must be nonnegative")
-    fracs = cfg["quadratic"]["lambda_fractions"]
-    if any(not 0 <= f <= 0.95 for f in fracs):
+    if any(not 0 <= f <= 0.95 for f in cfg["quadratic"]["lambda_fractions"]):
         raise ConfigError("quadratic.lambda_fractions: must lie in [0, 0.95]")
-    if cfg["maxima"]["n_samples"] < 2 or cfg["quadratic"]["n_samples"] < 10**4:
-        raise ConfigError("n_samples: too small for a meaningful battery")
     return cfg
 
 
@@ -329,26 +282,21 @@ def cmd_verify_lemmas(args) -> int:
                 report["quadratic_mc"].append(vars(check) | {"matrix_index": m_idx})
     except ValueError as exc:
         report["domain_error"] = str(exc)
-        _dump_json(report, args.out)
+        _write_report(report, args.out, "json")
         return EXIT_DOMAIN
 
     report["all_pass"] = bool(all_pass)
-    _dump_json(report, args.out)
+    _write_report(report, args.out, "json")
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
 def cmd_family_info(args) -> int:
     if (args.family is None) == (args.config is None):
         raise ConfigError("family-info: provide exactly one of --family or --config")
-    if args.family:
-        try:
-            family = load_family(args.family)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"--family: {exc}") from exc
+    if args.family is not None:
+        family = _build_family({"path": args.family}, None)
     else:
-        doc = _load_json(args.config)
-        cfg = _parse_experiment_config(doc)
-        family = cfg["family"]
+        family = _parse_experiment_config(_load_json(args.config))["family"]
     header = f"{'label':<16}{'df':>12}{'frob_sq':>12}{'opnorm':>12}{'gershgorin':>12}"
     print(header)
     for m in family.members:
@@ -394,10 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError included; OSError from output files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -169,7 +169,13 @@ def max_moment_bound(n_vars: int, k: float, tau: float) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    return 2.0 * tau**k * max((2.0 * math.log(n_vars)) ** (k / 2.0), k ** (k / 2.0))
+    try:
+        bound = 2.0 * tau**k * max((2.0 * math.log(n_vars)) ** (k / 2.0), k ** (k / 2.0))
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"moment bound for k={k}, tau={tau} exceeds the float range")
+    return bound
 
 
 def verify_max_moment(n_vars: int, k: float, tau: float, n_samples: int,

@@ -76,13 +76,9 @@ def sure(smoother: Smoother, y, sigma: float) -> float:
 
 
 def _argmin_report(family: SmootherFamily, values, criterion: str) -> SelectionReport:
-    best_idx = 0
-    for i in range(1, len(values)):
-        if values[i] < values[best_idx]:  # strict: ties keep the earliest label
-            best_idx = i
     return SelectionReport(
         per_label_values={m.label: float(v) for m, v in zip(family.members, values)},
-        selected=family.members[best_idx].label,
+        selected=family.members[int(np.argmin(values))].label,  # ties: earliest label
         criterion=criterion,
     )
 
@@ -158,15 +154,11 @@ def shell_indices(risks, sigma_sq: float, r_star_value: float) -> np.ndarray:
             f"shell decomposition requires r_star > 0, got {r_star_value}")
     risks = np.asarray(risks, dtype=float)
     ratio = (risks - risks.min()) / (sigma_sq * r_star_value) + 1.0
-    level = np.zeros(ratio.shape, dtype=int)
-    above = ratio > 1.0
-    level[above] = np.floor(np.log2(ratio[above]))
-    # guard against log2 rounding at exact powers of two
-    while np.any(up := np.ldexp(1.0, level + 1) <= ratio):
-        level[up] += 1
-    while np.any(down := (level > 0) & (np.ldexp(1.0, level) > ratio)):
-        level[down] -= 1
-    return level
+    if not np.all(np.isfinite(ratio)):
+        raise ValueError(f"shell ratios are not finite at r_star = {r_star_value!r}: "
+                         "a risk overflows or r_star is too small")
+    # ratio = m 2^e with m in [0.5, 1), so floor(log2(ratio)) = e - 1 exactly
+    return (np.frexp(ratio)[1] - 1).astype(int)
 
 
 def edf_bound(r_star_value: float, family_size: int, h_op: float,

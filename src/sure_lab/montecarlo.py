@@ -353,7 +353,7 @@ class ShellDecayReport:
 
 def shell_decay_report(records, family: SmootherFamily,
                        model: GaussianSequenceModel, c_test: float = 1.0) -> ShellDecayReport:
-    """Tabulate P(selected in shell l) against |S_l| exp(-c 2^l r* / h_op^2).
+    """Tabulate P(selected in shell l) against |S_l| exp(-c 2^l r* / h^2), h = max(1, h_op).
 
     The exponential is a shape comparison with a caller-supplied constant, not
     a certified bound.
@@ -370,7 +370,7 @@ def shell_decay_report(records, family: SmootherFamily,
         "shell": l,
         "frequency": count / len(records),
         "members": size,
-        "lemma_shape": size * float(np.exp(-c_test * 2.0**l * rs / family.h_op**2)),
+        "lemma_shape": size * float(np.exp(-c_test * 2.0**l * rs / family.h_op_effective**2)),
     } for l, (count, size) in enumerate(zip(counts.tolist(), members.tolist()))]
     freqs = [row["frequency"] for row in rows]
     first = next((i for i, f in enumerate(freqs) if f > 0), len(freqs))

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _validate as validate
+
 __all__ = [
     "GaussianSequenceModel",
     "Observation",
@@ -35,8 +37,9 @@ class GaussianSequenceModel:
         if not np.all(np.isfinite(theta0)):
             raise ValueError("theta0 entries must be finite")
         sigma = float(self.sigma)
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"sigma must be a positive finite real, got {self.sigma!r}")
+        if not (sigma > 0 and np.finfo(float).tiny <= sigma * sigma < np.inf):
+            raise ValueError("sigma must be positive with sigma^2 a normal float (about "
+                             f"1.5e-154 to 1.3e+154), got {self.sigma!r}")
         theta0.setflags(write=False)
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "sigma", sigma)
@@ -58,7 +61,9 @@ class Observation:
     z: np.ndarray
 
 
-_THETA0_KINDS = ("zero", "constant", "sparse", "poly_decay", "explicit")
+# Parameters of each theta0 kind; all are required.
+_THETA0_PARAMETERS = {"zero": (), "constant": ("value",), "sparse": ("k", "amplitude"),
+                      "poly_decay": ("alpha", "scale"), "explicit": ("values",)}
 
 
 def make_theta0(kind: str, n: int, **params) -> np.ndarray:
@@ -71,47 +76,23 @@ def make_theta0(kind: str, n: int, **params) -> np.ndarray:
       poly_decay (alpha, scale) -- entry i (1-based) equals scale * i**(-alpha)
       explicit   (values)       -- given vector, must have length n
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if kind not in _THETA0_KINDS:
-        raise ValueError(f"unknown theta0 kind {kind!r}; expected one of {_THETA0_KINDS}")
-
-    def _take(*names):
-        missing = [name for name in names if name not in params]
-        if missing:
-            raise ValueError(f"theta0 kind {kind!r} requires parameters {missing}")
-        extra = set(params) - set(names)
-        if extra:
-            raise ValueError(f"theta0 kind {kind!r} got unexpected parameters {sorted(extra)}")
-        return [params[name] for name in names]
-
+    n = validate.integer(n, "n", 1)
+    validate.string(kind, "theta0 kind", _THETA0_PARAMETERS)
+    validate.obj(params, f"theta0 kind {kind!r}", _THETA0_PARAMETERS[kind])
     if kind == "zero":
-        _take()
         return np.zeros(n)
     if kind == "constant":
-        (value,) = _take("value")
-        return np.full(n, float(value))
+        return np.full(n, validate.number(params["value"], "theta0.value"))
     if kind == "sparse":
-        k, amplitude = _take("k", "amplitude")
-        k = int(k)
-        if not 0 <= k <= n:
-            raise ValueError(f"sparse theta0 requires 0 <= k <= n, got k={k}, n={n}")
+        k = validate.integer(params["k"], "theta0.k", 0, n)
         out = np.zeros(n)
-        out[:k] = float(amplitude)
+        out[:k] = validate.number(params["amplitude"], "theta0.amplitude")
         return out
     if kind == "poly_decay":
-        alpha, scale = _take("alpha", "scale")
-        alpha = float(alpha)
-        if alpha <= 0:
-            raise ValueError(f"poly_decay requires alpha > 0, got {alpha}")
+        alpha = validate.number(params["alpha"], "theta0.alpha", positive=True)
         idx = np.arange(1, n + 1, dtype=float)
-        return float(scale) * idx ** (-alpha)
-    # explicit
-    (values,) = _take("values")
-    out = np.asarray(values, dtype=float).reshape(-1)
-    if out.size != n:
-        raise ValueError(f"explicit theta0 has length {out.size}, expected {n}")
-    return out
+        return validate.number(params["scale"], "theta0.scale") * idx ** (-alpha)
+    return validate.array(params["values"], "theta0.values", (n,))
 
 
 _MASK64 = 2**64 - 1

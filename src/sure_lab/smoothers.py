@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _validate as validate
+
 __all__ = [
     "Smoother",
     "SmootherFamily",
@@ -231,6 +233,11 @@ class SmootherFamily:
         return iter(self.members)
 
     @property
+    def h_op_effective(self) -> float:
+        """max(1, h_op): the operator norm the bounds use (edf_bound needs h_op >= 1)."""
+        return max(1.0, self.h_op)
+
+    @property
     def labels(self):
         return [m.label for m in self.members]
 
@@ -260,45 +267,27 @@ def build_smoother(spec: dict, n: int) -> Smoother:
     Malformed members (unknown kind, missing or unknown `parameters` keys,
     values of the wrong type or shape) raise ValueError.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"smoother spec must be an object, got {type(spec).__name__}")
-    known = {"label", "kind", "parameters"}
-    extra = set(spec) - known
-    if extra:
-        raise ValueError(f"smoother spec has unknown keys {sorted(extra)}")
-    try:
-        label = spec["label"]
-        kind = spec["kind"]
-    except KeyError as exc:
-        raise ValueError(f"smoother spec missing required key {exc.args[0]!r}") from None
-    if not isinstance(kind, str) or kind not in _KIND_PARAMETERS:
-        raise ValueError(f"unknown smoother kind {kind!r}")
-    params = spec.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ValueError(f"smoother {label!r}: parameters must be an object")
-    missing = sorted(set(_KIND_PARAMETERS[kind]) - set(params))
-    unknown = sorted(set(params) - set(_KIND_PARAMETERS[kind]))
-    if missing or unknown:
-        raise ValueError(f"smoother {label!r} ({kind}): parameters missing keys {missing}, "
-                         f"unknown keys {unknown}")
-    try:
-        if kind == "zero":
-            return _make(label, np.zeros((n, n)), "zero", {}, opnorm=0.0)
-        if kind == "identity":
-            return _make(label, np.eye(n), "identity", {}, opnorm=float(n > 0))
-        if kind == "explicit":
-            matrix = np.asarray(params["matrix"], dtype=float).reshape(n, n)
-            return from_matrix(label, matrix)
-        if kind == "projection":
-            p = int(params["p"])
-            design = np.asarray(params["design"], dtype=float).reshape(n, p)
-            return projection_from_design(label, design, params["subset"])
-        if kind == "krr":
-            gram = np.asarray(params["gram"], dtype=float).reshape(n, n)
-            return krr_from_gram(label, gram, params["lambda"])
-        return knn_from_points(label, params["points"], params["k"])
-    except (TypeError, OverflowError) as exc:  # e.g. null or Infinity where an int is expected
-        raise ValueError(f"smoother {label!r} ({kind}): {exc}") from None
+    validate.obj(spec, "smoother spec", ("label", "kind"), ("parameters",))
+    label = validate.string(spec["label"], "smoother label")
+    kind = validate.string(spec["kind"], "smoother kind", _KIND_PARAMETERS)
+    where = f"smoother {label!r} parameters"
+    params = validate.obj(spec.get("parameters", {}), where, _KIND_PARAMETERS[kind])
+    if kind == "zero":
+        return _make(label, np.zeros((n, n)), "zero", {}, opnorm=0.0)
+    if kind == "identity":
+        return _make(label, np.eye(n), "identity", {}, opnorm=float(n > 0))
+    if kind == "explicit":
+        return from_matrix(label, validate.array(params["matrix"], f"{where}.matrix", (n, n)))
+    if kind == "projection":
+        p = validate.integer(params["p"], f"{where}.p", 1)
+        return projection_from_design(
+            label, validate.array(params["design"], f"{where}.design", (n, p)),
+            validate.list_of(params["subset"], f"{where}.subset", validate.integer, 0))
+    if kind == "krr":
+        return krr_from_gram(label, validate.array(params["gram"], f"{where}.gram", (n, n)),
+                             validate.number(params["lambda"], f"{where}.lambda"))
+    return knn_from_points(label, validate.array(params["points"], f"{where}.points"),
+                           validate.integer(params["k"], f"{where}.k", 1))
 
 
 def family_to_doc(family: SmootherFamily) -> dict:
@@ -315,22 +304,13 @@ def family_to_doc(family: SmootherFamily) -> dict:
 
 
 def family_from_doc(doc: dict) -> SmootherFamily:
-    if not isinstance(doc, dict):
-        raise ValueError("family document must be a JSON object")
-    extra = set(doc) - {"schema_version", "n", "smoothers"}
-    if extra:
-        raise ValueError(f"family document has unknown keys {sorted(extra)}")
-    version = doc.get("schema_version")
-    if version != FAMILY_SCHEMA_VERSION:
-        raise ValueError(f"unsupported family schema_version {version!r}")
-    try:
-        n = int(doc["n"])
-        specs = list(doc["smoothers"])
-    except KeyError as exc:
-        raise ValueError(f"family document missing key {exc.args[0]!r}") from None
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"family document: {exc}") from None
-    return SmootherFamily.of(build_smoother(spec, n) for spec in specs)
+    where = "family document"
+    validate.obj(doc, where, ("schema_version", "n", "smoothers"))
+    validate.integer(doc["schema_version"], f"{where}.schema_version",
+                     FAMILY_SCHEMA_VERSION, FAMILY_SCHEMA_VERSION)
+    n = validate.integer(doc["n"], f"{where}.n", 1)
+    return SmootherFamily.of(validate.list_of(
+        doc["smoothers"], f"{where}.smoothers", lambda spec, _: build_smoother(spec, n)))
 
 
 def save_family(family: SmootherFamily, path) -> None:

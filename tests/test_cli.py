@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sure_lab import SmootherFamily, from_matrix, save_family
 from sure_lab.cli import main
@@ -101,6 +104,22 @@ def test_simulate_csv_format(tmp_path, capsys):
                  id="inf-bounds.eta_grid"),
     pytest.param(lambda c: c["model"].update(sigma=10**400), "model.sigma",
                  id="huge-int-model.sigma"),
+    pytest.param(lambda c: c["model"].update(sigma=1e-160), "sigma", id="tiny-square-sigma"),
+    pytest.param(lambda c: c["model"].update(sigma=1e200), "sigma", id="huge-square-sigma"),
+    pytest.param(lambda c: c["model"]["theta0"].update(k=1.9), "theta0.k", id="float-theta0.k"),
+    pytest.param(lambda c: c["model"]["theta0"].update(k=True), "theta0.k", id="bool-theta0.k"),
+    pytest.param(lambda c: c["model"].update(theta0={"kind": "constant", "value": None}),
+                 "theta0.value", id="null-theta0.value"),
+    pytest.param(lambda c: c.update(schema_version=True), "schema_version",
+                 id="bool-schema_version"),
+    pytest.param(lambda c: c["family"]["smoothers"][0].update(label=5), "label",
+                 id="int-label"),
+    pytest.param(lambda c: c.update(family={"path": 5}), "family.path", id="int-family.path"),
+    pytest.param(lambda c: c.update(outputs={"records": 5}), "outputs.records",
+                 id="int-outputs.records"),
+    pytest.param(lambda c: c.update(outputs={"keep_records": "yes"}), "outputs.keep_records",
+                 id="string-outputs.keep_records"),
+    pytest.param(lambda c: c.update(n_reps=10**30), "n_reps", id="huge-int-n_reps"),
 ])
 def test_simulate_validation_errors(tmp_path, capsys, mutate, needle):
     cfg = base_config()
@@ -148,6 +167,11 @@ def test_family_info_malformed(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_family_info_empty_family_path(capsys):
+    assert main(["family-info", "--family", ""]) == 1
+    assert "family.path" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc", [
     pytest.param({"schema_version": 1, "n": None, "smoothers": []}, id="null-n"),
     pytest.param({"schema_version": 1, "n": 2, "smoothers": 5}, id="smoothers-not-list"),
@@ -174,6 +198,17 @@ _KNN_POINTS = [[0.0], [1.0]]
                  "'m'", id="knn-null-k"),
     pytest.param({"kind": "identity", "parameters": []}, "object", id="parameters-not-object"),
     pytest.param({"kind": ["zero"]}, "unknown smoother kind", id="kind-not-string"),
+    pytest.param({"kind": "knn", "parameters": {"points": _KNN_POINTS, "k": 1.7}}, ".k",
+                 id="knn-float-k"),
+    pytest.param({"kind": "krr", "parameters": {"gram": [1.0, 0.0, 0.0, 1.0], "lambda": "1"}},
+                 ".lambda", id="krr-string-lambda"),
+    pytest.param({"kind": "krr", "parameters": {"gram": [1.0, "0", 0.0, 1.0], "lambda": 1.0}},
+                 ".gram", id="krr-string-gram-entry"),
+    pytest.param({"kind": "explicit", "parameters": {"matrix": [[1.0, 0.0], [1.0]]}},
+                 ".matrix", id="explicit-ragged-matrix"),
+    pytest.param({"kind": "projection",
+                  "parameters": {"design": [1.0, 0.0], "p": 1, "subset": [True]}},
+                 ".subset[0]", id="projection-bool-subset"),
 ])
 def test_family_info_bad_member(tmp_path, capsys, member, needle):
     path = tmp_path / "family.json"
@@ -228,3 +263,92 @@ def test_verify_lemmas_rejects_boundary_lambda(tmp_path, capsys):
         tmp_path, {"quadratic": {"lambda_fractions": [1.0]}}, "lemmas.json")
     assert main(["verify-lemmas", "--config", cfg_path]) == 1
     assert "lambda_fractions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--records"])
+def test_simulate_unwritable_output(tmp_path, capsys, flag):
+    cfg_path = write_config(tmp_path, base_config(n_reps=10))
+    missing = str(tmp_path / "no_such_dir" / "out")
+    assert main(["simulate", "--config", cfg_path, flag, missing]) == 1
+    assert "no_such_dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,update,needle", [
+    pytest.param("quadratic", {"slack": "x"}, "quadratic.slack", id="string-slack"),
+    pytest.param("maxima", {"n_vars": 5}, "maxima.n_vars", id="int-n_vars"),
+    pytest.param("maxima", {"k": [1e308]}, "k=", id="huge-k"),
+    pytest.param("quadratic", {"n_matrices": 1.5}, "quadratic.n_matrices",
+                 id="float-n_matrices"),
+    pytest.param("quadratic", {"dim": 0}, "quadratic.dim", id="zero-dim"),
+    pytest.param(None, {"master_seed": True}, "master_seed", id="bool-master_seed"),
+])
+def test_verify_lemmas_validation_errors(tmp_path, capsys, section, update, needle):
+    cfg = {"maxima": {"n_samples": 100, "n_vars": [1], "k": [1], "tau": [1.0]},
+           "quadratic": {"n_samples": 10_000, "n_matrices": 0, "dim": 2}}
+    (cfg[section] if section else cfg).update(update)
+    cfg_path = write_config(tmp_path, cfg, "lemmas.json")
+    assert main(["verify-lemmas", "--config", cfg_path]) == 1
+    assert needle in capsys.readouterr().err
+
+
+# -- fuzz: mutated documents end in an exit code, never in an exception --------
+
+_FUZZ_VALUES = [None, True, False, -1, 0, 1, 1.5, "x", [], {}, [[1.0]], 1e308, 1e-320,
+                float("nan")]
+
+_FUZZ_SMOOTHERS = [
+    {"label": "zero", "kind": "zero", "parameters": {}},
+    {"label": "id", "kind": "identity", "parameters": {}},
+    {"label": "expl", "kind": "explicit", "parameters": {"matrix": [0.5, 0.0, 0.0, 0.5]}},
+    {"label": "proj", "kind": "projection",
+     "parameters": {"design": [1.0, 1.0], "p": 1, "subset": [0]}},
+    {"label": "krr", "kind": "krr", "parameters": {"gram": [2.0, 0.5, 0.5, 1.0], "lambda": 1.0}},
+    {"label": "knn", "kind": "knn", "parameters": {"points": [[0.0], [1.0]], "k": 2}},
+]
+
+_FUZZ_DOCUMENTS = {
+    "simulate": base_config(
+        model={"n": 2, "sigma": 1.0, "theta0": {"kind": "poly_decay", "alpha": 1.0, "scale": 2.0}},
+        family={"smoothers": _FUZZ_SMOOTHERS}, n_reps=20,
+        outputs={"summary": None, "records": None, "keep_records": False},
+        bounds={"c_test": 1.0, "eta_grid": [0.5, 1.0]}),
+    "verify-lemmas": {
+        "schema_version": 1, "master_seed": 3,
+        "maxima": {"n_samples": 100, "n_vars": [1, 3], "k": [1, 2], "tau": [1.0]},
+        "quadratic": {"n_samples": 10_000, "slack": 0.0, "n_matrices": 1, "dim": 2,
+                      "lambda_fractions": [0.5]}},
+    "family-info": {"schema_version": 1, "n": 2, "smoothers": _FUZZ_SMOOTHERS},
+}
+
+
+def _node_paths(doc, prefix=()):
+    """Key paths of every value below the root of a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _node_paths(value, prefix + (key,))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_documents_exit_cleanly(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_DOCUMENTS)))
+    doc = copy.deepcopy(_FUZZ_DOCUMENTS[command])
+    paths = data.draw(st.lists(st.sampled_from(list(_node_paths(doc))),
+                               min_size=1, max_size=2, unique=True))
+    for path in sorted(paths, key=len, reverse=True):  # a child before its parent
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(st.sampled_from(_FUZZ_VALUES))
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {"simulate": ["simulate", "--config", str(path), "--threads", "1",
+                         "--out", str(work / "s.json"), "--records", str(work / "r.csv")],
+            "verify-lemmas": ["verify-lemmas", "--config", str(path),
+                              "--out", str(work / "report.json")],
+            "family-info": ["family-info", "--family", str(path)]}[command]
+    assert main(argv) in (0, 1, 2, 3)

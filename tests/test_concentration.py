@@ -106,6 +106,12 @@ def test_max_moment_bound_examples():
     assert max_moment_bound(10, 4, 2.0) == pytest.approx(expected)
 
 
+def test_max_moment_bound_beyond_float_range():
+    for k, tau in ((1e308, 1.0), (300.0, 1.0), (1.0, 1e308)):
+        with pytest.raises(ValueError, match="float range"):
+            max_moment_bound(10, k, tau)
+
+
 def test_max_moment_bound_monotone():
     grid_n = [1, 3, 10, 100]
     grid_k = [1.0, 2.0, 4.0]

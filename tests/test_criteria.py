@@ -198,6 +198,24 @@ def test_shell_indices_power_of_two_boundaries():
         shell_indices(diffs, 1.0, 0.0)
 
 
+def test_shell_indices_match_reference_on_random_ratios():
+    rng = np.random.default_rng(8)
+    diffs = rng.exponential(1.0, 20_000) * 10.0 ** rng.uniform(-12.0, 15.0, 20_000)
+    diffs[0] = 0.0
+    assert shell_indices(diffs, 1.0, 1.0).tolist() == [_shell_reference(d, 1.0) for d in diffs]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_shell_indices_reject_non_finite_ratios(zero_id_family):
+    # theta0 = [1e-160, 0] puts r_star at 1e-320, so the identity's ratio overflows
+    model = GaussianSequenceModel(theta0=[1e-160, 0.0], sigma=1.0)
+    risks = [risk(m, model) for m in zero_id_family.members]
+    with pytest.raises(ValueError, match="r_star"):
+        shell_indices(risks, model.sigma_sq, r_star(zero_id_family, model))
+    with pytest.raises(ValueError, match="r_star"):
+        shell_indices([0.0, np.inf], 1.0, 1.0)
+
+
 def test_shell_index_agrees_with_shell_indices():
     rng = np.random.default_rng(5)
     model = GaussianSequenceModel(theta0=rng.standard_normal(6), sigma=0.7)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -165,6 +166,21 @@ def test_shell_decay_report_two_member(zero_id_family, model):
     assert report.rows[0]["members"] == 1 and report.rows[1]["members"] == 1
     assert report.rows[0]["frequency"] + report.rows[1]["frequency"] == pytest.approx(1.0)
     assert report.nonincreasing
+
+
+def test_shell_decay_report_zero_family_is_finite(model):
+    fam = SmootherFamily.of([from_matrix("zero", np.zeros((2, 2)))])
+    assert fam.h_op == 0.0 and fam.h_op_effective == 1.0
+    _, records = run_experiment(fam, model, 100, 3, keep_records=True)
+    report = shell_decay_report(records, fam, model)
+    assert [row["lemma_shape"] for row in report.rows] == [math.exp(-1.0)]  # r* = 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_experiment_rejects_overflowing_shells(zero_id_family):
+    model = GaussianSequenceModel(theta0=[1e-160, 0.0], sigma=1.0)  # r* = 1e-320
+    with pytest.raises(ValueError, match="r_star"):
+        run_experiment(zero_id_family, model, 10, 1)
 
 
 def test_shell_decay_all_in_shell_zero(model):

@@ -49,6 +49,9 @@ def test_model_invariants():
         GaussianSequenceModel(theta0=[1.0, np.inf], sigma=1.0)
     with pytest.raises(ValueError):
         GaussianSequenceModel(theta0=[], sigma=1.0)
+    for sigma in (1e-160, 1e200, -1.0):  # sigma^2 subnormal, overflowing; sigma negative
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianSequenceModel(theta0=[1.0, 0.0], sigma=sigma)
 
 
 def test_sample_reconstruction_exact():
