@@ -4,11 +4,9 @@ identities and excess-degrees-of-freedom bounds."""
 
 from .sequence_model import (
     GaussianSequenceModel,
-    Observation,
     derive_stream,
     standard_normal_rows,
     make_theta0,
-    sample,
 )
 from .smoothers import (
     Smoother,
@@ -42,11 +40,9 @@ from .criteria import (
 )
 from .montecarlo import (
     MonteCarloSummary,
-    ReplicateRecord,
     ReplicateRecords,
     ShellDecayReport,
     records_to_csv,
-    replicate,
     run_experiment,
     shell_decay_report,
     sure_unbiasedness_check,

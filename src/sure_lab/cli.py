@@ -4,13 +4,15 @@ Configs are versioned JSON documents (see docs/config_schema.md); all
 randomness flows from the configured master seed so outputs are byte-stable
 across reruns and worker counts.
 
-Exit codes: 0 success / all checks pass, 1 config or validation error,
-2 exact-identity or lemma check failure, 3 lemma domain error.
+Exit codes: 0 success / all checks pass, 1 config or validation error, an
+output that cannot be written or memory that cannot be allocated, 2
+exact-identity or lemma check failure, 3 lemma domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -83,6 +85,7 @@ def _parse_experiment_config(doc):
     for key in ("summary", "records"):
         if outputs.get(key) is not None:
             validate.string(outputs[key], f"outputs.{key}")
+    # keep_records has no effect; it stays valid so schema-1 documents still load
     validate.boolean(outputs.get("keep_records", False), "outputs.keep_records")
     bounds = validate.obj(doc.get("bounds", {}), "bounds", optional=("c_test", "eta_grid"))
     c_test = validate.number(bounds.get("c_test", 1.0), "bounds.c_test", positive=True)
@@ -116,16 +119,18 @@ def _flatten(doc, prefix=""):
     return rows
 
 
-def _write_report(doc, path, fmt):
-    if fmt == "csv":
-        text = "key,value\n" + "\n".join(_flatten(doc)) + "\n"
-    else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _open_output(path, stack):
+    """stdout for None or "-", else `path` opened for writing until `stack` closes."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        return sys.stdout
+    return stack.enter_context(open(path, "w"))
+
+
+def _write_report(doc, fh, fmt):
+    if fmt == "csv":
+        fh.write("key,value\n" + "\n".join(_flatten(doc)) + "\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _bound_table(summary, cfg):
@@ -167,28 +172,34 @@ def _bound_table(summary, cfg):
 def cmd_simulate(args) -> int:
     cfg = _parse_experiment_config(_load_json(args.config))
     if args.seed is not None:
-        cfg["master_seed"] = args.seed
+        cfg["master_seed"] = validate.integer(args.seed, "--seed", 0, 2**64 - 1)
     n_threads = args.threads
     if n_threads is None:
         env = os.environ.get("SURE_LAB_THREADS")
         n_threads = int(env) if env else (os.cpu_count() or 1)
     outputs = cfg["outputs"]
-    records_path = args.records or outputs.get("records")
-    keep_records = bool(records_path) or bool(outputs.get("keep_records"))
-    summary, records = montecarlo.run_experiment(
-        cfg["family"], cfg["model"], cfg["n_reps"], cfg["master_seed"],
-        n_threads=n_threads, keep_records=keep_records)
-    doc = {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "master_seed": cfg["master_seed"],
-        "summary": summary.to_json_dict(),
-        "bounds": _bound_table(summary, cfg),
-    }
     out_path = args.out or outputs.get("summary")
-    _write_report(doc, out_path, args.format)
-    if records_path:
-        with open(records_path, "w") as fh:
-            fh.write(montecarlo.records_to_csv(records))
+    records_path = args.records or outputs.get("records")
+    if records_path and out_path not in (None, "-") and (
+            os.path.realpath(out_path) == os.path.realpath(records_path)):
+        raise ConfigError(f"summary and records outputs are the same file: {records_path}")
+    # Outputs are opened before the run: a path that cannot be written costs
+    # no replicate, and a run that fails leaves the opened files empty.
+    with contextlib.ExitStack() as stack:
+        out = _open_output(out_path, stack)
+        records_fh = stack.enter_context(open(records_path, "w")) if records_path else None
+        summary, records = montecarlo.run_experiment(
+            cfg["family"], cfg["model"], cfg["n_reps"], cfg["master_seed"],
+            n_threads=n_threads, keep_records=records_fh is not None)
+        doc = {
+            "schema_version": CONFIG_SCHEMA_VERSION,
+            "master_seed": cfg["master_seed"],
+            "summary": summary.to_json_dict(),
+            "bounds": _bound_table(summary, cfg),
+        }
+        _write_report(doc, out, args.format)
+        if records_fh is not None:
+            montecarlo.records_to_csv(records, records_fh)
     if not summary.all_identities_pass:
         print("exact identity check failed; see identity_pass_rates", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -237,7 +248,16 @@ def cmd_verify_lemmas(args) -> int:
     doc = _load_json(args.config) if args.config else {}
     cfg = _parse_lemma_config(doc)
     if args.seed is not None:
-        cfg["master_seed"] = args.seed
+        cfg["master_seed"] = validate.integer(args.seed, "--seed", 0, 2**64 - 1)
+    with contextlib.ExitStack() as stack:
+        out = _open_output(args.out, stack)  # before the battery, as simulate does
+        report, code = _lemma_battery(cfg)
+        _write_report(report, out, "json")
+    return code
+
+
+def _lemma_battery(cfg):
+    """(report, exit code) of the lemma battery; case seeds wrap modulo 2^64."""
     seed = cfg["master_seed"]
     report = {"maxima": [], "quadratic_exact": [], "quadratic_mc": []}
     all_pass = True
@@ -248,7 +268,7 @@ def cmd_verify_lemmas(args) -> int:
         for n_vars in mx["n_vars"]:
             for k in mx["k"]:
                 empirical, bound, passed = concentration.verify_max_moment(
-                    n_vars, k, tau, mx["n_samples"], master_seed=seed + case)
+                    n_vars, k, tau, mx["n_samples"], master_seed=(seed + case) % 2**64)
                 case += 1
                 all_pass &= passed
                 report["maxima"].append({
@@ -276,18 +296,17 @@ def cmd_verify_lemmas(args) -> int:
             grid += [-g for g in grid] + [0.0]
             checks = concentration.verify_mgf_bound(
                 concentration.quadratic_form_sampler(a), first, grid,
-                qd["n_samples"], master_seed=seed + 1000 + m_idx, slack=qd["slack"])
+                qd["n_samples"], master_seed=(seed + 1000 + m_idx) % 2**64,
+                slack=qd["slack"])
             for check in checks:
                 all_pass &= check.passed
                 report["quadratic_mc"].append(vars(check) | {"matrix_index": m_idx})
     except ValueError as exc:
         report["domain_error"] = str(exc)
-        _write_report(report, args.out, "json")
-        return EXIT_DOMAIN
+        return report, EXIT_DOMAIN
 
     report["all_pass"] = bool(all_pass)
-    _write_report(report, args.out, "json")
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return report, EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
 def cmd_family_info(args) -> int:
@@ -342,8 +361,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # ConfigError included; OSError from output files
-        print(f"error: {exc}", file=sys.stderr)
+    # ConfigError included; OSError from files; MemoryError from sizes too large to hold
+    except (ValueError, OSError, MemoryError) as exc:
+        reason = (f"out of memory ({str(exc) or 'allocation failed'})"
+                  if isinstance(exc, MemoryError) else exc)
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -10,10 +10,11 @@ the worker count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +23,9 @@ from .sequence_model import GaussianSequenceModel, standard_normal_rows
 from .smoothers import Smoother, SmootherFamily
 
 __all__ = [
-    "ReplicateRecord",
     "ReplicateRecords",
     "MonteCarloSummary",
     "ShellDecayReport",
-    "replicate",
     "run_experiment",
     "sure_unbiasedness_check",
     "shell_decay_report",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-8
-RECORDS_MEMORY_GUARD = 10**6
 # A block (1 to 1024 replicates) keeps its products H_s y within BLOCK_BYTES;
 # larger blocks raised peak memory without speeding up the matrix product.
 BLOCK_BYTES = 2 * 1024 * 1024
@@ -50,29 +48,6 @@ ESTIMATE_COLUMNS = {
     "sure_min_mean": "sure_min",
     "noise_sq_gap": "noise_sq_gap",
 }
-
-
-@dataclass(frozen=True)
-class ReplicateRecord:
-    """Per-draw statistics of one SURE selection.
-
-    noise_sq_gap is n sigma^2 - ||z||^2 and signal_cross is 2 theta0^T z; the
-    exact per-replicate linkage is
-    exopt_stat = 2 sigma^2 edf_total + noise_sq_gap - signal_cross.
-    """
-
-    replicate_index: int
-    selected: str
-    sure_min: float
-    loss_selected: float
-    edf_total: float
-    edf_quadratic: float
-    edf_linear: float
-    exopt_stat: float
-    noise_sq_gap: float
-    signal_cross: float
-    shell: int | None
-    basic_inequality_slack: float
 
 
 @dataclass(frozen=True)
@@ -114,17 +89,39 @@ class MonteCarloSummary:
         }
 
 
-RECORD_CSV_COLUMNS = tuple(f.name for f in fields(ReplicateRecord))
-_INT_COLUMNS = ("replicate_index", "selected", "shell")  # "selected" holds member indices
-_FLOAT_COLUMNS = tuple(c for c in RECORD_CSV_COLUMNS if c not in _INT_COLUMNS)
+RECORD_CSV_COLUMNS = ("replicate_index", "selected", "sure_min", "loss_selected",
+                      "edf_total", "edf_quadratic", "edf_linear", "exopt_stat",
+                      "noise_sq_gap", "signal_cross", "shell", "basic_inequality_slack")
+# records_to_csv holds the text of at most this many rows (about 180 bytes
+# each) at a time, so the CSV's memory does not grow with n_reps.
+CSV_CHUNK_ROWS = 4096
 
 
 class ReplicateRecords:
-    """Replicate statistics stored as columns; row i is a ReplicateRecord.
+    """Per-replicate statistics of a run, one array per column.
 
-    `columns` maps each ReplicateRecord field to an array, except that
-    "selected" holds member indices into `labels` and "shell" is absent when
-    the shell machinery is disabled (degenerate r_star).
+    With z the replicate's noise, y = theta0 + z and j the member SURE selects,
+    `columns` holds:
+
+      replicate_index         i, with z = sigma * derive_stream(master_seed, i)
+                              .standard_normal(n)
+      selected                j, an index into `labels` (the CSV writes the label)
+      sure_min                SURE(j) = ||y - H_j y||^2 + 2 sigma^2 tr H_j
+      loss_selected           ||H_j y - theta0||^2
+      edf_total               z^T H_j y / sigma^2 - tr H_j
+                              = edf_quadratic + edf_linear
+      edf_quadratic           z^T H_j z / sigma^2 - tr H_j
+      edf_linear              (H_j theta0)^T z / sigma^2
+      exopt_stat              loss_selected + n sigma^2 - sure_min
+      noise_sq_gap            n sigma^2 - ||z||^2
+      signal_cross            2 theta0^T z
+      basic_inequality_slack  right minus left side of the basic inequality
+                              of j against the oracle member
+      shell                   dyadic risk shell of j; absent when r* is
+                              degenerate, which disables the shells
+
+    The exact per-replicate linkage is
+    exopt_stat = 2 sigma^2 edf_total + noise_sq_gap - signal_cross.
     """
 
     def __init__(self, columns: dict, labels):
@@ -133,21 +130,6 @@ class ReplicateRecords:
 
     def __len__(self) -> int:
         return len(self.columns["replicate_index"])
-
-    def __getitem__(self, i: int) -> ReplicateRecord:
-        i = range(len(self))[i]  # negative indices and bounds, as for a list
-        cols = self.columns
-        return ReplicateRecord(
-            replicate_index=int(cols["replicate_index"][i]),
-            selected=self.labels[cols["selected"][i]],
-            shell=int(cols["shell"][i]) if "shell" in cols else None,
-            **{name: float(cols[name][i]) for name in _FLOAT_COLUMNS})
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other):
-        return isinstance(other, ReplicateRecords) and list(self) == list(other)
 
 
 def _rowdot(a, b):
@@ -243,14 +225,6 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int = 1) -> Re
                              for name in blocks[0]}, ctx.family.labels)
 
 
-def replicate(family: SmootherFamily, model: GaussianSequenceModel,
-              stream: np.random.Generator, replicate_index: int = 0) -> ReplicateRecord:
-    """Run a single replicate (sample, select by SURE, record) as a one-row block."""
-    ctx = _Context(family, model)
-    z = model.sigma * stream.standard_normal(model.n)
-    return ReplicateRecords(ctx.block(z[None, :], replicate_index), ctx.family.labels)[0]
-
-
 def _mean_stderr(values: np.ndarray):
     mean = float(np.mean(values))
     if values.size < 2:
@@ -295,23 +269,18 @@ def _summarize(ctx: _Context, records: ReplicateRecords) -> MonteCarloSummary:
 
 def run_experiment(family: SmootherFamily, model: GaussianSequenceModel,
                    n_reps: int, master_seed: int, n_threads: int = 1,
-                   keep_records: bool = False, force_records: bool = False):
+                   keep_records: bool = False):
     """Run n_reps seeded replicates and reduce them in index order.
 
     Replicate i always draws derive_stream(master_seed, i)'s noise, and block
     boundaries depend only on n_reps and the family's shape, so results are
     independent of n_threads and of scheduling. At most
     min(n_threads, blocks, CPUs) worker threads run. Returns (summary,
-    records); records is None unless keep_records is set (guarded above 10^6
-    replicates unless force_records overrides).
+    records); records is None unless keep_records is set.
     """
     n_reps = int(n_reps)
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    if keep_records and n_reps > RECORDS_MEMORY_GUARD and not force_records:
-        raise ValueError(
-            f"refusing to retain {n_reps} records (> {RECORDS_MEMORY_GUARD}); "
-            "pass force_records=True to override")
     ctx = _Context(family, model)
     records = _run(ctx, n_reps, master_seed, n_threads)
     return _summarize(ctx, records), (records if keep_records else None)
@@ -351,27 +320,26 @@ class ShellDecayReport:
         return not self.violations
 
 
-def shell_decay_report(records, family: SmootherFamily,
+def shell_decay_report(summary: MonteCarloSummary, family: SmootherFamily,
                        model: GaussianSequenceModel, c_test: float = 1.0) -> ShellDecayReport:
     """Tabulate P(selected in shell l) against |S_l| exp(-c 2^l r* / h^2), h = max(1, h_op).
 
-    The exponential is a shape comparison with a caller-supplied constant, not
-    a certified bound.
+    Frequencies come from the summary's shell histogram of a run of `family`
+    under `model`. The exponential is a shape comparison with a caller-supplied
+    constant, not a certified bound.
     """
-    risks = np.array([criteria.risk(m, model) for m in family.members])
-    rs = float(risks.min()) / model.sigma_sq
-    if rs <= 0:
+    if summary.shell_histogram is None:
         raise criteria.DegenerateFamilyError(
             "shell decay report requires r_star > 0; family contains a zero-risk member")
-    shells = criteria.shell_indices(risks, model.sigma_sq, rs)
-    counts = np.bincount(records.columns["shell"], minlength=shells.max() + 1)
-    members = np.bincount(shells, minlength=counts.size)
+    rs = summary.r_star
+    risks = np.array([criteria.risk(m, model) for m in family.members])
+    members = np.bincount(criteria.shell_indices(risks, model.sigma_sq, rs)).tolist()
     rows = [{
         "shell": l,
-        "frequency": count / len(records),
+        "frequency": summary.shell_histogram.get(l, 0) / summary.n_reps,
         "members": size,
         "lemma_shape": size * float(np.exp(-c_test * 2.0**l * rs / family.h_op_effective**2)),
-    } for l, (count, size) in enumerate(zip(counts.tolist(), members.tolist()))]
+    } for l, size in enumerate(members)]
     freqs = [row["frequency"] for row in rows]
     first = next((i for i, f in enumerate(freqs) if f > 0), len(freqs))
     violations = [rows[i]["shell"] for i in range(first + 1, len(rows))
@@ -379,16 +347,21 @@ def shell_decay_report(records, family: SmootherFamily,
     return ShellDecayReport(rows=rows, violations=violations, r_star=rs, h_op=family.h_op)
 
 
-def records_to_csv(records: ReplicateRecords) -> str:
-    """Serialize records column by column with full round-trip float precision (repr)."""
-    cols = records.columns
-    cells = {
-        "replicate_index": map(str, cols["replicate_index"].tolist()),
-        "selected": [records.labels[j] for j in cols["selected"].tolist()],
-        "shell": (map(str, cols["shell"].tolist()) if "shell" in cols
-                  else [""] * len(records)),
-    }
-    columns = [cells[name] if name in cells else map(repr, cols[name].tolist())
-               for name in RECORD_CSV_COLUMNS]
-    lines = [",".join(RECORD_CSV_COLUMNS), *map(",".join, zip(*columns))]
-    return "\n".join(lines) + "\n"
+def records_to_csv(records: ReplicateRecords, fh) -> None:
+    """Write records to the text file fh as CSV, CSV_CHUNK_ROWS rows at a time.
+
+    Floats keep full round-trip precision (repr), "selected" is written as the
+    member label and "shell" is empty when the column is absent.
+    """
+    cols, labels = records.columns, records.labels
+    fh.write(",".join(RECORD_CSV_COLUMNS) + "\n")
+    for lo in range(0, len(records), CSV_CHUNK_ROWS):
+        part = {name: col[lo:lo + CSV_CHUNK_ROWS].tolist() for name, col in cols.items()}
+        cells = {
+            "replicate_index": map(str, part["replicate_index"]),
+            "selected": [labels[j] for j in part["selected"]],
+            "shell": map(str, part["shell"]) if "shell" in part else itertools.repeat(""),
+        }
+        columns = [cells[name] if name in cells else map(repr, part[name])
+                   for name in RECORD_CSV_COLUMNS]
+        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")

@@ -15,11 +15,9 @@ from . import _validate as validate
 
 __all__ = [
     "GaussianSequenceModel",
-    "Observation",
     "make_theta0",
     "derive_stream",
     "standard_normal_rows",
-    "sample",
 ]
 
 
@@ -51,14 +49,6 @@ class GaussianSequenceModel:
     @property
     def sigma_sq(self) -> float:
         return self.sigma * self.sigma
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One draw y = theta0 + z, with the realized noise retained."""
-
-    y: np.ndarray
-    z: np.ndarray
 
 
 # Parameters of each theta0 kind; all are required.
@@ -139,9 +129,3 @@ def standard_normal_rows(master_seed: int, start: int, stop: int, n: int) -> np.
         bitgen.state = state
         gen.standard_normal(out=out[row])
     return out
-
-
-def sample(model: GaussianSequenceModel, stream: np.random.Generator) -> Observation:
-    """Draw one observation y = theta0 + z with z ~ N(0, sigma^2 I)."""
-    z = model.sigma * stream.standard_normal(model.n)
-    return Observation(y=model.theta0 + z, z=z)

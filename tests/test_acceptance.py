@@ -51,7 +51,7 @@ def _model(n, sigma, kind, **params):
 
 
 # ---------------------------------------------------------------------------
-# Shared experiment cache. Values are (family, model, n_reps, keep_records).
+# Shared experiment cache. Values are (family, model, n_reps).
 # ---------------------------------------------------------------------------
 
 def _experiment_defs():
@@ -61,18 +61,18 @@ def _experiment_defs():
         SmootherFamily.of([from_matrix("zero", np.zeros((2, 2))),
                            from_matrix("identity", np.eye(2))]),
         _model(2, 1.0, "sparse", k=1, amplitude=1.0),
-        10**5, False)
+        10**5)
 
     n = 20
     defs["nested_projections"] = (
         SmootherFamily.of([coordinate_projection(n, m) for m in range(2, 21, 2)]),
         _model(n, 1.0, "poly_decay", alpha=1.0, scale=5.0),
-        10**5, False)
+        10**5)
 
     defs["singleton_projection"] = (
         SmootherFamily.of([coordinate_projection(8, 3)]),
         _model(8, 1.0, "sparse", k=2, amplitude=3.0),
-        10**5, False)
+        10**5)
 
     defs["null_signal"] = (
         SmootherFamily.of([from_matrix("zero", np.zeros((4, 4))),
@@ -80,7 +80,7 @@ def _experiment_defs():
                            coordinate_projection(4, 2),
                            from_matrix("identity", np.eye(4))]),
         _model(4, 1.0, "zero"),
-        10**5, False)
+        10**5)
 
     # Unbiased projections with risks m in {1,2,3,4,6,8,12,16}: the risk gaps
     # m - 1 land in dyadic shells 0,1,1,2,2,3,3,4.
@@ -89,7 +89,7 @@ def _experiment_defs():
         SmootherFamily.of([coordinate_projection(n, m)
                            for m in (1, 2, 3, 4, 6, 8, 12, 16)]),
         _model(n, 1.0, "sparse", k=1, amplitude=4.0),
-        10**5, True)
+        10**5)
     return defs
 
 
@@ -102,9 +102,8 @@ def experiments():
 
     def get(name):
         if name not in cache:
-            family, model, n_reps, keep = EXPERIMENT_DEFS[name]
-            cache[name] = run_experiment(family, model, n_reps, SEED,
-                                         n_threads=4, keep_records=keep)
+            family, model, n_reps = EXPERIMENT_DEFS[name]
+            cache[name] = run_experiment(family, model, n_reps, SEED, n_threads=4)
         return cache[name]
 
     return get
@@ -250,7 +249,7 @@ def test_exopt_edf_linkage(experiments):
 def test_exopt_linkage_literal_under_null(experiments):
     # With theta0 = 0 the linkage reduces to
     # exopt_stat = 2 sigma^2 edf_total + (n sigma^2 - |z|^2) exactly.
-    family, model, _, _ = EXPERIMENT_DEFS["null_signal"]
+    family, model, _ = EXPERIMENT_DEFS["null_signal"]
     summary, _ = experiments("null_signal")
     assert np.all(model.theta0 == 0.0)
     assert summary.exopt_identity_pass_rate == 1.0
@@ -297,9 +296,9 @@ def test_edf_bound_ratio_grid():
 # ---------------------------------------------------------------------------
 
 def test_shell_decay(experiments):
-    summary, records = experiments("shell_ladder")
-    family, model, _, _ = EXPERIMENT_DEFS["shell_ladder"]
-    report = shell_decay_report(records, family, model)
+    summary, _ = experiments("shell_ladder")
+    family, model, _ = EXPERIMENT_DEFS["shell_ladder"]
+    report = shell_decay_report(summary, family, model)
     occupied = [row["shell"] for row in report.rows if row["members"] > 0]
     freqs = {row["shell"]: row["frequency"] for row in report.rows}
     passed = report.nonincreasing and len(occupied) >= 3

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sure_lab import SmootherFamily, from_matrix, save_family
+from sure_lab import SmootherFamily, from_matrix, montecarlo, save_family
 from sure_lab.cli import main
 
 
@@ -265,12 +265,62 @@ def test_verify_lemmas_rejects_boundary_lambda(tmp_path, capsys):
     assert "lambda_fractions" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--out", "--records"])
-def test_simulate_unwritable_output(tmp_path, capsys, flag):
-    cfg_path = write_config(tmp_path, base_config(n_reps=10))
+def _run_experiment_not_called(*args, **kwargs):
+    pytest.fail("run_experiment ran although an output cannot be written")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--records", "outputs.summary", "outputs.records"])
+def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, flag):
     missing = str(tmp_path / "no_such_dir" / "out")
-    assert main(["simulate", "--config", cfg_path, flag, missing]) == 1
-    assert "no_such_dir" in capsys.readouterr().err
+    if flag.startswith("--"):
+        cfg, argv = base_config(n_reps=10), [flag, missing]
+    else:
+        cfg, argv = base_config(n_reps=10, outputs={flag.split(".")[1]: missing}), []
+    monkeypatch.setattr(montecarlo, "run_experiment", _run_experiment_not_called)
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), *argv]) == 1
+    captured = capsys.readouterr()
+    assert "no_such_dir" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_same_summary_and_records_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "run_experiment", _run_experiment_not_called)
+    same = str(tmp_path / "out.txt")
+    cfg_path = write_config(tmp_path, base_config(outputs={"summary": same}))
+    assert main(["simulate", "--config", cfg_path, "--records", str(tmp_path / ".." /
+                 tmp_path.name / "out.txt")]) == 1
+    assert "same file" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("message", [
+    pytest.param("Unable to allocate 8.00 EiB", id="numpy-message"),
+    pytest.param("", id="no-message"),
+])
+def test_simulate_out_of_memory(tmp_path, capsys, monkeypatch, message):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(montecarlo, "run_experiment", no_memory)
+    out = tmp_path / "summary.json"
+    cfg_path = write_config(tmp_path, base_config())
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+    assert f"error: out of memory ({message or 'allocation failed'})" in capsys.readouterr().err
+    assert out.read_text() == ""  # opened before the run, left empty
+
+
+def test_verify_lemmas_largest_master_seed(tmp_path, capsys):
+    cfg = {"master_seed": 2**64 - 1,
+           "maxima": {"n_samples": 100, "n_vars": [1, 2], "k": [1], "tau": [1.0]},
+           "quadratic": {"n_samples": 10_000, "n_matrices": 1, "dim": 2}}
+    cfg_path = write_config(tmp_path, cfg, "lemmas.json")
+    out = tmp_path / "report.json"
+    assert main(["verify-lemmas", "--config", cfg_path, "--out", str(out)]) in (0, 2)
+    report = json.loads(out.read_text())
+    assert "domain_error" not in report and len(report["quadratic_mc"]) > 0
+    for seed in (-1, 2**64):
+        assert main(["verify-lemmas", "--config", cfg_path, "--seed", str(seed)]) == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section,update,needle", [

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -15,7 +16,6 @@ from sure_lab import (
     montecarlo,
     projection_from_design,
     records_to_csv,
-    replicate,
     risk,
     run_experiment,
     shell_decay_report,
@@ -27,15 +27,17 @@ from sure_lab.criteria import DegenerateFamilyError
 from sure_lab.montecarlo import RECORD_CSV_COLUMNS
 
 
-class FixedNoise:
-    """Stand-in stream returning a preset standard-normal vector."""
+def one_row(family, model, z, index=0):
+    """Statistics of the one replicate with standard-normal noise z, as {column: value}."""
+    z = np.asarray(z, dtype=float)
+    cols = montecarlo._Context(family, model).block(model.sigma * z[None, :], index)
+    return {name: col[0] for name, col in cols.items()}
 
-    def __init__(self, z):
-        self.z = np.asarray(z, dtype=float)
 
-    def standard_normal(self, n):
-        assert n == self.z.size
-        return self.z.copy()
+def csv_text(records):
+    fh = io.StringIO()
+    records_to_csv(records, fh)
+    return fh.getvalue()
 
 
 @pytest.fixture
@@ -54,56 +56,54 @@ def zero_id_family():
 def test_replicate_zero_noise_singleton(model):
     h = from_matrix("h", np.array([[0.4, 0.0], [0.1, 0.3]]))
     fam = SmootherFamily.of([h])
-    rec = replicate(fam, model, FixedNoise([0.0, 0.0]))
+    row = one_row(fam, model, [0.0, 0.0])
     # with z = 0 the statistic is -tr(H); its expectation over z is 0
-    assert rec.edf_total == pytest.approx(-h.df, abs=1e-12)
-    assert rec.edf_quadratic == pytest.approx(-h.df, abs=1e-12)
-    assert rec.edf_linear == 0.0
+    assert row["edf_total"] == pytest.approx(-h.df, abs=1e-12)
+    assert row["edf_quadratic"] == pytest.approx(-h.df, abs=1e-12)
+    assert row["edf_linear"] == 0.0
 
 
 def test_replicate_hand_trace_select_zero(zero_id_family, model):
-    rec = replicate(zero_id_family, model, FixedNoise([0.5, -0.5]))
-    assert rec.selected == "a"
-    assert rec.sure_min == pytest.approx(2.5)
-    assert rec.loss_selected == pytest.approx(1.0)
-    assert rec.edf_total == 0.0
-    assert rec.edf_quadratic == 0.0
-    assert rec.edf_linear == 0.0
-    assert rec.exopt_stat == pytest.approx(0.5)
-    assert rec.shell == 0
-    assert rec.basic_inequality_slack >= -1e-8
+    row = one_row(zero_id_family, model, [0.5, -0.5])
+    assert zero_id_family.labels[row["selected"]] == "a"
+    assert row["sure_min"] == pytest.approx(2.5)
+    assert row["loss_selected"] == pytest.approx(1.0)
+    assert row["edf_total"] == 0.0
+    assert row["edf_quadratic"] == 0.0
+    assert row["edf_linear"] == 0.0
+    assert row["exopt_stat"] == pytest.approx(0.5)
+    assert row["shell"] == 0
+    assert row["basic_inequality_slack"] >= -1e-8
 
 
 def test_replicate_hand_trace_select_identity(zero_id_family, model):
-    rec = replicate(zero_id_family, model, FixedNoise([1.5, 0.5]))
-    assert rec.selected == "b"
-    assert rec.edf_total == pytest.approx(2.0)
-    assert rec.edf_quadratic == pytest.approx(0.5)
-    assert rec.edf_linear == pytest.approx(1.5)
+    row = one_row(zero_id_family, model, [1.5, 0.5])
+    assert zero_id_family.labels[row["selected"]] == "b"
+    assert row["edf_total"] == pytest.approx(2.0)
+    assert row["edf_quadratic"] == pytest.approx(0.5)
+    assert row["edf_linear"] == pytest.approx(1.5)
     # basic inequality: LHS 1 <= RHS 3.5
-    assert rec.basic_inequality_slack == pytest.approx(2.5)
+    assert row["basic_inequality_slack"] == pytest.approx(2.5)
 
 
 def test_replicate_exopt_linkage_exact(zero_id_family, model):
     for z in ([0.5, -0.5], [1.5, 0.5], [-2.0, 0.3]):
-        rec = replicate(zero_id_family, model, FixedNoise(z))
-        linkage = rec.exopt_stat - 2.0 * rec.edf_total - (rec.noise_sq_gap - rec.signal_cross)
-        assert abs(linkage) <= 1e-8 * (1.0 + abs(rec.exopt_stat))
+        row = one_row(zero_id_family, model, z)
+        linkage = (row["exopt_stat"] - 2.0 * row["edf_total"]
+                   - (row["noise_sq_gap"] - row["signal_cross"]))
+        assert abs(linkage) <= 1e-8 * (1.0 + abs(row["exopt_stat"]))
 
 
 def test_run_experiment_single_rep(zero_id_family, model):
     summary, records = run_experiment(zero_id_family, model, 1, 42, keep_records=True)
     assert summary.n_reps == 1
-    rec = records[0]
-    assert summary.estimates["sure_min_mean"]["mean"] == rec.sure_min
+    assert summary.estimates["sure_min_mean"]["mean"] == records.columns["sure_min"][0]
     assert summary.estimates["sure_min_mean"]["stderr"] is None  # sentinel, not 0
 
 
 def test_run_experiment_validation(zero_id_family, model):
     with pytest.raises(ValueError):
         run_experiment(zero_id_family, model, 0, 42)
-    with pytest.raises(ValueError):
-        run_experiment(zero_id_family, model, 2 * 10**6, 42, keep_records=True)
 
 
 def test_singleton_edf_centered(model):
@@ -143,9 +143,9 @@ def test_degenerate_r_star_disables_shells(zero_id_family):
     zero_model = GaussianSequenceModel(theta0=[0.0, 0.0], sigma=1.0)
     summary, records = run_experiment(zero_id_family, zero_model, 50, 2, keep_records=True)
     assert summary.shell_histogram is None
-    assert all(rec.shell is None for rec in records)
+    assert "shell" not in records.columns
     with pytest.raises(DegenerateFamilyError):
-        shell_decay_report(records, zero_id_family, zero_model)
+        shell_decay_report(summary, zero_id_family, zero_model)
 
 
 def test_sure_unbiasedness_targets(model):
@@ -160,19 +160,28 @@ def test_sure_unbiasedness_targets(model):
 
 
 def test_shell_decay_report_two_member(zero_id_family, model):
-    summary, records = run_experiment(zero_id_family, model, 10_000, 42, keep_records=True)
-    report = shell_decay_report(records, zero_id_family, model)
+    summary, _ = run_experiment(zero_id_family, model, 10_000, 42)
+    report = shell_decay_report(summary, zero_id_family, model)
     assert [row["shell"] for row in report.rows] == [0, 1]
     assert report.rows[0]["members"] == 1 and report.rows[1]["members"] == 1
     assert report.rows[0]["frequency"] + report.rows[1]["frequency"] == pytest.approx(1.0)
     assert report.nonincreasing
 
 
+def test_shell_decay_report_empty_middle_shells(zero_id_family):
+    model = GaussianSequenceModel(theta0=[0.5, 0.0], sigma=1.0)  # r* = 1/4, identity in shell 3
+    summary, _ = run_experiment(zero_id_family, model, 2_000, 42)
+    report = shell_decay_report(summary, zero_id_family, model)
+    assert [row["members"] for row in report.rows] == [1, 0, 0, 1]
+    assert [row["frequency"] for row in report.rows][1:3] == [0.0, 0.0]
+    assert sum(row["frequency"] for row in report.rows) == pytest.approx(1.0)
+
+
 def test_shell_decay_report_zero_family_is_finite(model):
     fam = SmootherFamily.of([from_matrix("zero", np.zeros((2, 2)))])
     assert fam.h_op == 0.0 and fam.h_op_effective == 1.0
-    _, records = run_experiment(fam, model, 100, 3, keep_records=True)
-    report = shell_decay_report(records, fam, model)
+    summary, _ = run_experiment(fam, model, 100, 3)
+    report = shell_decay_report(summary, fam, model)
     assert [row["lemma_shape"] for row in report.rows] == [math.exp(-1.0)]  # r* = 1
 
 
@@ -188,8 +197,8 @@ def test_shell_decay_all_in_shell_zero(model):
         from_matrix("a", np.diag([0.5, 0.5])),
         from_matrix("b", np.diag([0.5, 0.5])),
     ])
-    _, records = run_experiment(fam, model, 500, 4, keep_records=True)
-    report = shell_decay_report(records, fam, model)
+    summary, _ = run_experiment(fam, model, 500, 4)
+    report = shell_decay_report(summary, fam, model)
     assert report.rows[0]["frequency"] == 1.0
 
 
@@ -203,19 +212,19 @@ def test_summary_json_deterministic(zero_id_family, model):
 
 def test_records_csv_round_trip(zero_id_family, model):
     _, records = run_experiment(zero_id_family, model, 20, 42, keep_records=True)
-    text = records_to_csv(records)
+    text = csv_text(records)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(RECORD_CSV_COLUMNS)
     assert len(lines) == 21
     cells = lines[1].split(",")
     parsed = dict(zip(RECORD_CSV_COLUMNS, cells))
-    assert float(parsed["sure_min"]) == records[0].sure_min  # full precision
+    assert float(parsed["sure_min"]) == records.columns["sure_min"][0]  # full precision
     assert int(parsed["replicate_index"]) == 0
 
 
 def test_replicate_sure_tie_keeps_first_member(zero_id_family, model):
     # y = (2, 0): SURE(zero) = |y|^2 = 4 = 2 sigma^2 tr(I) = SURE(identity)
-    assert replicate(zero_id_family, model, FixedNoise([1.0, 0.0])).selected == "a"
+    assert zero_id_family.labels[one_row(zero_id_family, model, [1.0, 0.0])["selected"]] == "a"
 
 
 def _random_family(rng, n, size):
@@ -243,11 +252,13 @@ def test_block_kernel_matches_criteria(n):
         s2 = model.sigma_sq
         _, records = run_experiment(family, model, 40, 9, keep_records=True)
         oracle = min(family.members, key=lambda m: risk(m, model))
-        for rec in records:
-            z = model.sigma * derive_stream(9, rec.replicate_index).standard_normal(n)
+        cols = records.columns
+        for i in range(len(records)):
+            z = model.sigma * derive_stream(9, cols["replicate_index"][i]).standard_normal(n)
             y = model.theta0 + z
-            assert rec.selected == sure_select(family, y, model.sigma).selected
-            h = family.member(rec.selected)
+            selected = family.labels[cols["selected"][i]]
+            assert selected == sure_select(family, y, model.sigma).selected
+            h = family.member(selected)
             cv, cv0 = centered_variables(h, model, z), centered_variables(oracle, model, z)
             diff = h.h @ y - model.theta0
             expected = {
@@ -263,7 +274,7 @@ def test_block_kernel_matches_criteria(n):
             }
             expected["exopt_stat"] = expected["loss_selected"] + n * s2 - expected["sure_min"]
             for name, want in expected.items():
-                assert getattr(rec, name) == pytest.approx(want, rel=1e-10, abs=1e-10), name
+                assert cols[name][i] == pytest.approx(want, rel=1e-10, abs=1e-10), name
 
 
 def test_engine_rows_match_replicate():
@@ -275,13 +286,13 @@ def test_engine_rows_match_replicate():
     block = montecarlo._Context(family, model).block_len
     assert block == 65
     _, records = run_experiment(family, model, block + 1, 3, keep_records=True)
+    cols = records.columns
     for i in (0, block - 1, block):
-        one = replicate(family, model, derive_stream(3, i), i)
-        row = records[i]
-        assert row.replicate_index == one.replicate_index == i
-        assert row.selected == one.selected and row.shell == one.shell
+        one = one_row(family, model, derive_stream(3, i).standard_normal(n), i)
+        assert cols["replicate_index"][i] == one["replicate_index"] == i
+        assert cols["selected"][i] == one["selected"] and cols["shell"][i] == one["shell"]
         for name in ("sure_min", "edf_total", "basic_inequality_slack"):
-            assert getattr(row, name) == pytest.approx(getattr(one, name), rel=1e-12)
+            assert cols[name][i] == pytest.approx(one[name], rel=1e-12)
 
 
 def test_outputs_byte_identical_across_threads(monkeypatch):
@@ -296,8 +307,7 @@ def test_outputs_byte_identical_across_threads(monkeypatch):
     for threads in (1, 2, 3):
         summary, records = run_experiment(family, model, n_reps, 77, n_threads=threads,
                                           keep_records=True)
-        outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True),
-                     records_to_csv(records)))
+        outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True), csv_text(records)))
     assert len(outputs) == 1
 
 
@@ -334,23 +344,42 @@ def test_worker_pool_bounded(monkeypatch, zero_id_family, model):
 
 def _csv_reference(records):
     """Row-by-row serializer that records_to_csv must reproduce byte for byte."""
+    cols = records.columns
     lines = [",".join(RECORD_CSV_COLUMNS)]
-    for r in records:
+    for i in range(len(records)):
         cells = []
         for col in RECORD_CSV_COLUMNS:
-            value = getattr(r, col)
-            cells.append("" if value is None else
-                         repr(float(value)) if isinstance(value, float) else str(value))
+            if col not in cols:
+                cells.append("")
+            elif col == "selected":
+                cells.append(records.labels[cols[col][i]])
+            elif col in ("replicate_index", "shell"):
+                cells.append(str(int(cols[col][i])))
+            else:
+                cells.append(repr(float(cols[col][i])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def test_records_csv_matches_row_reference(zero_id_family, model):
     _, records = run_experiment(zero_id_family, model, 300, 5, keep_records=True)
-    assert records_to_csv(records) == _csv_reference(records)
+    assert csv_text(records) == _csv_reference(records)
     zero_model = GaussianSequenceModel(theta0=[0.0, 0.0], sigma=1.0)
     _, no_shells = run_experiment(zero_id_family, zero_model, 30, 5, keep_records=True)
-    assert records_to_csv(no_shells) == _csv_reference(no_shells)
-    assert records[-1].replicate_index == 299 and len(list(records)) == 300
-    with pytest.raises(IndexError):
-        records[300]
+    assert csv_text(no_shells) == _csv_reference(no_shells)
+    assert len(records) == 300 and records.columns["replicate_index"][-1] == 299
+
+
+def test_records_csv_chunks_match_row_reference(monkeypatch):
+    n = 128
+    family = SmootherFamily.of([from_matrix("zero", np.zeros((n, n)))] + [
+        projection_from_design(f"p{m}", np.eye(n), list(range(m))) for m in (4, 16, 64)])
+    block = montecarlo._Context(family, GaussianSequenceModel(np.ones(n), 1.0)).block_len
+    n_reps = 2 * block + 3
+    monkeypatch.setattr(montecarlo, "CSV_CHUNK_ROWS", 7)
+    assert n_reps % 7 and block % 7
+    for theta0 in (np.ones(n), np.zeros(n)):  # with and without a shell column
+        _, records = run_experiment(family, GaussianSequenceModel(theta0, 1.0), n_reps, 6,
+                                    keep_records=True)
+        assert ("shell" in records.columns) == bool(theta0.any())
+        assert csv_text(records) == _csv_reference(records)

@@ -6,7 +6,6 @@ from sure_lab import (
     derive_stream,
     make_theta0,
     run_experiment,
-    sample,
     standard_normal_rows,
 )
 from sure_lab.smoothers import SmootherFamily, from_matrix
@@ -54,18 +53,10 @@ def test_model_invariants():
             GaussianSequenceModel(theta0=[1.0, 0.0], sigma=sigma)
 
 
-def test_sample_reconstruction_exact():
-    model = GaussianSequenceModel(theta0=[1.0, 0.0], sigma=1.0)
-    obs = sample(model, derive_stream(7, 0))
-    # exact floating-point identity by construction
-    assert np.max(np.abs(obs.y - model.theta0 - obs.z)) == 0.0
-
-
 def test_sample_moments():
     model = GaussianSequenceModel(theta0=[0.5, -2.0, 3.0], sigma=1.5)
-    stream = derive_stream(2024, 0)
     reps = 10**5
-    zs = np.stack([sample(model, stream).z for _ in range(reps)])
+    zs = model.sigma * standard_normal_rows(2024, 0, reps, model.n)
     tol_mean = 4.0 * model.sigma / np.sqrt(reps)
     tol_var = 4.0 * model.sigma**2 * np.sqrt(2.0 / reps)
     assert np.all(np.abs(zs.mean(axis=0)) <= tol_mean)
@@ -107,4 +98,6 @@ def test_records_independent_of_thread_count():
     ])
     _, recs1 = run_experiment(family, model, 500, 42, n_threads=1, keep_records=True)
     _, recs8 = run_experiment(family, model, 500, 42, n_threads=8, keep_records=True)
-    assert recs1 == recs8
+    assert recs1.labels == recs8.labels and recs1.columns.keys() == recs8.columns.keys()
+    for name, column in recs1.columns.items():
+        assert np.array_equal(column, recs8.columns[name]), name
