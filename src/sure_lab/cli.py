@@ -22,7 +22,7 @@ import numpy as np
 from . import _validate as validate
 from . import concentration, criteria, montecarlo, smoothers
 from ._validate import ConfigError
-from .sequence_model import GaussianSequenceModel, make_theta0
+from .sequence_model import GaussianSequenceModel, derive_stream, make_theta0
 from .smoothers import SmootherFamily, build_smoother, load_family
 
 CONFIG_SCHEMA_VERSION = 1
@@ -173,10 +173,6 @@ def cmd_simulate(args) -> int:
     cfg = _parse_experiment_config(_load_json(args.config))
     if args.seed is not None:
         cfg["master_seed"] = validate.integer(args.seed, "--seed", 0, 2**64 - 1)
-    n_threads = args.threads
-    if n_threads is None:
-        env = os.environ.get("SURE_LAB_THREADS")
-        n_threads = int(env) if env else (os.cpu_count() or 1)
     outputs = cfg["outputs"]
     out_path = args.out or outputs.get("summary")
     records_path = args.records or outputs.get("records")
@@ -190,7 +186,7 @@ def cmd_simulate(args) -> int:
         records_fh = stack.enter_context(open(records_path, "w")) if records_path else None
         summary, records = montecarlo.run_experiment(
             cfg["family"], cfg["model"], cfg["n_reps"], cfg["master_seed"],
-            n_threads=n_threads, keep_records=records_fh is not None)
+            n_threads=args.threads, keep_records=records_fh is not None)
         doc = {
             "schema_version": CONFIG_SCHEMA_VERSION,
             "master_seed": cfg["master_seed"],
@@ -217,12 +213,14 @@ _LEMMA_FIELDS = {
     "quadratic": {
         "n_samples": (200_000, lambda v, w: validate.integer(v, w, 10**4)),
         "slack": (0.0, validate.number),
-        "n_matrices": (5, lambda v, w: validate.integer(v, w, 0)),
-        "dim": (4, lambda v, w: validate.integer(v, w, 1)),
+        "n_matrices": (5, lambda v, w: validate.integer(v, w, 0, 1024)),
+        "dim": (4, lambda v, w: validate.integer(v, w, 1, 1024)),
         "lambda_fractions": ([0.9, 0.5, 0.1],
                              lambda v, w: validate.list_of(v, w, validate.number)),
     },
 }
+# A battery case draws one float64 array of at most 2^27 entries (1 GiB).
+_MAX_DRAWS = 2**27
 
 
 def _parse_lemma_config(doc):
@@ -237,10 +235,16 @@ def _parse_lemma_config(doc):
         cfg[section] = {key: given.get(key, default) for key, (default, _) in fields.items()}
         for key, (_, check) in fields.items():
             check(cfg[section][key], f"{section}.{key}")
-    if cfg["quadratic"]["slack"] < 0:
+    mx, qd = cfg["maxima"], cfg["quadratic"]
+    if qd["slack"] < 0:
         raise ConfigError("quadratic.slack: must be nonnegative")
-    if any(not 0 <= f <= 0.95 for f in cfg["quadratic"]["lambda_fractions"]):
+    if any(not 0 <= f <= 0.95 for f in qd["lambda_fractions"]):
         raise ConfigError("quadratic.lambda_fractions: must lie in [0, 0.95]")
+    for where, draws in (("maxima.n_samples * max(maxima.n_vars)",
+                          mx["n_samples"] * max(mx["n_vars"], default=0)),
+                         ("quadratic.n_samples * quadratic.dim", qd["n_samples"] * qd["dim"])):
+        if draws > _MAX_DRAWS:
+            raise ConfigError(f"{where}: must be at most 2^27, got {draws}")
     return cfg
 
 
@@ -277,25 +281,25 @@ def _lemma_battery(cfg):
                 })
 
     qd = cfg["quadratic"]
-    rng = np.random.Generator(np.random.Philox(key=seed))
+
+    def lambda_grid(params):  # fractions of the domain edge 1/b, both signs, and 0
+        grid = [f / params.b for f in qd["lambda_fractions"]]
+        return grid + [-g for g in grid] + [0.0]
+
+    rng = derive_stream(seed, 0)
     try:
         # exact chi-square oracle on the identity quadratic form
-        ident = np.eye(2)
-        first, _ = concentration.quadratic_form_params(ident)
-        grid = [f / first.b for f in qd["lambda_fractions"]]
-        grid += [-g for g in grid] + [0.0]
+        first, _ = concentration.quadratic_form_params(np.eye(2))
         for check in concentration.verify_mgf_bound(
-                None, first, grid, qd["n_samples"], master_seed=seed,
+                None, first, lambda_grid(first), qd["n_samples"], master_seed=seed,
                 slack=qd["slack"], exact_eigs=np.ones(2)):
             all_pass &= check.passed
             report["quadratic_exact"].append(vars(check) | {"matrix": "identity_2"})
         for m_idx in range(qd["n_matrices"]):
             a = rng.standard_normal((qd["dim"], qd["dim"]))
             first, _ = concentration.quadratic_form_params(a)
-            grid = [f / first.b for f in qd["lambda_fractions"]]
-            grid += [-g for g in grid] + [0.0]
             checks = concentration.verify_mgf_bound(
-                concentration.quadratic_form_sampler(a), first, grid,
+                concentration.quadratic_form_sampler(a), first, lambda_grid(first),
                 qd["n_samples"], master_seed=(seed + 1000 + m_idx) % 2**64,
                 slack=qd["slack"])
             for check in checks:
@@ -337,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment")
     sim.add_argument("--config", required=True)
     sim.add_argument("--seed", type=int, default=None, help="override config master_seed")
-    sim.add_argument("--threads", type=int, default=None)
+    sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                     help="worker threads (default: CPU count)")
     sim.add_argument("--records", default=None, help="write per-replicate CSV here")
     sim.add_argument("--out", default=None, help="summary output path (default stdout)")
     sim.add_argument("--format", choices=("json", "csv"), default="json")

@@ -195,28 +195,24 @@ def verify_max_moment(n_vars: int, k: float, tau: float, n_samples: int,
 
 
 def max_moment_bound_subexp(n_vars: int, k: float, params: SubExpParams,
-                            c_test: float, log_n_vars: float | None = None) -> float:
+                            c_test: float) -> float:
     """Sub-exponential maxima scale
     c * max{sqrt(tau^2 log N), b log N, sqrt(tau^2 k), b k}.
 
-    The constant is caller-supplied (default choice for smoke tests: 10);
-    log_n_vars lets tests inject a non-integer log N.
+    The constant is caller-supplied (default choice for smoke tests: 10).
     """
     if c_test <= 0:
         raise ValueError(f"c_test must be positive, got {c_test}")
     k = float(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if log_n_vars is None:
-        n_vars = int(n_vars)
-        if n_vars < 1:
-            raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-        log_n = math.log(n_vars)
-    else:
-        log_n = float(log_n_vars)
+    n_vars = int(n_vars)
+    if n_vars < 1:
+        raise ValueError(f"n_vars must be >= 1, got {n_vars}")
+    log_n = math.log(n_vars)
     tau_sq, b = params.tau_sq, params.b
     return c_test * max(
-        math.sqrt(tau_sq * log_n) if log_n > 0 else 0.0,
+        math.sqrt(tau_sq * log_n),
         b * log_n,
         math.sqrt(tau_sq * k),
         b * k,

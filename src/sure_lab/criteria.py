@@ -161,13 +161,10 @@ def shell_indices(risks, sigma_sq: float, r_star_value: float) -> np.ndarray:
     return (np.frexp(ratio)[1] - 1).astype(int)
 
 
-def edf_bound(r_star_value: float, family_size: int, h_op: float,
-              log_family_size: float | None = None) -> float:
+def edf_bound(r_star_value: float, family_size: int, h_op: float) -> float:
     """Closed-form excess-degrees-of-freedom bound expression
     sqrt(r* log|S|) + h_op log|S| (1 + log_+(h_op^2 log|S| / r*)),
     excluding any universal constant.
-
-    log_family_size lets tests inject a non-integer log|S| directly.
     """
     if int(family_size) < 1:
         raise ValueError(f"family_size must be >= 1, got {family_size}")
@@ -175,7 +172,7 @@ def edf_bound(r_star_value: float, family_size: int, h_op: float,
         raise ValueError(f"r_star must be positive, got {r_star_value}")
     if h_op < 1:
         raise ValueError(f"h_op must be >= 1, got {h_op}")
-    log_s = math.log(family_size) if log_family_size is None else float(log_family_size)
+    log_s = math.log(family_size)
     if log_s == 0.0:
         return 0.0
     log_plus = max(0.0, math.log(h_op * h_op * log_s / r_star_value))

@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,41 +52,26 @@ ESTIMATE_COLUMNS = {
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
-    """Deterministic reduction of an experiment's replicate records."""
+    """Deterministic reduction of an experiment's replicate records.
+
+    The fields are the summary's JSON keys and hold their JSON values.
+    """
 
     n_reps: int
     estimates: dict  # name -> {"mean": float, "stderr": float | None}
-    shell_histogram: dict | None  # None when r_star is degenerate
-    selection_histogram: dict
-    decomposition_pass_rate: float
-    basic_inequality_pass_rate: float
-    exopt_identity_pass_rate: float
+    shell_histogram: dict | None  # str(shell) -> count; None when r_star is degenerate
+    selection_histogram: dict  # label -> count
+    identity_pass_rates: dict  # edf_decomposition, basic_inequality, exopt_linkage -> rate
     r_star: float
     h_op: float
     family_size: int
 
     @property
     def all_identities_pass(self) -> bool:
-        return (self.decomposition_pass_rate == 1.0
-                and self.basic_inequality_pass_rate == 1.0
-                and self.exopt_identity_pass_rate == 1.0)
+        return all(rate == 1.0 for rate in self.identity_pass_rates.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_reps": self.n_reps,
-            "estimates": self.estimates,
-            "shell_histogram": (None if self.shell_histogram is None else
-                                {str(k): v for k, v in self.shell_histogram.items()}),
-            "selection_histogram": dict(self.selection_histogram),
-            "identity_pass_rates": {
-                "edf_decomposition": self.decomposition_pass_rate,
-                "basic_inequality": self.basic_inequality_pass_rate,
-                "exopt_linkage": self.exopt_identity_pass_rate,
-            },
-            "r_star": self.r_star,
-            "h_op": self.h_op,
-            "family_size": self.family_size,
-        }
+        return asdict(self)
 
 
 RECORD_CSV_COLUMNS = ("replicate_index", "selected", "sure_min", "loss_selected",
@@ -207,7 +192,7 @@ class _Context:
         return cols
 
 
-def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int = 1) -> ReplicateRecords:
+def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> ReplicateRecords:
     """Replicates 0 .. n_reps-1 in blocks of ctx.block_len, reduced in index order."""
     starts = range(0, n_reps, ctx.block_len)
 
@@ -225,26 +210,22 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int = 1) -> Re
                              for name in blocks[0]}, ctx.family.labels)
 
 
-def _mean_stderr(values: np.ndarray):
-    mean = float(np.mean(values))
-    if values.size < 2:
-        return mean, None  # stderr unavailable for a single replicate
-    stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
-    return mean, stderr
-
-
 def _summarize(ctx: _Context, records: ReplicateRecords) -> MonteCarloSummary:
     cols = records.columns
     n_reps = len(records)
     estimates = {}
     for name, column in ESTIMATE_COLUMNS.items():
-        mean, stderr = _mean_stderr(cols[column])
-        estimates[name] = {"mean": mean, "stderr": stderr}
+        values = cols[column]
+        estimates[name] = {
+            "mean": float(np.mean(values)),
+            # None: no standard error from a single replicate
+            "stderr": float(np.std(values, ddof=1) / np.sqrt(n_reps)) if n_reps > 1 else None,
+        }
     counts = np.bincount(cols["selected"], minlength=len(ctx.family))
     shell_histogram = None
     if "shell" in cols:
         shells, shell_counts = np.unique(cols["shell"], return_counts=True)
-        shell_histogram = dict(zip(shells.tolist(), shell_counts.tolist()))
+        shell_histogram = dict(zip(map(str, shells.tolist()), shell_counts.tolist()))
 
     edf, exopt = cols["edf_total"], cols["exopt_stat"]
     decomp_ok = (np.abs(edf - (cols["edf_quadratic"] + cols["edf_linear"]))
@@ -258,9 +239,11 @@ def _summarize(ctx: _Context, records: ReplicateRecords) -> MonteCarloSummary:
         estimates=estimates,
         shell_histogram=shell_histogram,
         selection_histogram=dict(zip(ctx.family.labels, counts.tolist())),
-        decomposition_pass_rate=int(np.count_nonzero(decomp_ok)) / n_reps,
-        basic_inequality_pass_rate=int(np.count_nonzero(basic_ok)) / n_reps,
-        exopt_identity_pass_rate=int(np.count_nonzero(exopt_ok)) / n_reps,
+        identity_pass_rates={
+            "edf_decomposition": int(np.count_nonzero(decomp_ok)) / n_reps,
+            "basic_inequality": int(np.count_nonzero(basic_ok)) / n_reps,
+            "exopt_linkage": int(np.count_nonzero(exopt_ok)) / n_reps,
+        },
         r_star=ctx.r_star,
         h_op=ctx.family.h_op,
         family_size=len(ctx.family),
@@ -290,15 +273,16 @@ def sure_unbiasedness_check(smoother: Smoother, model: GaussianSequenceModel,
                             n_reps: int, master_seed: int):
     """Monte Carlo check that E[SURE(s)] = R(s) + n sigma^2 for a fixed smoother.
 
-    SURE values are the sure_min column of a one-member family's run.
+    The mean and its standard error are the sure_min_mean estimate of a
+    one-member family's run.
     Returns (mean_sure, target, z_score).
     """
-    n_reps = int(n_reps)
-    if n_reps < 2:
+    if int(n_reps) < 2:
         raise ValueError("n_reps must be >= 2 for a z-score")
-    ctx = _Context(SmootherFamily.of([smoother]), model)
-    target = float(ctx.risks[0]) + model.n * model.sigma_sq
-    mean, stderr = _mean_stderr(_run(ctx, n_reps, master_seed).columns["sure_min"])
+    summary, _ = run_experiment(SmootherFamily.of([smoother]), model, n_reps, master_seed)
+    est = summary.estimates["sure_min_mean"]
+    mean, stderr = est["mean"], est["stderr"]
+    target = criteria.risk(smoother, model) + model.n * model.sigma_sq
     if stderr == 0.0:  # degenerate case, e.g. H = I has constant SURE
         z_score = 0.0 if mean == target else math.inf
     else:
@@ -336,7 +320,7 @@ def shell_decay_report(summary: MonteCarloSummary, family: SmootherFamily,
     members = np.bincount(criteria.shell_indices(risks, model.sigma_sq, rs)).tolist()
     rows = [{
         "shell": l,
-        "frequency": summary.shell_histogram.get(l, 0) / summary.n_reps,
+        "frequency": summary.shell_histogram.get(str(l), 0) / summary.n_reps,
         "members": size,
         "lemma_shape": size * float(np.exp(-c_test * 2.0**l * rs / family.h_op_effective**2)),
     } for l, size in enumerate(members)]

@@ -163,7 +163,7 @@ def test_sure_identity_randomized_suite():
 
 def test_basic_inequality_suite(experiments):
     start = time.perf_counter()
-    rates = {name: experiments(name)[0].basic_inequality_pass_rate
+    rates = {name: experiments(name)[0].identity_pass_rates["basic_inequality"]
              for name in ("pair_zero_identity", "nested_projections")}
     elapsed = time.perf_counter() - start
     passed = all(rate == 1.0 for rate in rates.values())
@@ -176,7 +176,7 @@ def test_basic_inequality_suite(experiments):
 # ---------------------------------------------------------------------------
 
 def test_edf_decomposition_everywhere(experiments):
-    rates = {name: experiments(name)[0].decomposition_pass_rate
+    rates = {name: experiments(name)[0].identity_pass_rates["edf_decomposition"]
              for name in EXPERIMENT_DEFS}
     passed = all(rate == 1.0 for rate in rates.values())
     _verdict("edf_decomposition", passed,
@@ -232,7 +232,7 @@ def test_zero_edf_singleton(experiments):
 def test_exopt_edf_linkage(experiments):
     # The exact per-replicate identity carries a signal cross term
     # -2 theta0^T z with mean zero; it vanishes identically when theta0 = 0.
-    rates = {name: experiments(name)[0].exopt_identity_pass_rate
+    rates = {name: experiments(name)[0].identity_pass_rates["exopt_linkage"]
              for name in EXPERIMENT_DEFS}
     exact_ok = all(rate == 1.0 for rate in rates.values())
 
@@ -252,7 +252,7 @@ def test_exopt_linkage_literal_under_null(experiments):
     family, model, _ = EXPERIMENT_DEFS["null_signal"]
     summary, _ = experiments("null_signal")
     assert np.all(model.theta0 == 0.0)
-    assert summary.exopt_identity_pass_rate == 1.0
+    assert summary.identity_pass_rates["exopt_linkage"] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,15 @@ def test_verify_lemmas_largest_master_seed(tmp_path, capsys):
                  id="float-n_matrices"),
     pytest.param("quadratic", {"dim": 0}, "quadratic.dim", id="zero-dim"),
     pytest.param(None, {"master_seed": True}, "master_seed", id="bool-master_seed"),
+    pytest.param("quadratic", {"n_matrices": 10**30}, "quadratic.n_matrices",
+                 id="huge-n_matrices"),
+    pytest.param("quadratic", {"n_matrices": 1025}, "quadratic.n_matrices",
+                 id="n_matrices-over-cap"),
+    pytest.param("quadratic", {"dim": 6000}, "quadratic.dim", id="dim-over-cap"),
+    pytest.param("maxima", {"n_samples": 2**26 + 1, "n_vars": [1, 2]}, "maxima.n_samples",
+                 id="maxima-draws-over-cap"),
+    pytest.param("quadratic", {"n_samples": 2**26 + 1, "dim": 2}, "quadratic.n_samples",
+                 id="quadratic-draws-over-cap"),
 ])
 def test_verify_lemmas_validation_errors(tmp_path, capsys, section, update, needle):
     cfg = {"maxima": {"n_samples": 100, "n_vars": [1], "k": [1], "tau": [1.0]},

@@ -147,8 +147,8 @@ def test_verify_max_moment_examples():
 
 def test_max_moment_bound_subexp_examples():
     assert max_moment_bound_subexp(1, 1, SubExpParams(1.0, 0.0), 1.0) == 1.0
-    injected = max_moment_bound_subexp(0, 2, SubExpParams(1.0, 1.0), 1.0, log_n_vars=4.0)
-    assert injected == 4.0  # max{2, 4, sqrt(2), 2}
+    # max{sqrt(log 55), log 55, sqrt(2), 2}: the b log N term, log 55 ~ 4.007
+    assert max_moment_bound_subexp(55, 2, SubExpParams(1.0, 1.0), 1.0) == math.log(55)
     # b = 0 reduces to the sub-Gaussian scale sqrt(tau_sq * max{log N, k})
     sub_gauss = max_moment_bound_subexp(10, 3, SubExpParams(2.0, 0.0), 1.0)
     assert sub_gauss == pytest.approx(math.sqrt(2.0 * max(math.log(10), 3.0)))

@@ -241,7 +241,9 @@ def test_shell_membership_frobenius_bound():
 
 def test_edf_bound_examples():
     assert edf_bound(3.0, 1, 1.0) == 0.0
-    assert edf_bound(1.0, 1, 1.0, log_family_size=1.0) == pytest.approx(2.0)
+    log3 = math.log(3)  # log_+ arg log 3 > 1
+    assert edf_bound(1.0, 3, 1.0) == pytest.approx(
+        math.sqrt(log3) + log3 * (1.0 + math.log(log3)), rel=1e-12)
     expected = math.sqrt(4.0 * math.log(8)) + math.log(8)  # log_+ arg < 1
     assert edf_bound(4.0, 8, 1.0) == pytest.approx(expected, rel=1e-12)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -115,7 +116,7 @@ def test_singleton_edf_centered(model):
 
 def test_exopt_edf_linkage_in_expectation(zero_id_family, model):
     summary, _ = run_experiment(zero_id_family, model, 20_000, 11)
-    assert summary.exopt_identity_pass_rate == 1.0
+    assert summary.identity_pass_rates["exopt_linkage"] == 1.0
     # E[exopt] = 2 sigma^2 E[edf]: compare means within combined stderr
     exopt = summary.estimates["exopt"]
     edf = summary.estimates["edf_total"]
@@ -157,6 +158,11 @@ def test_sure_unbiasedness_targets(model):
         from_matrix("id", np.eye(2)), model, 20_000, 13)
     assert target_id == pytest.approx(4.0)
     assert abs(z_id) <= 4.0
+    # the check is a one-member run: its mean is that run's sure_min_mean estimate
+    h = from_matrix("h", np.diag([0.5, 0.25]))
+    mean_h, _, _ = sure_unbiasedness_check(h, model, 5_000, 13)
+    summary, _ = run_experiment(SmootherFamily.of([h]), model, 5_000, 13)
+    assert mean_h == summary.estimates["sure_min_mean"]["mean"]
 
 
 def test_shell_decay_report_two_member(zero_id_family, model):
@@ -200,6 +206,13 @@ def test_shell_decay_all_in_shell_zero(model):
     summary, _ = run_experiment(fam, model, 500, 4)
     report = shell_decay_report(summary, fam, model)
     assert report.rows[0]["frequency"] == 1.0
+
+
+def test_summary_fields_are_json_keys(zero_id_family, model):
+    summary, _ = run_experiment(zero_id_family, model, 50, 3)
+    doc = summary.to_json_dict()
+    assert [f.name for f in dataclasses.fields(summary)] == list(doc)
+    assert all(isinstance(key, str) for key in doc["shell_histogram"])
 
 
 def test_summary_json_deterministic(zero_id_family, model):
