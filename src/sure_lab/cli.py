@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from . import _validate as validate
 from . import concentration, criteria, montecarlo, smoothers
 from ._validate import ConfigError
 from .sequence_model import GaussianSequenceModel, derive_stream, make_theta0
-from .smoothers import SmootherFamily, build_smoother, load_family
+from .smoothers import SmootherFamily, load_family
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -64,8 +65,7 @@ def _build_family(spec, n) -> SmootherFamily:
             raise ConfigError(f"family.path: {exc}") from exc
     else:
         try:
-            family = SmootherFamily.of(validate.list_of(
-                spec["smoothers"], "family.smoothers", lambda item, _: build_smoother(item, n)))
+            family = smoothers.build_family(spec["smoothers"], n, "family.smoothers")
         except ValueError as exc:
             raise ConfigError(f"family.smoothers: {exc}") from exc
     if n is not None and family.n != n:
@@ -261,19 +261,23 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def _lemma_battery(cfg):
-    """(report, exit code) of the lemma battery; case seeds wrap modulo 2^64."""
+    """(report, exit code) of the lemma battery.
+
+    Every draw comes from derive_stream(master_seed, i), with a stream index i
+    of its own: 0 for the random matrices, then one per maxima case and one
+    per matrix's Monte Carlo check, in report order.
+    """
     seed = cfg["master_seed"]
+    streams = itertools.count(1)
     report = {"maxima": [], "quadratic_exact": [], "quadratic_mc": []}
     all_pass = True
 
     mx = cfg["maxima"]
-    case = 0
     for tau in mx["tau"]:
         for n_vars in mx["n_vars"]:
             for k in mx["k"]:
                 empirical, bound, passed = concentration.verify_max_moment(
-                    n_vars, k, tau, mx["n_samples"], master_seed=(seed + case) % 2**64)
-                case += 1
+                    n_vars, k, tau, mx["n_samples"], master_seed=seed, stream=next(streams))
                 all_pass &= passed
                 report["maxima"].append({
                     "n_vars": n_vars, "k": k, "tau": tau,
@@ -291,7 +295,7 @@ def _lemma_battery(cfg):
         # exact chi-square oracle on the identity quadratic form
         first, _ = concentration.quadratic_form_params(np.eye(2))
         for check in concentration.verify_mgf_bound(
-                None, first, lambda_grid(first), qd["n_samples"], master_seed=seed,
+                None, first, lambda_grid(first), qd["n_samples"],
                 slack=qd["slack"], exact_eigs=np.ones(2)):
             all_pass &= check.passed
             report["quadratic_exact"].append(vars(check) | {"matrix": "identity_2"})
@@ -300,8 +304,7 @@ def _lemma_battery(cfg):
             first, _ = concentration.quadratic_form_params(a)
             checks = concentration.verify_mgf_bound(
                 concentration.quadratic_form_sampler(a), first, lambda_grid(first),
-                qd["n_samples"], master_seed=(seed + 1000 + m_idx) % 2**64,
-                slack=qd["slack"])
+                qd["n_samples"], master_seed=seed, slack=qd["slack"], stream=next(streams))
             for check in checks:
                 all_pass &= check.passed
                 report["quadratic_mc"].append(vars(check) | {"matrix_index": m_idx})

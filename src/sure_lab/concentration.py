@@ -116,13 +116,14 @@ class MgfCheck:
 
 def verify_mgf_bound(sampler, params: SubExpParams, lambda_grid, n_samples: int,
                      master_seed: int = 0, slack: float = 0.0,
-                     exact_eigs=None) -> list[MgfCheck]:
+                     exact_eigs=None, stream: int = 0) -> list[MgfCheck]:
     """Check E[e^{lam X}] <= exp(lam^2 tau^2 / 2) on a lambda grid.
 
     A point passes when estimate <= bound * (1 + slack) + 4 * stderr. When
     exact_eigs is given (diagonalized quadratic form), the closed-form
     chi-square product replaces sampling and stderr is zero. Lambdas outside
     |lam| <= 1/b raise; grids should stay below the boundary (0.95/b).
+    Samples come from derive_stream(master_seed, stream).
     """
     if slack < 0:
         raise ValueError(f"slack must be nonnegative, got {slack}")
@@ -133,7 +134,7 @@ def verify_mgf_bound(sampler, params: SubExpParams, lambda_grid, n_samples: int,
         params.check_domain(float(lam))
 
     if exact_eigs is None:
-        rng = derive_stream(master_seed, 0)
+        rng = derive_stream(master_seed, stream)
         draws = sampler(n_samples, rng)
     checks = []
     for lam in lambda_grid:
@@ -179,14 +180,15 @@ def max_moment_bound(n_vars: int, k: float, tau: float) -> float:
 
 
 def verify_max_moment(n_vars: int, k: float, tau: float, n_samples: int,
-                      master_seed: int = 0):
+                      master_seed: int = 0, stream: int = 0):
     """Monte Carlo check of the sub-Gaussian maxima moment bound.
 
-    Estimates E[max_i |X_i|^k] for X_i i.i.d. N(0, tau^2); passes when
-    estimate - 4 * stderr <= bound. Returns (empirical, bound, passed).
+    Estimates E[max_i |X_i|^k] for X_i i.i.d. N(0, tau^2) from
+    derive_stream(master_seed, stream); passes when estimate - 4 * stderr <=
+    bound. Returns (empirical, bound, passed).
     """
     bound = max_moment_bound(n_vars, k, tau)
-    rng = derive_stream(master_seed, 0)
+    rng = derive_stream(master_seed, stream)
     draws = tau * rng.standard_normal((int(n_samples), int(n_vars)))
     maxima = np.max(np.abs(draws), axis=1) ** float(k)
     empirical = float(np.mean(maxima))

@@ -1,11 +1,13 @@
 """Seeded replicated experiments over smoother families.
 
-Replicates run in fixed blocks of consecutive indices: one matrix product
-applies every member to a block's draws, SURE selects, and the statistics
-whose exact identities (edf decomposition, basic inequality, excess-optimism
-linkage) are checked on every draw come out as columns. Block boundaries
-depend only on n_reps and the family's shape, so results do not depend on
-the worker count.
+Replicates run in fixed blocks of consecutive indices: every member's SURE
+is computed on a block's draws, SURE selects, and the statistics whose exact
+identities (edf decomposition, basic inequality, excess-optimism linkage)
+are checked on every draw come out as columns. Families whose members share
+one eigenbasis (KRR members on one Gram matrix) get every SURE from the
+rotated draws and apply only the selected and the oracle member; any other
+family applies every member with one matrix product. Block boundaries depend
+only on n_reps and the family, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-8
-# A block (1 to 1024 replicates) keeps its products H_s y within BLOCK_BYTES;
-# larger blocks raised peak memory without speeding up the matrix product.
+# A block (1 to 1024 replicates) keeps its per-row arrays, on the dense path
+# the products H_s y, within BLOCK_BYTES; larger blocks raised peak memory
+# without speeding up the matrix products.
 BLOCK_BYTES = 2 * 1024 * 1024
 
 # summary estimate -> record column it averages
@@ -121,8 +124,24 @@ def _rowdot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
+def _shared_basis(members):
+    """The basis of every member's spectral form, or None if some member has no
+    spectral form or another basis."""
+    basis = members[0].basis
+    if basis is None or any(m.basis is None or not np.array_equal(m.basis, basis)
+                            for m in members[1:]):
+        return None
+    return basis
+
+
 class _Context:
-    """Per-(family, model) arrays shared by every block of replicates."""
+    """Per-(family, model) arrays shared by every block of replicates.
+
+    A family whose members share one eigenbasis V (H_s = V diag(f_s) V^T)
+    selects in the rotated coordinates u = V^T y, where every SURE is
+    sum_i (1 - f_si)^2 u_i^2 + 2 sigma^2 tr H_s: O(n^2 + n|S|) a replicate. Any
+    other family applies every member with one product, O(|S| n^2).
+    """
 
     def __init__(self, family: SmootherFamily, model: GaussianSequenceModel):
         if family.n != model.n:
@@ -133,34 +152,55 @@ class _Context:
         self.sigma = model.sigma
         self.sigma_sq = model.sigma_sq
         self.theta0 = model.theta0
-        h_stack = np.stack([m.h for m in family.members])
-        self.h_flat = h_stack.reshape(-1, self.n)  # member s is rows s*n .. s*n + n - 1
-        self.trs = np.array([m.df for m in family.members])
-        self.frob_sqs = np.array([m.frob_sq for m in family.members])
-        self.h_theta = h_stack @ self.theta0
+        members = family.members
+        self.basis = _shared_basis(members)
+        if self.basis is None:
+            h_stack = np.stack([m.h for m in members])
+            self.h_flat = h_stack.reshape(-1, self.n)  # member s is rows s*n .. s*n + n - 1
+            self.h_theta = h_stack @ self.theta0
+            row_floats = len(family) * self.n  # the products H_s y of one replicate
+        else:
+            self.filters = np.stack([m.spectrum for m in members])
+            self.resid_filters_sq = (1.0 - self.filters) ** 2
+            self.h_theta = np.stack([m.h @ self.theta0 for m in members])
+            # about eight n-vectors a row are live (draws, rotation, the two
+            # formed products, residuals); rows of 100-250 ran fastest at n = 200
+            row_floats = 8 * self.n + len(family)
+        self.trs = np.array([m.df for m in members])
+        self.frob_sqs = np.array([m.frob_sq for m in members])
         self.bias = self.theta0 - self.h_theta
-        self.risks = np.array([criteria.risk(m, model) for m in family.members])
+        self.risks = np.array([criteria.risk(m, model) for m in members])
         self.oracle_idx = int(np.argmin(self.risks))
         self.r_star = float(self.risks[self.oracle_idx]) / self.sigma_sq
         # degenerate r_star disables the shell machinery
         self.shells = (criteria.shell_indices(self.risks, self.sigma_sq, self.r_star)
                        if self.r_star > 0 else None)
-        self.block_len = min(max(BLOCK_BYTES // (8 * len(family) * self.n), 1), 1024)
+        self.block_len = min(max(BLOCK_BYTES // (8 * row_floats), 1), 1024)
 
     def block(self, z: np.ndarray, first_index: int) -> dict:
         """Record columns of replicates first_index, ... with noise rows z (B x n)."""
         s2, n, theta0 = self.sigma_sq, self.n, self.theta0
         rows = np.arange(len(z))
         y = theta0 + z
-        hy = (y @ self.h_flat.T).reshape(len(z), -1, n)  # hy[b, s] = H_s y_b
-        sure = np.empty(hy.shape[:2])
-        for s in range(hy.shape[1]):  # one (B, |S|, n) residual array was 1.4x slower
-            resid = y - hy[:, s]
-            sure[:, s] = _rowdot(resid, resid)
-        sure += 2.0 * s2 * self.trs
-        j = np.argmin(sure, axis=1)  # first index on ties
         j0 = self.oracle_idx
-        hy_j = hy[rows, j]
+        if self.basis is None:  # every member applied by one product
+            hy = (y @ self.h_flat.T).reshape(len(z), -1, n)  # hy[b, s] = H_s y_b
+            sure = np.empty(hy.shape[:2])
+            for s in range(hy.shape[1]):  # one (B, |S|, n) residual array was 1.4x slower
+                resid = y - hy[:, s]
+                sure[:, s] = _rowdot(resid, resid)
+            sure += 2.0 * s2 * self.trs
+            j = np.argmin(sure, axis=1)  # first index on ties
+            hy_j, hy_0, sure_min = hy[rows, j], hy[:, j0], sure[rows, j]
+        else:  # every SURE from the rotated draws; only H_j y and H_j0 y are formed
+            u = y @ self.basis
+            sure = (u * u) @ self.resid_filters_sq.T
+            sure += 2.0 * s2 * self.trs
+            j = np.argmin(sure, axis=1)  # first index on ties
+            hy_j = (u * self.filters[j]) @ self.basis.T
+            hy_0 = (u * self.filters[j0]) @ self.basis.T
+            resid = y - hy_j  # SURE(j) again, from the vector the statistics use
+            sure_min = _rowdot(resid, resid) + 2.0 * s2 * self.trs[j]
 
         def centered(s, hz):  # criteria.centered_variables of member(s) s, per row
             quad = 2.0 * _rowdot(z, hz) - _rowdot(hz, hz)  # z^T (2H - H^T H) z
@@ -169,10 +209,9 @@ class _Context:
 
         hz_j = hy_j - self.h_theta[j]
         w_j, zlin_j = centered(j, hz_j)
-        w_0, zlin_0 = centered(j0, hy[:, j0] - self.h_theta[j0])
+        w_0, zlin_0 = centered(j0, hy_0 - self.h_theta[j0])
         diff = hy_j - theta0
         loss = _rowdot(diff, diff)
-        sure_min = sure[rows, j]
         lhs = (self.risks[j] - self.risks[j0]) / s2
         cols = {
             "replicate_index": first_index + rows,

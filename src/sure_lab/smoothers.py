@@ -45,7 +45,10 @@ class Smoother:
     """Labeled n x n matrix with cached tr(H), ||H||_F^2, and ||H||_op.
 
     `params` holds the constructor inputs; array inputs are kept as
-    read-only ndarrays and become lists only in `family_to_doc`.
+    read-only ndarrays and become lists only in `family_to_doc`. KRR members
+    also keep their spectral form H = basis @ diag(spectrum) @ basis.T (an
+    orthonormal eigenbasis of the Gram matrix and the filter mu/(mu+lambda));
+    `basis` and `spectrum` are None for the other kinds.
     """
 
     label: str
@@ -55,6 +58,8 @@ class Smoother:
     opnorm: float
     kind: str = "explicit"
     params: dict = field(default_factory=dict, repr=False)
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -68,7 +73,8 @@ def _frozen(a, shape=(-1,)) -> np.ndarray:
     return a
 
 
-def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None) -> Smoother:
+def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None,
+          basis=None, spectrum=None) -> Smoother:
     """Wrap `h`; statistics the constructor knows in closed form are passed in."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -89,6 +95,8 @@ def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None) -> Smoothe
         opnorm=operator_norm(h) if opnorm is None else float(opnorm),
         kind=kind,
         params=dict(params),
+        basis=basis,
+        spectrum=spectrum,
     )
 
 
@@ -135,12 +143,15 @@ def krr_from_gram(label: str, gram, lam: float) -> Smoother:
     asymmetry is an error); eigenvalues in [-1e-10, 0) are clipped to 0.
     lam = 0 requires a nonsingular Gram matrix and yields H = I.
     """
+    return _krr(label, _gram_spectrum(gram), lam)
+
+
+def _gram_spectrum(gram):
+    """(read-only flattened Gram, clipped eigenvalues, read-only eigenvectors) of a
+    PSD Gram matrix, after the checks krr_from_gram documents."""
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError(f"gram must be square, got shape {gram.shape}")
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
     scale = max(1.0, float(np.max(np.abs(gram))) if gram.size else 0.0)
     asym = float(np.max(np.abs(gram - gram.T))) if gram.size else 0.0
     if asym > 1e-10 * scale:
@@ -149,17 +160,28 @@ def krr_from_gram(label: str, gram, lam: float) -> Smoother:
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals.min() < -1e-10 * scale:
         raise ValueError(f"gram matrix has negative eigenvalue {eigvals.min():g}")
-    eigvals = np.clip(eigvals, 0.0, None)
-    params = {"gram": _frozen(gram), "lambda": lam}
-    n = gram.shape[0]
+    eigvecs.setflags(write=False)
+    return _frozen(gram), np.clip(eigvals, 0.0, None), eigvecs
+
+
+def _krr(label, gram_spectrum, lam) -> Smoother:
+    """KRR member for one lambda from a _gram_spectrum, which members may share."""
+    gram, eigvals, eigvecs = gram_spectrum
+    lam = float(lam)
+    if lam < 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    params = {"gram": gram, "lambda": lam}
+    n = eigvecs.shape[0]
     if lam == 0.0:
         if eigvals.min() <= 1e-12 * max(eigvals.max(), 1.0):
             raise np.linalg.LinAlgError("lambda = 0 requires a nonsingular gram matrix")
-        return _make(label, np.eye(n), "krr", params, opnorm=1.0)
+        return _make(label, np.eye(n), "krr", params, opnorm=1.0,
+                     basis=eigvecs, spectrum=_frozen(np.ones(n)))
     shrink = eigvals / (eigvals + lam)
     h = (eigvecs * shrink) @ eigvecs.T
     h = 0.5 * (h + h.T)
-    return _make(label, h, "krr", params, df=float(np.sum(shrink)), opnorm=float(shrink.max()))
+    return _make(label, h, "krr", params, df=float(np.sum(shrink)), opnorm=float(shrink.max()),
+                 basis=eigvecs, spectrum=_frozen(shrink))
 
 
 def knn_from_points(label: str, points, k: int) -> Smoother:
@@ -261,11 +283,25 @@ _KIND_PARAMETERS = {"zero": (), "identity": (), "explicit": ("matrix",),
                     "knn": ("points", "k")}
 
 
-def build_smoother(spec: dict, n: int) -> Smoother:
+def build_family(specs, n: int, where: str) -> SmootherFamily:
+    """The family of a JSON list of smoother descriptions for dimension n.
+
+    KRR members given equal Gram matrices share one eigendecomposition: one
+    read-only `gram` parameter and one `basis`. Each member is bit-identical
+    to the `krr_from_gram` call with its parameters.
+    """
+    gram_spectra = {}
+    return SmootherFamily.of(validate.list_of(
+        specs, where, lambda spec, _: build_smoother(spec, n, gram_spectra)))
+
+
+def build_smoother(spec: dict, n: int, gram_spectra=None) -> Smoother:
     """Build one smoother from its JSON description for dimension n.
 
     Malformed members (unknown kind, missing or unknown `parameters` keys,
-    values of the wrong type or shape) raise ValueError.
+    values of the wrong type or shape) raise ValueError. `gram_spectra`
+    (Gram bytes -> eigendecomposition) is reused and extended across the
+    members of one family.
     """
     validate.obj(spec, "smoother spec", ("label", "kind"), ("parameters",))
     label = validate.string(spec["label"], "smoother label")
@@ -284,8 +320,13 @@ def build_smoother(spec: dict, n: int) -> Smoother:
             label, validate.array(params["design"], f"{where}.design", (n, p)),
             validate.list_of(params["subset"], f"{where}.subset", validate.integer, 0))
     if kind == "krr":
-        return krr_from_gram(label, validate.array(params["gram"], f"{where}.gram", (n, n)),
-                             validate.number(params["lambda"], f"{where}.lambda"))
+        gram = validate.array(params["gram"], f"{where}.gram", (n, n))
+        lam = validate.number(params["lambda"], f"{where}.lambda")
+        gram_spectra = {} if gram_spectra is None else gram_spectra
+        key = gram.tobytes()
+        if key not in gram_spectra:
+            gram_spectra[key] = _gram_spectrum(gram)
+        return _krr(label, gram_spectra[key], lam)
     return knn_from_points(label, validate.array(params["points"], f"{where}.points"),
                            validate.integer(params["k"], f"{where}.k", 1))
 
@@ -309,8 +350,7 @@ def family_from_doc(doc: dict) -> SmootherFamily:
     validate.integer(doc["schema_version"], f"{where}.schema_version",
                      FAMILY_SCHEMA_VERSION, FAMILY_SCHEMA_VERSION)
     n = validate.integer(doc["n"], f"{where}.n", 1)
-    return SmootherFamily.of(validate.list_of(
-        doc["smoothers"], f"{where}.smoothers", lambda spec, _: build_smoother(spec, n)))
+    return build_family(doc["smoothers"], n, f"{where}.smoothers")
 
 
 def save_family(family: SmootherFamily, path) -> None:

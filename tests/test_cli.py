@@ -6,7 +6,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sure_lab import SmootherFamily, from_matrix, montecarlo, save_family
+from sure_lab import (
+    SmootherFamily,
+    cli,
+    concentration,
+    from_matrix,
+    montecarlo,
+    save_family,
+    sequence_model,
+)
 from sure_lab.cli import main
 
 
@@ -321,6 +329,28 @@ def test_verify_lemmas_largest_master_seed(tmp_path, capsys):
     for seed in (-1, 2**64):
         assert main(["verify-lemmas", "--config", cfg_path, "--seed", str(seed)]) == 1
         assert "--seed" in capsys.readouterr().err
+
+
+def test_verify_lemmas_cases_draw_distinct_streams(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_stream(master_seed, replicate_index):
+        opened.append((master_seed, replicate_index))
+        return sequence_model.derive_stream(master_seed, replicate_index)
+
+    for module in (cli, concentration):
+        monkeypatch.setattr(module, "derive_stream", recording_stream)
+    # more than 1000 maxima cases: a fixed offset per case would reach the matrices' streams
+    n_cases = 1002
+    cfg = {"master_seed": 42,
+           "maxima": {"n_samples": 2, "n_vars": [1], "k": [1],
+                      "tau": [1.0 + i / n_cases for i in range(n_cases)]},
+           "quadratic": {"n_samples": 10_000, "n_matrices": 2, "dim": 2}}
+    cfg_path = write_config(tmp_path, cfg, "lemmas.json")
+    out = str(tmp_path / "report.json")
+    assert main(["verify-lemmas", "--config", cfg_path, "--out", out]) in (0, 2)
+    assert len(opened) == 1 + n_cases + 2  # the matrices, each maxima case, each matrix's MC
+    assert len(set(opened)) == len(opened)
 
 
 @pytest.mark.parametrize("section,update,needle", [

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from sure_lab import (
     SmootherFamily,
     centered_variables,
     derive_stream,
+    family_from_doc,
     from_matrix,
     krr_from_gram,
     montecarlo,
@@ -255,11 +257,35 @@ def _random_family(rng, n, size):
     return SmootherFamily.of(members)
 
 
+def _krr_grid(rng, n, size, singular):
+    """KRR members on one random Gram matrix, built as a family document is.
+
+    A singular Gram (rank n - 1) gets positive lambdas; a nonsingular one
+    also a lambda = 0 member (H = I).
+    """
+    a = rng.standard_normal((n, n - 1 if singular else n))
+    lams = np.sort(rng.uniform(0.05, 20.0, size))
+    if not singular:
+        lams[0] = 0.0
+    gram = (a @ a.T).reshape(-1).tolist()
+    return family_from_doc({"schema_version": 1, "n": n, "smoothers": [
+        {"label": f"k{i}", "kind": "krr", "parameters": {"gram": gram, "lambda": float(lam)}}
+        for i, lam in enumerate(lams)]})
+
+
+def _dense_twin(family):
+    """The family with the spectral forms dropped, so the engine applies every matrix."""
+    return SmootherFamily.of([dataclasses.replace(m, basis=None, spectrum=None)
+                              for m in family.members])
+
+
 @pytest.mark.parametrize("n", [2, 7, 20])
 def test_block_kernel_matches_criteria(n):
     rng = np.random.default_rng(100 + n)
-    for _ in range(3):
-        family = _random_family(rng, n, int(rng.integers(1, 7)))
+    families = itertools.chain(
+        (_random_family(rng, n, int(rng.integers(1, 7))) for _ in range(3)),
+        (_krr_grid(rng, n, int(rng.integers(2, 9)), singular) for singular in (True, False)))
+    for family in families:
         model = GaussianSequenceModel(theta0=rng.normal(scale=2.0, size=n),
                                       sigma=float(rng.uniform(0.3, 2.0)))
         s2 = model.sigma_sq
@@ -290,6 +316,47 @@ def test_block_kernel_matches_criteria(n):
                 assert cols[name][i] == pytest.approx(want, rel=1e-10, abs=1e-10), name
 
 
+@pytest.mark.parametrize("n", [2, 7, 20])
+@pytest.mark.parametrize("singular", [True, False], ids=["singular", "lambda0"])
+def test_spectral_kernel_matches_dense(n, singular):
+    rng = np.random.default_rng(200 + n)
+    for _ in range(3):
+        family = _krr_grid(rng, n, int(rng.integers(2, 13)), singular)
+        model = GaussianSequenceModel(theta0=rng.normal(scale=2.0, size=n),
+                                      sigma=float(rng.uniform(0.3, 2.0)))
+        dense = _dense_twin(family)
+        assert montecarlo._Context(family, model).basis is not None
+        assert montecarlo._Context(dense, model).basis is None
+        runs = [run_experiment(f, model, 300, 4, keep_records=True) for f in (family, dense)]
+        (spectral_summary, spectral), (dense_summary, reference) = runs
+        for summary in (spectral_summary, dense_summary):
+            assert set(summary.identity_pass_rates.values()) == {1.0}
+        for name, want in reference.columns.items():
+            got = spectral.columns[name]
+            if want.dtype.kind == "i":
+                np.testing.assert_array_equal(got, want, err_msg=name)
+            else:
+                scale = max(1.0, float(np.max(np.abs(want))))
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale,
+                                           err_msg=name)
+
+
+def test_spectral_path_needs_one_basis():
+    rng = np.random.default_rng(5)
+    n = 6
+    model = GaussianSequenceModel(theta0=rng.standard_normal(n), sigma=1.0)
+    grams = [a @ a.T for a in rng.standard_normal((2, n, n))]
+    one_gram = SmootherFamily.of([krr_from_gram("a", grams[0], 1.0),
+                                  krr_from_gram("b", grams[0], 2.0)])
+    two_grams = SmootherFamily.of([krr_from_gram("a", grams[0], 1.0),
+                                   krr_from_gram("b", grams[1], 1.0)])
+    mixed = SmootherFamily.of([krr_from_gram("a", grams[0], 1.0), from_matrix("i", np.eye(n))])
+    assert montecarlo._Context(one_gram, model).basis is not None
+    for family in (two_grams, mixed):
+        ctx = montecarlo._Context(family, model)
+        assert ctx.basis is None and ctx.h_flat.shape == (len(family) * n, n)
+
+
 def test_engine_rows_match_replicate():
     rng = np.random.default_rng(8)
     n = 200
@@ -311,17 +378,21 @@ def test_engine_rows_match_replicate():
 def test_outputs_byte_identical_across_threads(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # let 3 workers really run
     n = 128
-    family = SmootherFamily.of([projection_from_design(f"p{m}", np.eye(n), list(range(m)))
-                                for m in (1, 2, 4, 8, 16, 32, 64, 128)])
+    projections = SmootherFamily.of([projection_from_design(f"p{m}", np.eye(n), list(range(m)))
+                                     for m in (1, 2, 4, 8, 16, 32, 64, 128)])
+    krr_grid = _krr_grid(np.random.default_rng(77), n, 10, singular=True)
     model = GaussianSequenceModel(theta0=5.0 / np.arange(1, n + 1), sigma=1.0)
     n_reps = 1000
-    assert n_reps % montecarlo._Context(family, model).block_len != 0
-    outputs = set()
-    for threads in (1, 2, 3):
-        summary, records = run_experiment(family, model, n_reps, 77, n_threads=threads,
-                                          keep_records=True)
-        outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True), csv_text(records)))
-    assert len(outputs) == 1
+    for family in (projections, krr_grid):
+        ctx = montecarlo._Context(family, model)
+        assert (ctx.basis is None) == (family is projections)
+        assert n_reps % ctx.block_len != 0 and n_reps > 2 * ctx.block_len
+        outputs = set()
+        for threads in (1, 2, 3):
+            summary, records = run_experiment(family, model, n_reps, 77, n_threads=threads,
+                                              keep_records=True)
+            outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True), csv_text(records)))
+        assert len(outputs) == 1
 
 
 class RecordingPool:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sure_lab import (
     SmootherFamily,
+    cli,
     family_from_doc,
     family_to_doc,
     from_matrix,
@@ -381,6 +382,47 @@ def test_save_family_bytes_match_list_params(tmp_path):
     path = tmp_path / "family.json"
     save_family(fam, path)
     assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    loaded = load_family(path)  # its two KRR members share one gram array
+    assert loaded.member("krr").params["gram"] is loaded.member("krr0").params["gram"]
+    save_family(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def _krr_doc(n, grams, lams):
+    return {"schema_version": 1, "n": n, "smoothers": [
+        {"label": f"k{i}", "kind": "krr",
+         "parameters": {"gram": np.asarray(g).reshape(-1).tolist(), "lambda": lam}}
+        for i, (g, lam) in enumerate(zip(grams, lams))]}
+
+
+def test_krr_family_members_match_standalone():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 4))
+    singular, full = a @ a.T, np.diag([3.0, 2.0, 1.0, 0.5, 0.25, 0.125])
+    grams, lams = [singular, singular, full, full, singular], [0.5, 2.0, 0.0, 1e-3, 1e3]
+    family = family_from_doc(_krr_doc(6, grams, lams))
+    for m, gram, lam in zip(family.members, grams, lams):
+        alone = krr_from_gram(m.label, gram, lam)
+        assert m.h.tobytes() == alone.h.tobytes()
+        assert (m.df, m.frob_sq, m.opnorm) == (alone.df, alone.frob_sq, alone.opnorm)
+        assert m.spectrum.tobytes() == alone.spectrum.tobytes()
+        assert m.basis.tobytes() == alone.basis.tobytes()
+        # the spectral form is the matrix
+        np.testing.assert_allclose((m.basis * m.spectrum) @ m.basis.T, m.h, atol=1e-12)
+
+
+def test_krr_members_share_one_gram_and_basis():
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((2, 5, 5))
+    doc = _krr_doc(5, [a @ a.T, a @ a.T, b @ b.T, a @ a.T], [0.1, 1.0, 1.0, 10.0])
+    for family in (family_from_doc(doc), cli._build_family({"smoothers": doc["smoothers"]}, 5)):
+        k0, k1, other, k3 = family.members
+        for m in (k1, k3):
+            assert m.basis is k0.basis and m.params["gram"] is k0.params["gram"]
+        assert other.basis is not k0.basis and other.params["gram"] is not k0.params["gram"]
+        assert not k0.basis.flags.writeable and not k0.spectrum.flags.writeable
+    assert [m.basis for m in (from_matrix("e", np.eye(5)),
+                              knn_from_points("k", np.arange(5.0), 2))] == [None, None]
 
 
 def test_params_are_read_only_arrays():
