@@ -4,8 +4,8 @@ Configs are versioned JSON documents (see docs/config_schema.md); all
 randomness flows from the configured master seed so outputs are byte-stable
 across reruns and worker counts.
 
-Exit codes: 0 success / all checks pass, 1 config or validation error, an
-output that cannot be written or memory that cannot be allocated, 2
+Exit codes: 0 success / all checks pass, 1 usage, config or validation error,
+an output that cannot be written or memory that cannot be allocated, 2
 exact-identity or lemma check failure, 3 lemma domain error.
 """
 
@@ -115,7 +115,7 @@ def _flatten(doc, prefix=""):
             rows.extend(_flatten(item, f"{prefix}{i}."))
     else:
         value = "" if doc is None else (repr(float(doc)) if isinstance(doc, float) else str(doc))
-        rows.append(f"{prefix[:-1]},{value}")
+        rows.append(f"{montecarlo.csv_field(prefix[:-1])},{value}")
     return rows
 
 
@@ -170,6 +170,7 @@ def _bound_table(summary, cfg):
 
 
 def cmd_simulate(args) -> int:
+    threads = validate.integer(args.threads, "--threads", 1)
     cfg = _parse_experiment_config(_load_json(args.config))
     if args.seed is not None:
         cfg["master_seed"] = validate.integer(args.seed, "--seed", 0, 2**64 - 1)
@@ -186,7 +187,7 @@ def cmd_simulate(args) -> int:
         records_fh = stack.enter_context(open(records_path, "w")) if records_path else None
         summary, records = montecarlo.run_experiment(
             cfg["family"], cfg["model"], cfg["n_reps"], cfg["master_seed"],
-            n_threads=args.threads, keep_records=records_fh is not None)
+            n_threads=threads, keep_records=records_fh is not None)
         doc = {
             "schema_version": CONFIG_SCHEMA_VERSION,
             "master_seed": cfg["master_seed"],
@@ -219,8 +220,10 @@ _LEMMA_FIELDS = {
                              lambda v, w: validate.list_of(v, w, validate.number)),
     },
 }
-# A battery case draws one float64 array of at most 2^27 entries (1 GiB).
+# A battery case draws one float64 array of at most 2^27 entries (1 GiB), and
+# the whole battery at most 2^30 normals (about 40 s at 35 ns a draw).
 _MAX_DRAWS = 2**27
+_MAX_TOTAL_DRAWS = 2**30
 
 
 def _parse_lemma_config(doc):
@@ -245,6 +248,11 @@ def _parse_lemma_config(doc):
                          ("quadratic.n_samples * quadratic.dim", qd["n_samples"] * qd["dim"])):
         if draws > _MAX_DRAWS:
             raise ConfigError(f"{where}: must be at most 2^27, got {draws}")
+    total = (len(mx["tau"]) * len(mx["k"]) * mx["n_samples"] * sum(mx["n_vars"])
+             + qd["n_matrices"] * qd["n_samples"] * qd["dim"])
+    if total > _MAX_TOTAL_DRAWS:
+        raise ConfigError(f"the battery would draw {total} normals (n_samples * n_vars per "
+                          "maxima case, n_samples * dim per matrix); must be at most 2^30")
     return cfg
 
 
@@ -327,7 +335,7 @@ def cmd_family_info(args) -> int:
     print(header)
     for m in family.members:
         if m.kind == "knn":
-            gersh = f"{smoothers.knn_opnorm_bound(m, m.params['k']):>12.6g}"
+            gersh = f"{smoothers.knn_opnorm_bound(m):>12.6g}"
         else:
             gersh = f"{'-':>12}"
         print(f"{m.label:<16}{m.df:>12.6g}{m.frob_sq:>12.6g}{m.opnorm:>12.6g}{gersh}")
@@ -335,8 +343,15 @@ def cmd_family_info(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, so it exits 1 like any invalid input."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sure-lab",
         description="SURE-tuned smoother selection simulator and lemma verifier")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -365,9 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     # ConfigError included; OSError from files; MemoryError from sizes too large to hold
     except (ValueError, OSError, MemoryError) as exc:

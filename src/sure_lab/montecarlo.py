@@ -124,20 +124,10 @@ def _rowdot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def _shared_basis(members):
-    """The basis of every member's spectral form, or None if some member has no
-    spectral form or another basis."""
-    basis = members[0].basis
-    if basis is None or any(m.basis is None or not np.array_equal(m.basis, basis)
-                            for m in members[1:]):
-        return None
-    return basis
-
-
 class _Context:
     """Per-(family, model) arrays shared by every block of replicates.
 
-    A family whose members share one eigenbasis V (H_s = V diag(f_s) V^T)
+    A family with a shared eigenbasis V = family.basis (H_s = V diag(f_s) V^T)
     selects in the rotated coordinates u = V^T y, where every SURE is
     sum_i (1 - f_si)^2 u_i^2 + 2 sigma^2 tr H_s: O(n^2 + n|S|) a replicate. Any
     other family applies every member with one product, O(|S| n^2).
@@ -153,7 +143,7 @@ class _Context:
         self.sigma_sq = model.sigma_sq
         self.theta0 = model.theta0
         members = family.members
-        self.basis = _shared_basis(members)
+        self.basis = family.basis
         if self.basis is None:
             h_stack = np.stack([m.h for m in members])
             self.h_flat = h_stack.reshape(-1, self.n)  # member s is rows s*n .. s*n + n - 1
@@ -370,13 +360,21 @@ def shell_decay_report(summary: MonteCarloSummary, family: SmootherFamily,
     return ShellDecayReport(rows=rows, violations=violations, r_star=rs, h_op=family.h_op)
 
 
+def csv_field(text: str) -> str:
+    """`text` as one RFC 4180 field: quoted, with inner quotes doubled, when it
+    holds a comma, a quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def records_to_csv(records: ReplicateRecords, fh) -> None:
     """Write records to the text file fh as CSV, CSV_CHUNK_ROWS rows at a time.
 
     Floats keep full round-trip precision (repr), "selected" is written as the
-    member label and "shell" is empty when the column is absent.
+    member label (a csv_field) and "shell" is empty when the column is absent.
     """
-    cols, labels = records.columns, records.labels
+    cols, labels = records.columns, [csv_field(label) for label in records.labels]
     fh.write(",".join(RECORD_CSV_COLUMNS) + "\n")
     for lo in range(0, len(records), CSV_CHUNK_ROWS):
         part = {name: col[lo:lo + CSV_CHUNK_ROWS].tolist() for name, col in cols.items()}

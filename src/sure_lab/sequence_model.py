@@ -21,9 +21,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianSequenceModel:
-    """Signal vector theta0 plus known noise standard deviation sigma."""
+    """Signal vector theta0 plus known noise standard deviation sigma; == is identity."""
 
     theta0: np.ndarray
     sigma: float

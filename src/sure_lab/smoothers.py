@@ -40,7 +40,7 @@ def operator_norm(h) -> float:
     return float(np.linalg.norm(h, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Smoother:
     """Labeled n x n matrix with cached tr(H), ||H||_F^2, and ||H||_op.
 
@@ -48,7 +48,7 @@ class Smoother:
     read-only ndarrays and become lists only in `family_to_doc`. KRR members
     also keep their spectral form H = basis @ diag(spectrum) @ basis.T (an
     orthonormal eigenbasis of the Gram matrix and the filter mu/(mu+lambda));
-    `basis` and `spectrum` are None for the other kinds.
+    `basis` and `spectrum` are None for the other kinds. == and hash are identity.
     """
 
     label: str
@@ -56,10 +56,10 @@ class Smoother:
     df: float
     frob_sq: float
     opnorm: float
-    kind: str = "explicit"
-    params: dict = field(default_factory=dict, repr=False)
-    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
-    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    kind: str
+    params: dict = field(repr=False)
+    basis: np.ndarray | None = field(repr=False)
+    spectrum: np.ndarray | None = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -75,35 +75,30 @@ def _frozen(a, shape=(-1,)) -> np.ndarray:
 
 def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None,
           basis=None, spectrum=None) -> Smoother:
-    """Wrap `h`; statistics the constructor knows in closed form are passed in."""
-    h = np.asarray(h, dtype=float)
+    """Freeze and wrap the float array `h` itself; known statistics are passed in."""
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"smoother matrix must be square, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("smoother matrix entries must be finite")
-    h = h.copy()
     h.setflags(write=False)
-    if df is None:
-        df = float(np.trace(h))
-    if frob_sq is None:
-        frob_sq = float(np.sum(h * h))
     return Smoother(
         label=str(label),
         h=h,
-        df=df,
-        frob_sq=frob_sq,
+        df=float(np.trace(h)) if df is None else df,
+        frob_sq=float(np.sum(h * h)) if frob_sq is None else frob_sq,
         opnorm=operator_norm(h) if opnorm is None else float(opnorm),
         kind=kind,
-        params=dict(params),
+        params=params,
         basis=basis,
         spectrum=spectrum,
     )
 
 
 def from_matrix(label: str, h) -> Smoother:
-    """Wrap an explicit square matrix, computing all cached statistics."""
-    h = np.asarray(h, dtype=float)
-    return _make(label, h, "explicit", {"matrix": _frozen(h)})
+    """Wrap a copy of an explicit square matrix; flattened, the copy is params["matrix"]."""
+    h = np.array(h, dtype=float, order="C")
+    h.setflags(write=False)
+    return _make(label, h, "explicit", {"matrix": h.reshape(-1)})
 
 
 _RANK_TOL = 1e-10
@@ -212,26 +207,29 @@ def knn_from_points(label: str, points, k: int) -> Smoother:
                  frob_sq=n / k)
 
 
-def knn_opnorm_bound(smoother: Smoother, k: int) -> float:
-    """Gershgorin-style operator norm bound (1/k) max_i |N_k^{-1}(i)|.
+def knn_opnorm_bound(smoother: Smoother) -> float:
+    """Gershgorin-style operator norm bound (1/k) max_i |N_k^{-1}(i)| of a k-NN member.
 
-    Counts, for each column i, how many rows use point i as a neighbor. Valid
-    for matrices built by knn_from_points with this k.
+    Counts, for each column i, how many rows use point i as a neighbor; k is the
+    member's own. Raises ValueError for a member knn_from_points did not build.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    if smoother.kind != "knn":
+        raise ValueError(f"smoother {smoother.label!r} is {smoother.kind!r}, not k-NN")
     reverse_counts = np.sum(smoother.h > 0, axis=0)
-    return float(reverse_counts.max()) / k
+    return float(reverse_counts.max()) / smoother.params["k"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmootherFamily:
-    """Finite ordered selection menu of smoothers sharing a dimension."""
+    """Finite ordered selection menu of smoothers sharing a dimension.
+
+    `basis` is the eigenbasis all members' spectral forms share, else None; == is identity.
+    """
 
     members: tuple
     n: int
     h_op: float
+    basis: np.ndarray | None = field(repr=False)
 
     @classmethod
     def of(cls, members) -> "SmootherFamily":
@@ -241,12 +239,14 @@ class SmootherFamily:
         n = members[0].n
         for m in members:
             if m.n != n:
-                raise ValueError(
-                    f"smoother {m.label!r} has dimension {m.n}, expected {n}")
+                raise ValueError(f"smoother {m.label!r} has dimension {m.n}, expected {n}")
         labels = [m.label for m in members]
         if len(set(labels)) != len(labels):
             raise ValueError(f"family labels must be distinct, got {labels}")
-        return cls(members=members, n=n, h_op=max(m.opnorm for m in members))
+        basis = members[0].basis
+        if any(m.basis is None or not np.array_equal(m.basis, basis) for m in members[1:]):
+            basis = None
+        return cls(members=members, n=n, h_op=max(m.opnorm for m in members), basis=basis)
 
     def __len__(self) -> int:
         return len(self.members)

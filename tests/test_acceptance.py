@@ -385,7 +385,7 @@ def test_knn_structure():
         k = int(rng.integers(1, n + 1))
         points = rng.normal(size=(n, int(rng.integers(1, 4))))
         sm = knn_from_points("knn", points, k)
-        if sm.opnorm <= knn_opnorm_bound(sm, k) + 1e-10:
+        if sm.opnorm <= knn_opnorm_bound(sm) + 1e-10:
             bound_ok += 1
     elapsed = time.perf_counter() - start
     passed = bound_ok == 50

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import numpy as np
@@ -89,6 +90,49 @@ def test_simulate_csv_format(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("key,value\n")
     assert "summary.n_reps,10" in out
+
+
+def test_csv_outputs_quote_labels(tmp_path):
+    labels = ['zero,"x"', "id\nnew"]
+    cfg_path = write_config(tmp_path, base_config(n_reps=4, family={"smoothers": [
+        {"label": labels[0], "kind": "zero", "parameters": {}},
+        {"label": labels[1], "kind": "identity", "parameters": {}}]}))
+    summary, records = tmp_path / "s.csv", tmp_path / "r.csv"
+    assert main(["simulate", "--config", cfg_path, "--format", "csv", "--out", str(summary),
+                 "--records", str(records)]) == 0
+    with open(records, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 5 and {len(row) for row in rows} == {12}
+    assert {row[1] for row in rows[1:]} <= set(labels)
+    with open(summary, newline="") as fh:
+        cells = dict(csv.reader(fh))
+    assert cells["summary.n_reps"] == "4"
+    counts = [int(cells[f"summary.selection_histogram.{label}"]) for label in labels]
+    assert sum(counts) == 4
+
+
+@pytest.mark.parametrize("argv,needle", [
+    pytest.param([], "required: command", id="no-command"),
+    pytest.param(["bogus"], "invalid choice", id="unknown-command"),
+    pytest.param(["simulate"], "--config", id="missing-config"),
+    pytest.param(["simulate", "--config", "CFG", "--bogus"], "--bogus", id="unknown-flag"),
+    pytest.param(["simulate", "--config", "CFG", "--threads", "abc"], "--threads",
+                 id="threads-not-int"),
+    pytest.param(["simulate", "--config", "CFG", "--threads", "0"], "--threads", id="threads-0"),
+    pytest.param(["simulate", "--config", "CFG", "--threads", "-4"], "--threads",
+                 id="threads-negative"),
+])
+def test_usage_errors_exit_1(tmp_path, capsys, argv, needle):
+    cfg_path = write_config(tmp_path, base_config(n_reps=2))
+    assert main([cfg_path if a == "CFG" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and needle in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0 and "--threads" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mutate,needle", [
@@ -370,6 +414,11 @@ def test_verify_lemmas_cases_draw_distinct_streams(tmp_path, monkeypatch):
                  id="maxima-draws-over-cap"),
     pytest.param("quadratic", {"n_samples": 2**26 + 1, "dim": 2}, "quadratic.n_samples",
                  id="quadratic-draws-over-cap"),
+    # every case within its own cap, 9 * 2^27 draws in all
+    pytest.param("maxima", {"tau": [0.5 * t for t in range(1, 10)], "n_samples": 2**20,
+                            "n_vars": [128]}, "2^30", id="maxima-total-over-cap"),
+    pytest.param("quadratic", {"n_matrices": 1024, "n_samples": 2**17, "dim": 64},
+                 f"{2**33 + 100} normals", id="quadratic-total-over-cap"),  # + 100 maxima draws
 ])
 def test_verify_lemmas_validation_errors(tmp_path, capsys, section, update, needle):
     cfg = {"maxima": {"n_samples": 100, "n_vars": [1], "k": [1], "tau": [1.0]},

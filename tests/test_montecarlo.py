@@ -351,9 +351,13 @@ def test_spectral_path_needs_one_basis():
     two_grams = SmootherFamily.of([krr_from_gram("a", grams[0], 1.0),
                                    krr_from_gram("b", grams[1], 1.0)])
     mixed = SmootherFamily.of([krr_from_gram("a", grams[0], 1.0), from_matrix("i", np.eye(n))])
-    assert montecarlo._Context(one_gram, model).basis is not None
-    for family in (two_grams, mixed):
+    mixed_dense_first = SmootherFamily.of([from_matrix("i", np.eye(n)),
+                                           krr_from_gram("a", grams[0], 1.0)])
+    assert one_gram.basis is not None
+    assert montecarlo._Context(one_gram, model).basis is one_gram.basis
+    for family in (two_grams, mixed, mixed_dense_first, _dense_twin(one_gram)):
         ctx = montecarlo._Context(family, model)
+        assert family.basis is None
         assert ctx.basis is None and ctx.h_flat.shape == (len(family) * n, n)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sure_lab import (
+    GaussianSequenceModel,
     SmootherFamily,
     cli,
     family_from_doc,
@@ -285,18 +286,23 @@ def test_knn_matches_sorted_reference_with_ties_and_duplicates():
 
 def test_knn_gershgorin_bound():
     ident = knn_from_points("k1", np.arange(3.0), 1)
-    assert knn_opnorm_bound(ident, 1) == 1.0
+    assert knn_opnorm_bound(ident) == 1.0
     assert ident.opnorm == pytest.approx(1.0)
 
     mean = knn_from_points("k3", np.arange(3.0), 3)
-    assert knn_opnorm_bound(mean, 3) == 1.0
+    assert knn_opnorm_bound(mean) == 1.0
     assert mean.opnorm == pytest.approx(1.0)
 
     equi = knn_from_points("k2", np.arange(6.0), 2)
-    bound = knn_opnorm_bound(equi, 2)
+    bound = knn_opnorm_bound(equi)
     oracle = np.linalg.svd(equi.h, compute_uv=False)[0]
     assert bound == 0.5 * np.max(np.sum(equi.h > 0, axis=0))
     assert bound >= oracle - 1e-12
+
+    # k is the member's own; a member of another kind has no k
+    for other in (from_matrix("k1-matrix", ident.h), krr_from_gram("krr", np.eye(3), 1.0)):
+        with pytest.raises(ValueError, match="not k-NN"):
+            knn_opnorm_bound(other)
 
 
 @settings(max_examples=25, deadline=None)
@@ -423,6 +429,30 @@ def test_krr_members_share_one_gram_and_basis():
         assert not k0.basis.flags.writeable and not k0.spectrum.flags.writeable
     assert [m.basis for m in (from_matrix("e", np.eye(5)),
                               knn_from_points("k", np.arange(5.0), 2))] == [None, None]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: from_matrix("a", np.eye(2)), id="smoother"),
+    pytest.param(lambda: SmootherFamily.of([krr_from_gram("a", np.eye(2), 1.0)]), id="family"),
+    pytest.param(lambda: GaussianSequenceModel(np.ones(2), 1.0), id="model"),
+])
+def test_equality_and_hash_are_identity(make):
+    a, b = make(), make()  # equal contents, two objects
+    assert a == a and a != b
+    assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
+    keys = {a: "a", b: "b"}
+    assert keys[a] == "a" and keys[b] == "b" and len({a, b, a}) == 2
+
+
+def test_from_matrix_keeps_one_copy():
+    source = np.asfortranarray(np.arange(6.0).reshape(2, 3)[:, :2])
+    s = from_matrix("m", source)
+    assert np.shares_memory(s.h, s.params["matrix"])
+    assert not np.shares_memory(s.h, source)
+    np.testing.assert_array_equal(s.params["matrix"], [0.0, 1.0, 3.0, 4.0])  # row-major
+    assert not s.h.flags.writeable and not s.params["matrix"].flags.writeable
+    source[0, 0] = 99.0
+    assert s.h[0, 0] == 0.0 and s.params["matrix"][0] == 0.0
 
 
 def test_params_are_read_only_arrays():
