@@ -171,9 +171,10 @@ def _bound_table(summary, cfg):
 
 def cmd_simulate(args) -> int:
     threads = validate.integer(args.threads, "--threads", 1)
+    seed = None if args.seed is None else validate.integer(args.seed, "--seed", 0, 2**64 - 1)
     cfg = _parse_experiment_config(_load_json(args.config))
-    if args.seed is not None:
-        cfg["master_seed"] = validate.integer(args.seed, "--seed", 0, 2**64 - 1)
+    if seed is not None:
+        cfg["master_seed"] = seed
     outputs = cfg["outputs"]
     out_path = args.out or outputs.get("summary")
     records_path = args.records or outputs.get("records")
@@ -331,14 +332,18 @@ def cmd_family_info(args) -> int:
         family = _build_family({"path": args.family}, None)
     else:
         family = _parse_experiment_config(_load_json(args.config))["family"]
-    header = f"{'label':<16}{'df':>12}{'frob_sq':>12}{'opnorm':>12}{'gershgorin':>12}"
-    print(header)
-    for m in family.members:
+    # one line per member: control characters escaped, the label column as wide
+    # as the longest label (at least 16)
+    labels = ["".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                      for c in m.label) for m in family.members]
+    width = max(16, *map(len, labels))
+    print(f"{'label':<{width}}{'df':>12}{'frob_sq':>12}{'opnorm':>12}{'gershgorin':>12}")
+    for label, m in zip(labels, family.members):
         if m.kind == "knn":
             gersh = f"{smoothers.knn_opnorm_bound(m):>12.6g}"
         else:
             gersh = f"{'-':>12}"
-        print(f"{m.label:<16}{m.df:>12.6g}{m.frob_sq:>12.6g}{m.opnorm:>12.6g}{gersh}")
+        print(f"{label:<{width}}{m.df:>12.6g}{m.frob_sq:>12.6g}{m.opnorm:>12.6g}{gersh}")
     print(f"h_op = {family.h_op:.6g}")
     return EXIT_OK
 

@@ -31,13 +31,21 @@ __all__ = [
 ]
 
 def operator_norm(h) -> float:
-    """Largest singular value of a square matrix (LAPACK SVD)."""
+    """Largest singular value of a square matrix: s * sqrt(lambda_max(G^T G)), G = H / s.
+
+    Scaling by s = max|H| keeps G^T G finite and normal for any finite H, so
+    the symmetric eigensolver (LAPACK, values only) is exact to rounding.
+    """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
-    return float(np.linalg.norm(h, 2))
+    s = float(np.max(np.abs(h))) if h.size else 0.0
+    if s == 0.0:
+        return 0.0
+    g = h / s
+    return s * float(np.sqrt(np.linalg.eigvalsh(g.T @ g)[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,25 +194,37 @@ def knn_from_points(label: str, points, k: int) -> Smoother:
     closest other points with distance ties broken by smallest index. Hence
     k=1 gives the identity and k=n the global mean, and ||H||_F^2 = n/k.
     """
+    return _knn(label, _neighbour_order(points), k)
+
+
+def _neighbour_order(points):
+    """(read-only points as rows, read-only full neighbour ordering of each row) after
+    the checks knn_from_points documents; column j of row i is its (j+1)-th neighbour."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2:
         raise ValueError(f"points must be a list of vectors, got shape {points.shape}")
-    n = points.shape[0]
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if not np.all(np.isfinite(points)):
         raise ValueError("k-NN points must be finite")
     diffs = points[:, None, :] - points[None, :, :]
     dist_sq = np.sum(diffs * diffs, axis=2)
     np.fill_diagonal(dist_sq, -np.inf)  # each point is its own first neighbor
-    neighbors = np.argsort(dist_sq, axis=1, kind="stable")[:, :k]  # ties: smallest index
+    order = np.argsort(dist_sq, axis=1, kind="stable")  # ties: smallest index
+    order.setflags(write=False)
+    return _frozen(points, points.shape), order
+
+
+def _knn(label, neighbour_order, k) -> Smoother:
+    """k-NN member for one k from a _neighbour_order, which members may share."""
+    points, order = neighbour_order
+    n = order.shape[0]
+    k = int(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     h = np.zeros((n, n))
-    np.put_along_axis(h, neighbors, 1.0 / k, axis=1)
-    return _make(label, h, "knn", {"points": _frozen(points, points.shape), "k": k},
-                 frob_sq=n / k)
+    np.put_along_axis(h, order[:, :k], 1.0 / k, axis=1)
+    return _make(label, h, "knn", {"points": points, "k": k}, frob_sq=n / k)
 
 
 def knn_opnorm_bound(smoother: Smoother) -> float:
@@ -287,22 +307,25 @@ def build_family(specs, n: int, where: str) -> SmootherFamily:
     """The family of a JSON list of smoother descriptions for dimension n.
 
     KRR members given equal Gram matrices share one eigendecomposition: one
-    read-only `gram` parameter and one `basis`. Each member is bit-identical
-    to the `krr_from_gram` call with its parameters.
+    read-only `gram` parameter and one `basis`. k-NN members given equal points
+    share one neighbour ordering and one read-only `points` parameter. Each
+    member is bit-identical to the `krr_from_gram` or `knn_from_points` call
+    with its parameters.
     """
-    gram_spectra = {}
+    shared = {}
     return SmootherFamily.of(validate.list_of(
-        specs, where, lambda spec, _: build_smoother(spec, n, gram_spectra)))
+        specs, where, lambda spec, _: build_smoother(spec, n, shared)))
 
 
-def build_smoother(spec: dict, n: int, gram_spectra=None) -> Smoother:
+def build_smoother(spec: dict, n: int, shared=None) -> Smoother:
     """Build one smoother from its JSON description for dimension n.
 
     Malformed members (unknown kind, missing or unknown `parameters` keys,
-    values of the wrong type or shape) raise ValueError. `gram_spectra`
-    (Gram bytes -> eigendecomposition) is reused and extended across the
-    members of one family.
+    values of the wrong type or shape) raise ValueError. `shared` maps a
+    Gram matrix to its eigendecomposition and a point set to its neighbour
+    ordering; it is reused and extended across the members of one family.
     """
+    shared = {} if shared is None else shared
     validate.obj(spec, "smoother spec", ("label", "kind"), ("parameters",))
     label = validate.string(spec["label"], "smoother label")
     kind = validate.string(spec["kind"], "smoother kind", _KIND_PARAMETERS)
@@ -322,13 +345,18 @@ def build_smoother(spec: dict, n: int, gram_spectra=None) -> Smoother:
     if kind == "krr":
         gram = validate.array(params["gram"], f"{where}.gram", (n, n))
         lam = validate.number(params["lambda"], f"{where}.lambda")
-        gram_spectra = {} if gram_spectra is None else gram_spectra
-        key = gram.tobytes()
-        if key not in gram_spectra:
-            gram_spectra[key] = _gram_spectrum(gram)
-        return _krr(label, gram_spectra[key], lam)
-    return knn_from_points(label, validate.array(params["points"], f"{where}.points"),
-                           validate.integer(params["k"], f"{where}.k", 1))
+        return _krr(label, _shared(shared, _gram_spectrum, gram), lam)
+    points = validate.array(params["points"], f"{where}.points")
+    k = validate.integer(params["k"], f"{where}.k", 1)
+    return _knn(label, _shared(shared, _neighbour_order, points), k)
+
+
+def _shared(shared, derive, a):
+    """derive(a), computed once per distinct (derive, a.shape, a.tobytes()) in `shared`."""
+    key = (derive, a.shape, a.tobytes())
+    if key not in shared:
+        shared[key] = derive(a)
+    return shared[key]
 
 
 def family_to_doc(family: SmootherFamily) -> dict:

@@ -129,6 +129,13 @@ def test_usage_errors_exit_1(tmp_path, capsys, argv, needle):
     assert captured.out == "" and captured.err.startswith("error: ") and needle in captured.err
 
 
+def test_simulate_checks_seed_before_config(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["simulate", "--config", missing, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "missing.json" not in err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--help"])
@@ -210,6 +217,24 @@ def test_family_info_round_trip(tmp_path, capsys):
         family={"path": str(path)}))
     assert main(["family-info", "--config", cfg_path]) == 0
     assert capsys.readouterr().out == from_file
+
+
+def test_family_info_one_line_per_label(tmp_path, capsys):
+    labels = ["id\nnew", "x" * 32, "tab\tnul\x00", "short"]
+    doc = {"schema_version": 1, "n": 2, "smoothers": [
+        {"label": label, "kind": kind, "parameters": {}}
+        for label, kind in zip(labels, ["identity", "zero", "zero", "identity"])]}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    assert main(["family-info", "--family", str(path)]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[-1] == "" and len(lines) == 7  # header, 4 rows, h_op, final newline
+    header, rows = lines[0], lines[1:5]
+    assert [row[:32].rstrip() for row in rows] == ["id\\nnew", "x" * 32, "tab\\tnul\\x00",
+                                                   "short"]
+    assert header.startswith("label" + " " * 27)
+    assert {len(row) for row in rows} == {len(header)} == {32 + 4 * 12}
+    assert rows[1].split() == ["x" * 32, "0", "0", "0", "-"]
 
 
 def test_family_info_malformed(tmp_path, capsys):

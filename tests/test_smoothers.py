@@ -20,13 +20,15 @@ from sure_lab import (
     operator_norm,
     projection_from_design,
     save_family,
+    smoothers,
 )
 from sure_lab.smoothers import build_smoother
 
 
-# -- operator norm: implementation is LAPACK's largest singular value -------
-# (np.linalg.norm(h, 2)), oracle is the full SVD; constructors that know the
-# norm in closed form skip the SVD and are checked against it below.
+# -- operator norm: implementation is s * sqrt(lambda_max(G^T G)) with -------
+# G = H / max|H| (LAPACK symmetric eigenvalues), oracle is the full SVD;
+# constructors that know the norm in closed form skip it and are checked
+# against the SVD below.
 
 def test_operator_norm_identity_and_diag():
     assert operator_norm(np.eye(5)) == pytest.approx(1.0, rel=1e-10)
@@ -47,11 +49,18 @@ def test_operator_norm_zero_and_errors():
 
 def test_operator_norm_against_svd_oracle():
     rng = np.random.default_rng(3)
+    matrices = []
     for _ in range(50):
-        n = rng.integers(1, 12)
-        a = rng.standard_normal((n, n))
+        n = int(rng.integers(1, 51))
+        matrices.append(rng.standard_normal((n, n)))  # square, non-symmetric
+        matrices.append(np.outer(rng.standard_normal(n), rng.standard_normal(n)))  # rank 1
+    matrices.append(knn_from_points("knn", rng.standard_normal((40, 2)), 5).h)
+    for a in matrices[:20]:
+        for scale in (1e-318, 1e-300, 1e300):  # subnormal entries, and near both ends
+            matrices.append(a * scale)
+    for a in matrices:
         oracle = np.linalg.svd(a, compute_uv=False)[0]
-        assert operator_norm(a) == pytest.approx(oracle, rel=1e-9)
+        assert operator_norm(a) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
 
 def _svd_norm(h):
@@ -371,6 +380,7 @@ def test_save_family_bytes_match_list_params(tmp_path):
         krr_from_gram("krr0", gram, 0.0),
         knn_from_points("knn2d", points2d, 2),
         knn_from_points("knn1d", points1d, 3),
+        knn_from_points("knn2d_k3", points2d, 3),
     ])
     expected = [
         ("zero", "zero", {}),
@@ -381,6 +391,7 @@ def test_save_family_bytes_match_list_params(tmp_path):
         ("krr0", "krr", {"gram": gram.reshape(-1).tolist(), "lambda": 0.0}),
         ("knn2d", "knn", {"points": points2d.tolist(), "k": 2}),
         ("knn1d", "knn", {"points": points1d[:, None].tolist(), "k": 3}),
+        ("knn2d_k3", "knn", {"points": points2d.tolist(), "k": 3}),
     ]
     doc = {"schema_version": 1, "n": 3, "smoothers": [
         {"label": label, "kind": kind, "parameters": params}
@@ -388,8 +399,9 @@ def test_save_family_bytes_match_list_params(tmp_path):
     path = tmp_path / "family.json"
     save_family(fam, path)
     assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    loaded = load_family(path)  # its two KRR members share one gram array
+    loaded = load_family(path)  # members on one gram or one point set share the array
     assert loaded.member("krr").params["gram"] is loaded.member("krr0").params["gram"]
+    assert loaded.member("knn2d").params["points"] is loaded.member("knn2d_k3").params["points"]
     save_family(loaded, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -429,6 +441,53 @@ def test_krr_members_share_one_gram_and_basis():
         assert not k0.basis.flags.writeable and not k0.spectrum.flags.writeable
     assert [m.basis for m in (from_matrix("e", np.eye(5)),
                               knn_from_points("k", np.arange(5.0), 2))] == [None, None]
+
+
+def _knn_doc(n, point_sets, ks):
+    return {"schema_version": 1, "n": n, "smoothers": [
+        {"label": f"k{i}", "kind": "knn", "parameters": {"points": points, "k": k}}
+        for i, (points, k) in enumerate(zip(point_sets, ks))]}
+
+
+def test_knn_family_members_match_standalone():
+    rng = np.random.default_rng(13)
+    ties = rng.integers(-1, 2, size=(9, 2)).astype(float)  # equal distances, repeats
+    line = rng.standard_normal(9)
+    point_sets = [ties.tolist(), ties.tolist(), line.tolist(), ties.tolist(), line.tolist()]
+    ks = [1, 4, 3, 9, 9]
+    family = family_from_doc(_knn_doc(9, point_sets, ks))
+    for m, points, k in zip(family.members, point_sets, ks):
+        alone = knn_from_points(m.label, points, k)
+        assert m.h.tobytes() == alone.h.tobytes()
+        assert (m.df, m.frob_sq, m.opnorm) == (alone.df, alone.frob_sq, alone.opnorm)
+        assert m.params["points"].tobytes() == alone.params["points"].tobytes()
+        assert m.params["k"] == alone.params["k"]
+
+
+def test_knn_members_share_one_points_and_ordering(monkeypatch):
+    rng = np.random.default_rng(14)
+    a, b = rng.standard_normal((2, 6, 2)).tolist()
+    doc = _knn_doc(6, [a, a, b, a], [1, 3, 3, 6])
+    orderings, neighbour_order = [], smoothers._neighbour_order
+
+    def recording_order(points):
+        orderings.append(neighbour_order(points))
+        return orderings[-1]
+
+    monkeypatch.setattr(smoothers, "_neighbour_order", recording_order)
+    for build in (lambda: family_from_doc(doc),
+                  lambda: cli._build_family({"smoothers": doc["smoothers"]}, 6)):
+        orderings.clear()
+        k0, k1, other, k3 = build().members
+        assert len(orderings) == 2  # one ordering per distinct point set
+        for m in (k1, k3):
+            assert m.params["points"] is k0.params["points"]
+        assert other.params["points"] is not k0.params["points"]
+        assert k0.params["points"] is orderings[0][0] and other.params["points"] is orderings[1][0]
+        assert not any(array.flags.writeable for pair in orderings for array in pair)
+    # the same floats as 12 one-dimensional points are another point set
+    with pytest.raises(ValueError, match="dimension 12"):
+        family_from_doc(_knn_doc(6, [a, np.reshape(a, (12, 1)).tolist()], [1, 1]))
 
 
 @pytest.mark.parametrize("make", [
