@@ -32,7 +32,6 @@ from .criteria import (
     oracle_select,
     r_star,
     risk,
-    shell_index,
     shell_indices,
     sure,
     sure_identity_residual,

@@ -12,6 +12,14 @@ import math
 import numpy as np
 
 
+# Size cap of what one input makes the program allocate: a lemma-battery
+# case's draws and a family's member matrices each hold at most this many
+# float64 values (1 GiB).
+MAX_ENTRIES = 2**27
+# The largest dimension n whose n x n float64 matrix fits in MAX_ENTRIES.
+MAX_N = math.isqrt(MAX_ENTRIES)
+
+
 class ConfigError(ValueError):
     """An input document holds an invalid value; the message names where."""
 

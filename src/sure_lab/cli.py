@@ -45,7 +45,7 @@ def _load_json(path):
 
 def _build_model(spec) -> GaussianSequenceModel:
     validate.obj(spec, "model", ("n", "sigma", "theta0"))
-    n = validate.integer(spec["n"], "model.n", 1)
+    n = validate.integer(spec["n"], "model.n", 1, validate.MAX_N)
     sigma = validate.number(spec["sigma"], "model.sigma", positive=True)
     # any keys besides kind: make_theta0 checks the parameters of the kind
     params = dict(validate.obj(spec["theta0"], "model.theta0", ("kind",), spec["theta0"]))
@@ -221,9 +221,8 @@ _LEMMA_FIELDS = {
                              lambda v, w: validate.list_of(v, w, validate.number)),
     },
 }
-# A battery case draws one float64 array of at most 2^27 entries (1 GiB), and
-# the whole battery at most 2^30 normals (about 40 s at 35 ns a draw).
-_MAX_DRAWS = 2**27
+# A battery case draws one float64 array of at most validate.MAX_ENTRIES
+# entries, and the whole battery at most 2^30 normals (about 40 s at 35 ns a draw).
 _MAX_TOTAL_DRAWS = 2**30
 
 
@@ -247,7 +246,7 @@ def _parse_lemma_config(doc):
     for where, draws in (("maxima.n_samples * max(maxima.n_vars)",
                           mx["n_samples"] * max(mx["n_vars"], default=0)),
                          ("quadratic.n_samples * quadratic.dim", qd["n_samples"] * qd["dim"])):
-        if draws > _MAX_DRAWS:
+        if draws > validate.MAX_ENTRIES:
             raise ConfigError(f"{where}: must be at most 2^27, got {draws}")
     total = (len(mx["tau"]) * len(mx["k"]) * mx["n_samples"] * sum(mx["n_vars"])
              + qd["n_matrices"] * qd["n_samples"] * qd["dim"])

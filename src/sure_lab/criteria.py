@@ -25,7 +25,6 @@ __all__ = [
     "centered_variables",
     "sure_identity_residual",
     "r_star",
-    "shell_index",
     "shell_indices",
     "edf_bound",
     "oracle_gap_bound",
@@ -131,23 +130,12 @@ def r_star(family: SmootherFamily, model: GaussianSequenceModel) -> float:
     return min(risk(m, model) for m in family.members) / model.sigma_sq
 
 
-def shell_index(smoother: Smoother, family: SmootherFamily,
-                model: GaussianSequenceModel, r_star_value: float) -> int:
-    """Dyadic shell of a member: the unique l with
-    R(s) - R(s_0) in [(2^l - 1), (2^{l+1} - 1)) * sigma^2 * r_star.
-
-    Half-open on the right so the shells partition the family; the oracle
-    member itself lands in shell 0.
-    """
-    risks = [risk(smoother, model)] + [risk(m, model) for m in family.members]
-    # Its own risk joins the minimum: no change for a member, and a
-    # non-member below every member lands in shell 0 either way.
-    return int(shell_indices(risks, model.sigma_sq, r_star_value)[0])
-
-
 def shell_indices(risks, sigma_sq: float, r_star_value: float) -> np.ndarray:
-    """Dyadic shell of every entry of a risk vector, measured from its minimum
-    (see shell_index), in one pass over the vector.
+    """Dyadic shell of every entry of a risk vector: the unique l >= 0 with
+    R - min R in [(2^l - 1), (2^{l+1} - 1)) * sigma^2 * r_star.
+
+    Half-open on the right, so the shells partition the vector, and the
+    minimum (the oracle member of a family's risks) lands in shell 0.
     """
     if r_star_value <= 0:
         raise DegenerateFamilyError(

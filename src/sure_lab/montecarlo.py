@@ -239,6 +239,13 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> Replic
                              for name in blocks[0]}, ctx.family.labels)
 
 
+def _holds(residual, *terms) -> np.ndarray:
+    """Per replicate, whether |residual| <= IDENTITY_TOL * sum |term|, with the terms
+    that cancel in the residual: the one tolerance rule of the exact identities.
+    Absolute values, because an explicit member's trace can be negative."""
+    return np.abs(residual) <= IDENTITY_TOL * sum(map(np.abs, terms))
+
+
 def _summarize(ctx: _Context, records: ReplicateRecords) -> MonteCarloSummary:
     cols = records.columns
     n_reps = len(records)
@@ -256,23 +263,27 @@ def _summarize(ctx: _Context, records: ReplicateRecords) -> MonteCarloSummary:
         shells, shell_counts = np.unique(cols["shell"], return_counts=True)
         shell_histogram = dict(zip(map(str, shells.tolist()), shell_counts.tolist()))
 
-    edf, exopt = cols["edf_total"], cols["exopt_stat"]
-    decomp_ok = (np.abs(edf - (cols["edf_quadratic"] + cols["edf_linear"]))
-                 <= IDENTITY_TOL * (1.0 + np.abs(edf)))
-    basic_ok = cols["basic_inequality_slack"] >= -IDENTITY_TOL
-    linkage = (exopt - 2.0 * ctx.sigma_sq * edf
-               - (cols["noise_sq_gap"] - cols["signal_cross"]))
-    exopt_ok = np.abs(linkage) <= IDENTITY_TOL * (1.0 + np.abs(exopt))
+    # Each identity: its residual in edf units, then the terms that cancel in it.
+    s2, j, n, slack = ctx.sigma_sq, cols["selected"], ctx.n, cols["basic_inequality_slack"]
+    tr, edf, quad, lin = ctx.trs[j], cols["edf_total"], cols["edf_quadratic"], cols["edf_linear"]
+    sure_j, cross = cols["sure_min"] / s2, cols["signal_cross"] / s2
+    gap = cols["noise_sq_gap"] / s2
+    z_sq = n - gap  # ||z||^2 / sigma^2
+    holds = {
+        "edf_decomposition": _holds(edf - quad - lin, edf + tr, quad + tr, lin, 2.0 * tr),
+        "basic_inequality": _holds(np.minimum(slack, 0.0), sure_j, sure_j + slack, z_sq,
+                                   ctx.risks[j] / s2, ctx.risks[ctx.oracle_idx] / s2),
+        "exopt_linkage": _holds(cols["exopt_stat"] / s2 - gap + cross - 2.0 * edf,
+                                cols["loss_selected"] / s2, 2.0 * n, sure_j, 2.0 * (edf + tr),
+                                2.0 * tr, z_sq, cross),
+    }
     return MonteCarloSummary(
         n_reps=n_reps,
         estimates=estimates,
         shell_histogram=shell_histogram,
         selection_histogram=dict(zip(ctx.family.labels, counts.tolist())),
-        identity_pass_rates={
-            "edf_decomposition": int(np.count_nonzero(decomp_ok)) / n_reps,
-            "basic_inequality": int(np.count_nonzero(basic_ok)) / n_reps,
-            "exopt_linkage": int(np.count_nonzero(exopt_ok)) / n_reps,
-        },
+        identity_pass_rates={name: int(np.count_nonzero(ok)) / n_reps
+                             for name, ok in holds.items()},
         r_star=ctx.r_star,
         h_op=ctx.family.h_op,
         family_size=len(ctx.family),
@@ -334,12 +345,12 @@ class ShellDecayReport:
 
 
 def shell_decay_report(summary: MonteCarloSummary, family: SmootherFamily,
-                       model: GaussianSequenceModel, c_test: float = 1.0) -> ShellDecayReport:
-    """Tabulate P(selected in shell l) against |S_l| exp(-c 2^l r* / h^2), h = max(1, h_op).
+                       model: GaussianSequenceModel) -> ShellDecayReport:
+    """Tabulate P(selected in shell l) against |S_l| exp(-2^l r* / h^2), h = max(1, h_op).
 
     Frequencies come from the summary's shell histogram of a run of `family`
-    under `model`. The exponential is a shape comparison with a caller-supplied
-    constant, not a certified bound.
+    under `model`. The exponential is a shape comparison with the unknown
+    constant set to 1, not a certified bound.
     """
     if summary.shell_histogram is None:
         raise criteria.DegenerateFamilyError(
@@ -351,7 +362,7 @@ def shell_decay_report(summary: MonteCarloSummary, family: SmootherFamily,
         "shell": l,
         "frequency": summary.shell_histogram.get(str(l), 0) / summary.n_reps,
         "members": size,
-        "lemma_shape": size * float(np.exp(-c_test * 2.0**l * rs / family.h_op_effective**2)),
+        "lemma_shape": size * float(np.exp(-2.0**l * rs / family.h_op_effective**2)),
     } for l, size in enumerate(members)]
     freqs = [row["frequency"] for row in rows]
     first = next((i for i, f in enumerate(freqs) if f > 0), len(freqs))

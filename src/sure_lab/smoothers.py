@@ -312,6 +312,9 @@ def build_family(specs, n: int, where: str) -> SmootherFamily:
     member is bit-identical to the `krr_from_gram` or `knn_from_points` call
     with its parameters.
     """
+    if isinstance(specs, list) and len(specs) * n * n > validate.MAX_ENTRIES:
+        raise validate.ConfigError(f"len(smoothers) * n^2: must be at most 2^27, "
+                                   f"got {len(specs) * n * n}")
     shared = {}
     return SmootherFamily.of(validate.list_of(
         specs, where, lambda spec, _: build_smoother(spec, n, shared)))
@@ -347,6 +350,8 @@ def build_smoother(spec: dict, n: int, shared=None) -> Smoother:
         lam = validate.number(params["lambda"], f"{where}.lambda")
         return _krr(label, _shared(shared, _gram_spectrum, gram), lam)
     points = validate.array(params["points"], f"{where}.points")
+    if len(points) != n:
+        raise validate.ConfigError(f"{where}.points: expected n = {n} points, got {len(points)}")
     k = validate.integer(params["k"], f"{where}.k", 1)
     return _knn(label, _shared(shared, _neighbour_order, points), k)
 
@@ -377,7 +382,7 @@ def family_from_doc(doc: dict) -> SmootherFamily:
     validate.obj(doc, where, ("schema_version", "n", "smoothers"))
     validate.integer(doc["schema_version"], f"{where}.schema_version",
                      FAMILY_SCHEMA_VERSION, FAMILY_SCHEMA_VERSION)
-    n = validate.integer(doc["n"], f"{where}.n", 1)
+    n = validate.integer(doc["n"], f"{where}.n", 1, validate.MAX_N)
     return build_family(doc["smoothers"], n, f"{where}.smoothers")
 
 

@@ -179,6 +179,10 @@ def test_help_exits_0(capsys):
     pytest.param(lambda c: c.update(outputs={"keep_records": "yes"}), "outputs.keep_records",
                  id="string-outputs.keep_records"),
     pytest.param(lambda c: c.update(n_reps=10**30), "n_reps", id="huge-int-n_reps"),
+    pytest.param(lambda c: c["model"].update(n=2**40), "model.n", id="huge-model.n"),
+    # two members of 10^8 entries each
+    pytest.param(lambda c: c["model"].update(n=10_000), "len(smoothers) * n^2",
+                 id="family-entries-over-cap"),
 ])
 def test_simulate_validation_errors(tmp_path, capsys, mutate, needle):
     cfg = base_config()
@@ -260,6 +264,18 @@ def test_family_info_malformed_document(tmp_path, capsys, doc):
     assert "family document" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n,members,needle", [
+    pytest.param(2**40, 1, "family document.n", id="huge-n"),
+    pytest.param(10_000, 2, "len(smoothers) * n^2", id="entries-over-cap"),
+])
+def test_family_info_size_caps(tmp_path, capsys, n, members, needle):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"schema_version": 1, "n": n, "smoothers": [
+        {"label": f"m{i}", "kind": "zero", "parameters": {}} for i in range(members)]}))
+    assert main(["family-info", "--family", str(path)]) == 1
+    assert needle in capsys.readouterr().err
+
+
 _KNN_POINTS = [[0.0], [1.0]]
 
 
@@ -286,6 +302,8 @@ _KNN_POINTS = [[0.0], [1.0]]
     pytest.param({"kind": "projection",
                   "parameters": {"design": [1.0, 0.0], "p": 1, "subset": [True]}},
                  ".subset[0]", id="projection-bool-subset"),
+    pytest.param({"kind": "knn", "parameters": {"points": [[0.0], [1.0], [2.0]], "k": 1}},
+                 "parameters.points: expected n = 2 points", id="knn-points-not-n"),
 ])
 def test_family_info_bad_member(tmp_path, capsys, member, needle):
     path = tmp_path / "family.json"

@@ -16,7 +16,6 @@ from sure_lab import (
     oracle_select,
     r_star,
     risk,
-    shell_index,
     shell_indices,
     sure,
     sure_identity_residual,
@@ -145,13 +144,16 @@ def test_r_star_examples(zero_id_family, model):
     assert r_star(zero_id_family, wide) == pytest.approx(0.25)
 
 
+def _family_shells(family, model, r_star_value):
+    return shell_indices([risk(m, model) for m in family.members], model.sigma_sq,
+                         r_star_value).tolist()
+
+
 def test_shell_index(zero_id_family, model):
-    a = zero_id_family.member("a")
-    b = zero_id_family.member("b")
-    assert shell_index(a, zero_id_family, model, 1.0) == 0
-    assert shell_index(b, zero_id_family, model, 1.0) == 1  # diff = 1 lands in [1, 3)
+    # risks 1 and 2: diff = 1 lands in [1, 3)
+    assert _family_shells(zero_id_family, model, 1.0) == [0, 1]
     with pytest.raises(DegenerateFamilyError):
-        shell_index(a, zero_id_family, model, 0.0)
+        _family_shells(zero_id_family, model, 0.0)
 
 
 def test_shell_index_boundaries():
@@ -164,8 +166,7 @@ def test_shell_index_boundaries():
     fam = SmootherFamily.of(members)
     model = GaussianSequenceModel(theta0=[0.0, 0.0, 0.0], sigma=1.0)
     # r_star is 0 here, so inject r_star = 1 directly (sigma^2 r_star = 1)
-    assert shell_index(fam.member("s1"), fam, model, 1.0) == 1
-    assert shell_index(fam.member("s2"), fam, model, 1.0) == 2
+    assert _family_shells(fam, model, 1.0) == [0, 1, 2]
 
 
 def _shell_reference(diff, scale):
@@ -216,16 +217,6 @@ def test_shell_indices_reject_non_finite_ratios(zero_id_family):
         shell_indices([0.0, np.inf], 1.0, 1.0)
 
 
-def test_shell_index_agrees_with_shell_indices():
-    rng = np.random.default_rng(5)
-    model = GaussianSequenceModel(theta0=rng.standard_normal(6), sigma=0.7)
-    fam = SmootherFamily.of(
-        [from_matrix(f"m{i}", rng.standard_normal((6, 6)) * 0.5) for i in range(9)])
-    rs = r_star(fam, model)
-    vector = shell_indices([risk(m, model) for m in fam.members], model.sigma_sq, rs)
-    assert vector.tolist() == [shell_index(m, fam, model, rs) for m in fam.members]
-
-
 def test_shell_membership_frobenius_bound():
     rng = np.random.default_rng(17)
     model = GaussianSequenceModel(theta0=rng.standard_normal(8), sigma=1.0)
@@ -233,8 +224,7 @@ def test_shell_membership_frobenius_bound():
     fam = SmootherFamily.of(members)
     rs = r_star(fam, model)
     oracle = oracle_select(fam, model).selected
-    for m in fam.members:
-        level = shell_index(m, fam, model, rs)
+    for m, level in zip(fam.members, _family_shells(fam, model, rs)):
         assert m.frob_sq <= 2.0 ** (level + 1) * rs + 1e-9
     assert fam.member(oracle).frob_sq <= rs + 1e-9
 

@@ -16,6 +16,7 @@ from sure_lab import (
     family_from_doc,
     from_matrix,
     krr_from_gram,
+    make_theta0,
     montecarlo,
     projection_from_design,
     records_to_csv,
@@ -26,6 +27,7 @@ from sure_lab import (
     sure_select,
     sure_unbiasedness_check,
 )
+from sure_lab.cli import main
 from sure_lab.criteria import DegenerateFamilyError
 from sure_lab.montecarlo import RECORD_CSV_COLUMNS
 
@@ -134,6 +136,73 @@ def test_identity_pass_rates_all_one(model):
         [from_matrix(f"m{i}", rng.standard_normal((2, 2)) * 0.5) for i in range(5)])
     summary, _ = run_experiment(fam, model, 5_000, 5)
     assert summary.all_identities_pass
+
+
+_NESTED_N = 20
+# nested coordinate projections P_2, P_4, ..., P_20 onto the leading coordinates
+_NESTED = [np.diag((np.arange(_NESTED_N) < k).astype(float)) for k in range(2, _NESTED_N + 1, 2)]
+
+
+def _nested_model(snr, c):
+    """poly_decay theta0 (alpha = 1) with max|theta0| / sigma = snr, scaled by c."""
+    theta0 = make_theta0("poly_decay", _NESTED_N, alpha=1.0, scale=c * snr)
+    return GaussianSequenceModel(theta0=theta0, sigma=c)
+
+
+def _nested_family():
+    return SmootherFamily.of([from_matrix(f"P{i}", h) for i, h in enumerate(_NESTED)])
+
+
+@pytest.mark.parametrize("snr", [5e5, 5e7, 1e8])
+def test_identity_verdicts_are_scale_invariant(snr):
+    # The identities are homogeneous in (theta0, sigma): (c theta0, c sigma) over
+    # twelve decades of c gets the same verdict as (theta0, sigma), and it is a pass.
+    family = _nested_family()
+    for c in 10.0 ** np.arange(-6, 7, 2):
+        summary, _ = run_experiment(family, _nested_model(snr, c), 10_000, 3)
+        assert set(summary.identity_pass_rates.values()) == {1.0}, c
+
+
+def _inject(monkeypatch, column, error):
+    """Make _Context.block add error(ctx, cols) to one record column."""
+    block = montecarlo._Context.block
+
+    def faulty(ctx, z, first_index):
+        cols = block(ctx, z, first_index)
+        cols[column] = cols[column] + error(ctx, cols)
+        return cols
+
+    monkeypatch.setattr(montecarlo._Context, "block", faulty)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("identity,column,error", [
+    # a 1e-6 relative error in one term of each identity
+    ("edf_decomposition", "edf_linear", lambda ctx, cols: 1e-6 * cols["edf_linear"]),
+    ("basic_inequality", "basic_inequality_slack",
+     lambda ctx, cols: -1e-6 * np.abs(cols["sure_min"]) / ctx.sigma_sq),
+    ("exopt_linkage", "exopt_stat", lambda ctx, cols: 1e-6 * cols["loss_selected"]),
+], ids=["edf_linear", "basic_inequality_slack", "exopt_stat"])
+def test_identity_checks_catch_injected_errors(tmp_path, capsys, monkeypatch,
+                                               c, identity, column, error):
+    _inject(monkeypatch, column, error)
+    summary, _ = run_experiment(_nested_family(), _nested_model(10.0, c), 500, 3)
+    rates = summary.identity_pass_rates
+    assert rates[identity] < 1.0
+    assert all(rate == 1.0 for name, rate in rates.items() if name != identity)
+
+    config = {
+        "schema_version": 1, "n_reps": 500, "master_seed": 3,
+        "model": {"n": _NESTED_N, "sigma": c,
+                  "theta0": {"kind": "poly_decay", "alpha": 1.0, "scale": 10.0 * c}},
+        "family": {"smoothers": [{"label": f"P{i}", "kind": "explicit",
+                                  "parameters": {"matrix": h.ravel().tolist()}}
+                                 for i, h in enumerate(_NESTED)]},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s.json")]) == 2
+    assert "exact identity check failed" in capsys.readouterr().err
 
 
 def test_histograms_sum_to_n_reps(zero_id_family, model):

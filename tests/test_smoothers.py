@@ -485,8 +485,8 @@ def test_knn_members_share_one_points_and_ordering(monkeypatch):
         assert other.params["points"] is not k0.params["points"]
         assert k0.params["points"] is orderings[0][0] and other.params["points"] is orderings[1][0]
         assert not any(array.flags.writeable for pair in orderings for array in pair)
-    # the same floats as 12 one-dimensional points are another point set
-    with pytest.raises(ValueError, match="dimension 12"):
+    # the same floats as 12 one-dimensional points are 12 points, not n = 6
+    with pytest.raises(ValueError, match="points: expected n = 6 points, got 12"):
         family_from_doc(_knn_doc(6, [a, np.reshape(a, (12, 1)).tolist()], [1, 1]))
 
 
