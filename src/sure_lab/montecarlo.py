@@ -3,9 +3,11 @@
 Replicates run in fixed blocks of consecutive indices: every member's SURE
 is computed on a block's draws, SURE selects, and the statistics whose exact
 identities (edf decomposition, basic inequality, excess-optimism linkage)
-are checked on every draw come out as columns. Families whose members share
-one eigenbasis (KRR members on one Gram matrix) get every SURE from the
-rotated draws and apply only the selected and the oracle member; any other
+are checked on every draw come out as columns. There are three selection
+kernels. Families whose members share one eigenbasis (KRR members on one
+Gram matrix) get every SURE from the rotated draws; families of k-NN members
+on one neighbour ordering get every SURE from running sums over that
+ordering. Both then apply only the selected and the oracle member. Any other
 family applies every member with one matrix product. Block boundaries depend
 only on n_reps and the family, so results do not depend on the worker count.
 """
@@ -127,10 +129,18 @@ def _rowdot(a, b):
 class _Context:
     """Per-(family, model) arrays shared by every block of replicates.
 
-    A family with a shared eigenbasis V = family.basis (H_s = V diag(f_s) V^T)
-    selects in the rotated coordinates u = V^T y, where every SURE is
-    sum_i (1 - f_si)^2 u_i^2 + 2 sigma^2 tr H_s: O(n^2 + n|S|) a replicate. Any
-    other family applies every member with one product, O(|S| n^2).
+    Three selection kernels:
+    - spectral: a family with a shared eigenbasis V = family.basis
+      (H_s = V diag(f_s) V^T) selects in the rotated coordinates u = V^T y,
+      where every SURE is sum_i (1 - f_si)^2 u_i^2 + 2 sigma^2 tr H_s:
+      O(n^2 + n|S|) a replicate;
+    - k-NN: a family of k-NN members on one neighbour ordering
+      (family.neighbours) keeps, for each point, the running sum C of its
+      neighbours' values over the ranks r < k_max, so H_k y = C / k at rank k:
+      O(n k_max) a replicate;
+    - dense: any other family applies every member with one product,
+      O(|S| n^2) a replicate.
+    The first two then apply only the selected and the oracle member.
     """
 
     def __init__(self, family: SmootherFamily, model: GaussianSequenceModel):
@@ -143,19 +153,30 @@ class _Context:
         self.sigma_sq = model.sigma_sq
         self.theta0 = model.theta0
         members = family.members
-        self.basis = family.basis
-        if self.basis is None:
-            h_stack = np.stack([m.h for m in members])
-            self.h_flat = h_stack.reshape(-1, self.n)  # member s is rows s*n .. s*n + n - 1
-            self.h_theta = h_stack @ self.theta0
-            row_floats = len(family) * self.n  # the products H_s y of one replicate
-        else:
+        # On the two structured kernels about eight n-vectors a row are live at
+        # the peak (draws, the rotation or the running sums, the two formed
+        # products, residuals). Spectral rows of 100-250 ran fastest at n = 200;
+        # a 161-row k-NN block at n = 200, |S| = 20 holds 2.1 MB, the 65-row
+        # dense block 2.7 MB.
+        row_floats = 8 * self.n + len(family)
+        self.h_theta = np.stack([m.h @ self.theta0 for m in members])
+        self.basis = family.basis  # None off the spectral kernel
+        if self.basis is not None:
             self.filters = np.stack([m.spectrum for m in members])
             self.resid_filters_sq = (1.0 - self.filters) ** 2
-            self.h_theta = np.stack([m.h @ self.theta0 for m in members])
-            # about eight n-vectors a row are live (draws, rotation, the two
-            # formed products, residuals); rows of 100-250 ran fastest at n = 200
-            row_floats = 8 * self.n + len(family)
+            self._select = _Context._spectral  # unbound: a bound method would be a cycle
+        elif family.neighbours is not None:
+            ks = [m.params["k"] for m in members]
+            # ranks[r] is every point's (r+1)-th neighbour; at_rank[r] the members with k = r+1
+            self.ranks = np.ascontiguousarray(family.neighbours[:, :max(ks)].T)
+            self.at_rank = [[s for s, k in enumerate(ks) if k == r + 1]
+                            for r in range(max(ks))]
+            self._select = _Context._knn
+        else:  # block() applies every member with one product
+            # member s is rows s*n .. s*n + n - 1
+            self.h_flat = np.concatenate([m.h for m in members])
+            row_floats = len(family) * self.n  # the products H_s y of one replicate
+            self._select = None
         self.trs = np.array([m.df for m in members])
         self.frob_sqs = np.array([m.frob_sq for m in members])
         self.bias = self.theta0 - self.h_theta
@@ -167,13 +188,47 @@ class _Context:
                        if self.r_star > 0 else None)
         self.block_len = min(max(BLOCK_BYTES // (8 * row_floats), 1), 1024)
 
+    def _spectral(self, y):
+        """(||y - H_s y||^2 of every member s per row, apply), from the rotated
+        rows; apply(s) is H_s y per row, for s one member or one per row."""
+        u = y @ self.basis
+        return (u * u) @ self.resid_filters_sq.T, lambda s: (u * self.filters[s]) @ self.basis.T
+
+    def _knn(self, y):
+        """As _spectral, from running sums over the shared neighbour ordering."""
+        yt = np.ascontiguousarray(y.T)  # a rank's neighbours of every point are a row gather
+        total = np.zeros_like(yt)
+        work = np.empty_like(yt)  # one rank's gathered values, then one member's residuals
+        resid_sq = np.empty((len(self.trs), len(y)))  # member s is row s
+        for r, (neighbours, members) in enumerate(zip(self.ranks, self.at_rank)):
+            total += np.take(yt, neighbours, axis=0, out=work, mode="clip")  # indices are valid
+            if members:
+                np.divide(total, r + 1, out=work)
+                work -= yt
+                np.einsum("ij,ij->j", work, work, out=resid_sq[members[0]])
+                for s in members[1:]:  # one k under several labels
+                    resid_sq[s] = resid_sq[members[0]]
+
+        h = [m.h for m in self.family.members]
+
+        def apply(s):  # one product per distinct member
+            if np.ndim(s) == 0:
+                return y @ h[s].T
+            out = np.empty_like(y)
+            for t in np.unique(s):
+                rows = s == t
+                out[rows] = y[rows] @ h[t].T
+            return out
+
+        return resid_sq.T, apply
+
     def block(self, z: np.ndarray, first_index: int) -> dict:
         """Record columns of replicates first_index, ... with noise rows z (B x n)."""
         s2, n, theta0 = self.sigma_sq, self.n, self.theta0
         rows = np.arange(len(z))
         y = theta0 + z
         j0 = self.oracle_idx
-        if self.basis is None:  # every member applied by one product
+        if self._select is None:  # every member applied by one product
             hy = (y @ self.h_flat.T).reshape(len(z), -1, n)  # hy[b, s] = H_s y_b
             sure = np.empty(hy.shape[:2])
             for s in range(hy.shape[1]):  # one (B, |S|, n) residual array was 1.4x slower
@@ -182,13 +237,11 @@ class _Context:
             sure += 2.0 * s2 * self.trs
             j = np.argmin(sure, axis=1)  # first index on ties
             hy_j, hy_0, sure_min = hy[rows, j], hy[:, j0], sure[rows, j]
-        else:  # every SURE from the rotated draws; only H_j y and H_j0 y are formed
-            u = y @ self.basis
-            sure = (u * u) @ self.resid_filters_sq.T
+        else:  # every SURE without forming H_s y; only H_j y and H_j0 y are formed
+            sure, apply = self._select(self, y)
             sure += 2.0 * s2 * self.trs
             j = np.argmin(sure, axis=1)  # first index on ties
-            hy_j = (u * self.filters[j]) @ self.basis.T
-            hy_0 = (u * self.filters[j0]) @ self.basis.T
+            hy_j, hy_0 = apply(j), apply(j0)
             resid = y - hy_j  # SURE(j) again, from the vector the statistics use
             sure_min = _rowdot(resid, resid) + 2.0 * s2 * self.trs[j]
 

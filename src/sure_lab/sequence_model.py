@@ -121,8 +121,11 @@ def standard_normal_rows(master_seed: int, start: int, stop: int, n: int) -> np.
     """
     bitgen = _philox(master_seed, start)
     gen = np.random.Generator(bitgen)
+    # Plain ints and lists: the state setter reads them about twice as fast as arrays.
     state = bitgen.state
-    counter = state["state"]["counter"]
+    counter = [0] * 4
+    state.update(state={"counter": counter, "key": state["state"]["key"].tolist()},
+                 buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
     out = np.empty((max(0, stop - start), n))
     for row, index in enumerate(range(start, stop)):
         counter[1:] = (index & _MASK64, (index >> 64) & _MASK64, index >> 128)

@@ -56,7 +56,11 @@ class Smoother:
     read-only ndarrays and become lists only in `family_to_doc`. KRR members
     also keep their spectral form H = basis @ diag(spectrum) @ basis.T (an
     orthonormal eigenbasis of the Gram matrix and the filter mu/(mu+lambda));
-    `basis` and `spectrum` are None for the other kinds. == and hash are identity.
+    `basis` and `spectrum` are None for the other kinds. k-NN members keep
+    `neighbours`, the read-only neighbour ordering of their points (row i
+    lists the points by distance from point i, itself first), which members
+    on one point set share; it is None for the other kinds. == and hash are
+    identity.
     """
 
     label: str
@@ -68,6 +72,7 @@ class Smoother:
     params: dict = field(repr=False)
     basis: np.ndarray | None = field(repr=False)
     spectrum: np.ndarray | None = field(repr=False)
+    neighbours: np.ndarray | None = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -82,7 +87,7 @@ def _frozen(a, shape=(-1,)) -> np.ndarray:
 
 
 def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None,
-          basis=None, spectrum=None) -> Smoother:
+          basis=None, spectrum=None, neighbours=None) -> Smoother:
     """Freeze and wrap the float array `h` itself; known statistics are passed in."""
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"smoother matrix must be square, got shape {h.shape}")
@@ -99,6 +104,7 @@ def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None,
         params=params,
         basis=basis,
         spectrum=spectrum,
+        neighbours=neighbours,
     )
 
 
@@ -224,32 +230,38 @@ def _knn(label, neighbour_order, k) -> Smoother:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     h = np.zeros((n, n))
     np.put_along_axis(h, order[:, :k], 1.0 / k, axis=1)
-    return _make(label, h, "knn", {"points": points, "k": k}, frob_sq=n / k)
+    return _make(label, h, "knn", {"points": points, "k": k}, frob_sq=n / k,
+                 neighbours=order)
 
 
 def knn_opnorm_bound(smoother: Smoother) -> float:
     """Gershgorin-style operator norm bound (1/k) max_i |N_k^{-1}(i)| of a k-NN member.
 
-    Counts, for each column i, how many rows use point i as a neighbor; k is the
-    member's own. Raises ValueError for a member knn_from_points did not build.
+    Counts, for each point i, how many rows of the member's neighbour ordering
+    list i among their first k; k is the member's own. Raises ValueError for a
+    member knn_from_points did not build.
     """
     if smoother.kind != "knn":
         raise ValueError(f"smoother {smoother.label!r} is {smoother.kind!r}, not k-NN")
-    reverse_counts = np.sum(smoother.h > 0, axis=0)
-    return float(reverse_counts.max()) / smoother.params["k"]
+    k = smoother.params["k"]
+    reverse_counts = np.bincount(smoother.neighbours[:, :k].ravel(), minlength=smoother.n)
+    return float(reverse_counts.max()) / k
 
 
 @dataclass(frozen=True, eq=False)
 class SmootherFamily:
     """Finite ordered selection menu of smoothers sharing a dimension.
 
-    `basis` is the eigenbasis all members' spectral forms share, else None; == is identity.
+    `basis` is the eigenbasis all members' spectral forms share, else None;
+    `neighbours` is the neighbour ordering all members share when every member
+    is k-NN, else None. == is identity.
     """
 
     members: tuple
     n: int
     h_op: float
     basis: np.ndarray | None = field(repr=False)
+    neighbours: np.ndarray | None = field(repr=False)
 
     @classmethod
     def of(cls, members) -> "SmootherFamily":
@@ -263,10 +275,9 @@ class SmootherFamily:
         labels = [m.label for m in members]
         if len(set(labels)) != len(labels):
             raise ValueError(f"family labels must be distinct, got {labels}")
-        basis = members[0].basis
-        if any(m.basis is None or not np.array_equal(m.basis, basis) for m in members[1:]):
-            basis = None
-        return cls(members=members, n=n, h_op=max(m.opnorm for m in members), basis=basis)
+        return cls(members=members, n=n, h_op=max(m.opnorm for m in members),
+                   basis=_common([m.basis for m in members]),
+                   neighbours=_common([m.neighbours for m in members]))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -288,6 +299,16 @@ class SmootherFamily:
             if m.label == label:
                 return m
         raise KeyError(label)
+
+
+def _common(arrays):
+    """The array every entry equals (by identity, else entry for entry), or None
+    when an entry is None or differs."""
+    first = arrays[0]
+    if first is None or any(a is None or (a is not first and not np.array_equal(a, first))
+                            for a in arrays[1:]):
+        return None
+    return first
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import io
 import itertools
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from sure_lab import (
     derive_stream,
     family_from_doc,
     from_matrix,
+    knn_from_points,
     krr_from_gram,
     make_theta0,
     montecarlo,
@@ -342,10 +345,36 @@ def _krr_grid(rng, n, size, singular):
         for i, lam in enumerate(lams)]})
 
 
+def _knn_family(rng, n, ks, d):
+    """k-NN members with neighbour counts ks on one point set, built as a family
+    document is. 1-D points lie on an integer grid (exact distance ties and
+    repeated points); 2-D points are normal draws."""
+    points = (rng.integers(0, max(2, n // 2), size=(n, 1)).astype(float) if d == 1
+              else rng.standard_normal((n, 2)))
+    return family_from_doc({"schema_version": 1, "n": n, "smoothers": [
+        {"label": f"knn{i}", "kind": "knn", "parameters": {"points": points.tolist(), "k": int(k)}}
+        for i, k in enumerate(ks)]})
+
+
 def _dense_twin(family):
     """The family with the spectral forms dropped, so the engine applies every matrix."""
     return SmootherFamily.of([dataclasses.replace(m, basis=None, spectrum=None)
                               for m in family.members])
+
+
+def _kernel(ctx):
+    return "dense" if ctx._select is None else ctx._select.__name__.lstrip("_")
+
+
+def _assert_records_match(got, want):
+    """Equal integer columns; float columns within 1e-10 relative of the largest value."""
+    for name, reference in want.columns.items():
+        if reference.dtype.kind == "i":
+            np.testing.assert_array_equal(got.columns[name], reference, err_msg=name)
+        else:
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            np.testing.assert_allclose(got.columns[name], reference, rtol=1e-10,
+                                       atol=1e-10 * scale, err_msg=name)
 
 
 @pytest.mark.parametrize("n", [2, 7, 20])
@@ -353,7 +382,8 @@ def test_block_kernel_matches_criteria(n):
     rng = np.random.default_rng(100 + n)
     families = itertools.chain(
         (_random_family(rng, n, int(rng.integers(1, 7))) for _ in range(3)),
-        (_krr_grid(rng, n, int(rng.integers(2, 9)), singular) for singular in (True, False)))
+        (_krr_grid(rng, n, int(rng.integers(2, 9)), singular) for singular in (True, False)),
+        (_knn_family(rng, n, rng.integers(1, n + 1, size=4), d) for d in (1, 2)))
     for family in families:
         model = GaussianSequenceModel(theta0=rng.normal(scale=2.0, size=n),
                                       sigma=float(rng.uniform(0.3, 2.0)))
@@ -400,14 +430,66 @@ def test_spectral_kernel_matches_dense(n, singular):
         (spectral_summary, spectral), (dense_summary, reference) = runs
         for summary in (spectral_summary, dense_summary):
             assert set(summary.identity_pass_rates.values()) == {1.0}
-        for name, want in reference.columns.items():
-            got = spectral.columns[name]
-            if want.dtype.kind == "i":
-                np.testing.assert_array_equal(got, want, err_msg=name)
-            else:
-                scale = max(1.0, float(np.max(np.abs(want))))
-                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale,
-                                           err_msg=name)
+        _assert_records_match(spectral, reference)
+
+
+@pytest.mark.parametrize("n", [2, 7, 20])
+@pytest.mark.parametrize("d", [1, 2], ids=["ties-1d", "2d"])
+def test_knn_kernel_matches_dense(n, d):
+    rng = np.random.default_rng(300 + 10 * n + d)
+    for _ in range(3):
+        ks = [1, n, *rng.integers(1, n + 1, size=int(rng.integers(0, 5)))]
+        ks.append(ks[-1])  # one k under two labels
+        rng.shuffle(ks)
+        family = _knn_family(rng, n, ks, d)
+        model = GaussianSequenceModel(theta0=rng.normal(scale=2.0, size=n),
+                                      sigma=float(rng.uniform(0.3, 2.0)))
+        dense = dataclasses.replace(family, neighbours=None)
+        assert _kernel(montecarlo._Context(family, model)) == "knn"
+        assert _kernel(montecarlo._Context(dense, model)) == "dense"
+        runs = [run_experiment(f, model, 300, 5, keep_records=True) for f in (family, dense)]
+        (knn_summary, knn), (dense_summary, reference) = runs
+        for summary in (knn_summary, dense_summary):
+            assert set(summary.identity_pass_rates.values()) == {1.0}
+        _assert_records_match(knn, reference)
+
+
+def test_context_is_freed_without_the_cycle_collector():
+    # A dense context holds |S| n^2 floats; it must go when its last reference does.
+    rng = np.random.default_rng(9)
+    n = 6
+    points = rng.standard_normal((n, 2))
+    model = GaussianSequenceModel(theta0=rng.standard_normal(n), sigma=1.0)
+    gc.disable()
+    try:
+        for family in (SmootherFamily.of([knn_from_points("a", points, 2)]),
+                       SmootherFamily.of([krr_from_gram("k", points @ points.T, 1.0)]),
+                       SmootherFamily.of([from_matrix("i", np.eye(n))])):
+            ctx = montecarlo._Context(family, model)
+            ctx.block(rng.standard_normal((3, n)), 0)
+            ref = weakref.ref(ctx)
+            del ctx
+            assert ref() is None, family.labels
+    finally:
+        gc.enable()
+
+
+def test_knn_path_needs_one_ordering():
+    rng = np.random.default_rng(6)
+    n = 6
+    model = GaussianSequenceModel(theta0=rng.standard_normal(n), sigma=1.0)
+    a, b = rng.standard_normal((2, n, 2))
+    one_set = SmootherFamily.of([knn_from_points("a", a, 3), knn_from_points("b", a, 1)])
+    ctx = montecarlo._Context(one_set, model)
+    assert _kernel(ctx) == "knn" and one_set.neighbours is not None
+    assert not hasattr(ctx, "h_flat")  # no stack of member matrices
+    two_sets = SmootherFamily.of([knn_from_points("a", a, 2), knn_from_points("b", b, 2)])
+    mixed = SmootherFamily.of([knn_from_points("a", a, 2), from_matrix("i", np.eye(n))])
+    with_krr = SmootherFamily.of([krr_from_gram("k", a @ a.T, 1.0), knn_from_points("a", a, 2)])
+    for family in (two_sets, mixed, with_krr):
+        ctx = montecarlo._Context(family, model)
+        assert family.neighbours is None
+        assert _kernel(ctx) == "dense" and ctx.h_flat.shape == (len(family) * n, n)
 
 
 def test_spectral_path_needs_one_basis():
@@ -453,12 +535,14 @@ def test_outputs_byte_identical_across_threads(monkeypatch):
     n = 128
     projections = SmootherFamily.of([projection_from_design(f"p{m}", np.eye(n), list(range(m)))
                                      for m in (1, 2, 4, 8, 16, 32, 64, 128)])
-    krr_grid = _krr_grid(np.random.default_rng(77), n, 10, singular=True)
+    rng = np.random.default_rng(77)
+    krr_grid = _krr_grid(rng, n, 10, singular=True)
+    knn_grid = _knn_family(rng, n, range(1, 40, 2), d=1)
     model = GaussianSequenceModel(theta0=5.0 / np.arange(1, n + 1), sigma=1.0)
     n_reps = 1000
-    for family in (projections, krr_grid):
+    for family, kernel in ((projections, "dense"), (krr_grid, "spectral"), (knn_grid, "knn")):
         ctx = montecarlo._Context(family, model)
-        assert (ctx.basis is None) == (family is projections)
+        assert _kernel(ctx) == kernel
         assert n_reps % ctx.block_len != 0 and n_reps > 2 * ctx.block_len
         outputs = set()
         for threads in (1, 2, 3):

@@ -83,9 +83,10 @@ def test_standard_normal_rows_match_derive_stream():
     rows = standard_normal_rows(42, 0, block + 1, 200)
     for i in (0, block - 1, block):
         assert np.array_equal(rows[i], derive_stream(42, i).standard_normal(200))
-    far = standard_normal_rows(42, 2**40, 2**40 + 2, 7)
-    for k in range(2):
-        assert np.array_equal(far[k], derive_stream(42, 2**40 + k).standard_normal(7))
+    for start in (2**40, 2**64 + 3, 2**128 + 5):  # every counter word of the index
+        far = standard_normal_rows(42, start, start + 2, 7)
+        for k in range(2):
+            assert np.array_equal(far[k], derive_stream(42, start + k).standard_normal(7))
     with pytest.raises(ValueError):
         standard_normal_rows(-1, 0, 1, 3)
 

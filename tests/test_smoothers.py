@@ -314,6 +314,17 @@ def test_knn_gershgorin_bound():
             knn_opnorm_bound(other)
 
 
+def test_knn_opnorm_bound_counts_the_matrix_columns():
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        # small integer grid: many equal distances and repeated points
+        points = rng.integers(-2, 3, size=(n, int(rng.integers(1, 3)))).astype(float)
+        for k in {1, n, int(rng.integers(1, n + 1))}:
+            m = knn_from_points("knn", points, k)
+            assert knn_opnorm_bound(m) == np.max(np.sum(m.h > 0, axis=0)) / k
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_opnorm_frobenius_sandwich(data):
@@ -484,10 +495,24 @@ def test_knn_members_share_one_points_and_ordering(monkeypatch):
             assert m.params["points"] is k0.params["points"]
         assert other.params["points"] is not k0.params["points"]
         assert k0.params["points"] is orderings[0][0] and other.params["points"] is orderings[1][0]
+        assert k0.neighbours is orderings[0][1] and other.neighbours is orderings[1][1]
         assert not any(array.flags.writeable for pair in orderings for array in pair)
     # the same floats as 12 one-dimensional points are 12 points, not n = 6
     with pytest.raises(ValueError, match="points: expected n = 6 points, got 12"):
         family_from_doc(_knn_doc(6, [a, np.reshape(a, (12, 1)).tolist()], [1, 1]))
+
+
+def test_family_neighbours_is_the_one_shared_ordering():
+    a = np.random.default_rng(15).standard_normal((6, 2))
+    one_set = family_from_doc(_knn_doc(6, [a.tolist()] * 3, [2, 6, 1]))
+    assert one_set.neighbours is one_set.members[0].neighbours is not None
+    # built apart, the orderings are equal arrays but not one object
+    apart = SmootherFamily.of([knn_from_points("x", a, 1), knn_from_points("y", a, 4)])
+    assert apart.members[0].neighbours is not apart.members[1].neighbours
+    assert apart.neighbours is apart.members[0].neighbours
+    # two point sets, or another kind: see test_knn_path_needs_one_ordering
+    assert [m.neighbours for m in (from_matrix("e", np.eye(5)),
+                                   krr_from_gram("k", np.eye(5), 1.0))] == [None, None]
 
 
 @pytest.mark.parametrize("make", [
