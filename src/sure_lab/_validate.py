@@ -1,13 +1,18 @@
-"""Checks for the JSON values of configs and family documents.
+"""The reader of JSON documents and the checks for the values of configs and
+family documents.
 
-Every reader of an outside document checks its values here, so each rule is
-written once. `where` is the value's place in the document (e.g.
-"model.sigma"); a failed check raises ConfigError naming it.
+Every outside document is read by `load_json` and its values are checked
+here, so each rule is written once. `where` is the value's place in the
+document (e.g. "model.sigma"); a failed check raises ConfigError naming it.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
+import operator
+import re
 
 import numpy as np
 
@@ -22,6 +27,78 @@ MAX_N = math.isqrt(MAX_ENTRIES)
 
 class ConfigError(ValueError):
     """An input document holds an invalid value; the message names where."""
+
+
+# load_json decodes a flat array of numbers whose text has at least this many
+# characters once per distinct text: a version-1 KRR grid repeats its Gram
+# matrix in every member. Shorter arrays cost less to decode than to look up.
+SHARED_ARRAY_CHARS = 1024
+_NUMBER_CHARS = r"[-+.0-9eE \t\n\r,]"  # of JSON numbers, commas and JSON whitespace
+# The "[" of a candidate: SHARED_ARRAY_CHARS - 2 _NUMBER_CHARS follow it.
+_LONG_ARRAY_START = re.compile(r"\[(?=%s{%d})" % (_NUMBER_CHARS, SHARED_ARRAY_CHARS - 2))
+_FLAT_ARRAY = re.compile(r"\[%s*\]" % _NUMBER_CHARS)
+# The one key of the object that stands for a shared array in the packed text.
+_PLACEHOLDER = "\x00"
+
+
+def load_json(path):
+    """The JSON document in the UTF-8 file `path`, equal to `json.load`'s with
+    the same types: plain dicts and lists, every list its own object.
+
+    Each distinct long flat array of numbers (SHARED_ARRAY_CHARS) is decoded
+    once. Text that is not UTF-8, invalid JSON and nesting deeper than the
+    decoder's recursion limit raise ConfigError naming the path, for invalid
+    JSON with the line and column `json` reports.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        return _loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply to decode") from exc
+
+
+def _loads(text):
+    """json.loads(text), decoding each distinct long flat numeric array once.
+
+    Each such array is replaced by the object {"\\u0000": its number} and the
+    packed text is decoded with a hook that puts a copy of the array back.
+    When the text already spells that key, holds no such array, or a decode
+    fails, the text is decoded as it is, so values and errors are json's.
+    Strings need no skipping: an array replaced inside one ends the string at
+    the placeholder's quote, and the backslash after it fails the decode.
+    """
+    if "\\u0000" in text:
+        return json.loads(text)
+    arrays = {}  # distinct array text -> its number
+    parts = []  # the packed text up to `done`
+    pos = done = end = 0
+    while match := _LONG_ARRAY_START.search(text, pos):
+        start, pos = match.start(), match.end()
+        if end < pos:  # else the first "]" after pos is still end - 1
+            end = text.find("]", pos) + 1
+            if end == 0:  # no array ends after this one starts
+                break
+        if text.find("[", pos, end) >= 0:  # nested: so each text is sliced at most once
+            continue
+        array = text[start:end]
+        if array in arrays or _FLAT_ARRAY.fullmatch(array):  # all _NUMBER_CHARS
+            parts += text[done:start], '{"\\u0000":%d}' % arrays.setdefault(array, len(arrays))
+            pos = done = end
+    if arrays:
+        try:
+            values = [json.loads(array) for array in arrays]
+            return json.loads("".join(parts) + text[done:], object_hook=lambda obj: (
+                values[obj[_PLACEHOLDER]][:] if _PLACEHOLDER in obj else obj))
+        except ValueError:
+            pass
+    return json.loads(text)
 
 
 def obj(value, where, required=(), optional=()) -> dict:
@@ -86,12 +163,16 @@ def list_of(value, where, item, *args) -> list:
 def array(value, where, shape=None) -> np.ndarray:
     """A JSON list of finite numbers, nested in any way with the size of `shape`, as
     a float array of that shape. One numpy conversion reads the whole list and its
-    dtype decides, so strings, null and ragged nesting need no per-entry check."""
+    dtype decides, so strings, null and ragged nesting need no per-entry check;
+    true and false, which numpy reads as 1 and 0, are looked for among the
+    entries equal to 1 or 0 only."""
     try:
         a = np.asarray(value) if isinstance(value, list) else None
     except ValueError:  # ragged nesting
         a = None
-    if a is None or a.dtype.kind not in "fiu" or not np.all(np.isfinite(a)):
+    if (a is None or a.dtype.kind not in "fiu" or not np.all(np.isfinite(a))
+            or any(isinstance(functools.reduce(operator.getitem, index, value), (bool, np.bool_))
+                   for index in np.argwhere((a == 0) | (a == 1)).tolist())):
         raise ConfigError(f"{where}: expected a list of finite numbers")
     if shape is not None and a.size != math.prod(shape):
         raise ConfigError(f"{where}: expected {math.prod(shape)} entries (shape {shape}), "

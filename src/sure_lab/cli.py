@@ -35,12 +35,8 @@ EXIT_DOMAIN = 3
 
 
 def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                          f"{exc.msg}") from exc
+    """The config document at `path` (its own function: the benchmark times config reads)."""
+    return validate.load_json(path)
 
 
 def _build_model(spec) -> GaussianSequenceModel:
@@ -123,7 +119,7 @@ def _open_output(path, stack):
     """stdout for None or "-", else `path` opened for writing until `stack` closes."""
     if path is None or path == "-":
         return sys.stdout
-    return stack.enter_context(open(path, "w"))
+    return stack.enter_context(open(path, "w", encoding="utf-8"))
 
 
 def _write_report(doc, fh, fmt):
@@ -185,7 +181,8 @@ def cmd_simulate(args) -> int:
     # no replicate, and a run that fails leaves the opened files empty.
     with contextlib.ExitStack() as stack:
         out = _open_output(out_path, stack)
-        records_fh = stack.enter_context(open(records_path, "w")) if records_path else None
+        records_fh = (stack.enter_context(open(records_path, "w", encoding="utf-8"))
+                      if records_path else None)
         summary, records = montecarlo.run_experiment(
             cfg["family"], cfg["model"], cfg["n_reps"], cfg["master_seed"],
             n_threads=threads, keep_records=records_fh is not None)
@@ -331,10 +328,12 @@ def cmd_family_info(args) -> int:
         family = _build_family({"path": args.family}, None)
     else:
         family = _parse_experiment_config(_load_json(args.config))["family"]
-    # one line per member: control characters escaped, the label column as wide
-    # as the longest label (at least 16)
+    # one line per member: control characters, and characters stdout cannot
+    # encode, escaped; the label column as wide as the longest label (at least 16)
+    encoding = sys.stdout.encoding or "utf-8"
     labels = ["".join(c if c.isprintable() else c.encode("unicode_escape").decode()
-                      for c in m.label) for m in family.members]
+                      for c in m.label).encode(encoding, "backslashreplace").decode(encoding)
+              for m in family.members]
     width = max(16, *map(len, labels))
     print(f"{'label':<{width}}{'df':>12}{'frob_sq':>12}{'opnorm':>12}{'gershgorin':>12}")
     for label, m in zip(labels, family.members):

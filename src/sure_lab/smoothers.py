@@ -408,11 +408,12 @@ def family_from_doc(doc: dict) -> SmootherFamily:
 
 
 def save_family(family: SmootherFamily, path) -> None:
-    with open(path, "w") as fh:
+    """Write the family document of `family` to `path` as UTF-8 JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(family_to_doc(family), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_family(path) -> SmootherFamily:
-    with open(path) as fh:
-        return family_from_doc(json.load(fh))
+    """The family of the UTF-8 JSON family document at `path`."""
+    return family_from_doc(validate.load_json(path))

@@ -1,6 +1,10 @@
 import copy
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +201,44 @@ def test_simulate_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["simulate", "--config", str(path)]) == 1
     assert "line" in capsys.readouterr().err
+
+
+def test_documents_are_utf8_in_an_ascii_locale(tmp_path):
+    """Configs, family documents, --out and --records are read and written as
+    UTF-8 whatever the locale; family-info escapes what stdout cannot encode,
+    and a file that is not UTF-8 exits 1 naming its path."""
+    smoothers = [{"label": "z\u00e9ro", "kind": "zero", "parameters": {}},
+                 {"label": "id", "kind": "identity", "parameters": {}}]
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps(base_config(family={"smoothers": smoothers}), ensure_ascii=False),
+                   encoding="utf-8")
+    escaped = write_config(tmp_path, base_config(family={"smoothers": smoothers}))  # \u00e9
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"schema_version": 1, "n": 2, "smoothers": smoothers},
+                                 ensure_ascii=False), encoding="utf-8")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(raw.read_text(encoding="utf-8").encode("latin-1"))
+    runs = [["family-info", "--config", str(raw)],
+            ["family-info", "--family", str(family)],
+            ["simulate", "--config", escaped, "--threads", "1", "--out", str(tmp_path / "s.json"),
+             "--records", str(tmp_path / "r.csv")],
+            ["simulate", "--config", str(raw), "--threads", "1", "--format", "csv",
+             "--out", str(tmp_path / "s.csv")],
+            ["simulate", "--config", str(latin1)]]
+    script = ("import json, sys\nfrom sure_lab.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n    print('exit', main(argv), flush=True)\n")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                          capture_output=True, encoding="utf-8", timeout=120)
+    assert [line for line in proc.stdout.splitlines() if line.startswith("exit")] == [
+        "exit 0", "exit 0", "exit 0", "exit 0", "exit 1"], proc.stderr
+    assert proc.stdout.count("\nz\\xe9ro ") == 2
+    assert ",z\u00e9ro," in (tmp_path / "r.csv").read_text(encoding="utf-8")
+    assert ("\nsummary.selection_histogram.z\u00e9ro,"
+            in (tmp_path / "s.csv").read_text(encoding="utf-8"))
+    assert proc.stderr.startswith(
+        f"error: {latin1}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position")
 
 
 def test_family_info_from_config(tmp_path, capsys):

@@ -440,6 +440,58 @@ def test_krr_family_members_match_standalone():
         np.testing.assert_allclose((m.basis * m.spectrum) @ m.basis.T, m.h, atol=1e-12)
 
 
+def test_saved_krr_family_reloads_bit_identical(tmp_path, monkeypatch):
+    """save_family writes one Gram per member (indent 2); load_family decodes
+    it once, and every member is the one saved."""
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((12, 12))
+    gram = a @ a.T
+    family = SmootherFamily.of([krr_from_gram(f"k{i}", gram, lam)
+                                for i, lam in enumerate([0.0, 0.1, 1.0, 10.0])])
+    path = tmp_path / "family.json"
+    save_family(family, path)
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+    loaded = load_family(path)
+    assert len(decoded) == 2  # the Gram once, then the document around it
+    for m, back in zip(family.members, loaded.members):
+        assert back.h.tobytes() == m.h.tobytes()
+        assert (back.df, back.frob_sq, back.opnorm) == (m.df, m.frob_sq, m.opnorm)
+        assert back.spectrum.tobytes() == m.spectrum.tobytes()
+        assert back.basis is loaded.members[0].basis
+
+
+def test_krr_grams_one_digit_apart_stay_distinct(tmp_path):
+    """Two Gram texts that differ in one digit are two arrays to the reader:
+    two eigendecompositions, each member that of its own Gram."""
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((12, 12))
+    gram = a @ a.T + np.eye(12)
+    text = json.dumps(gram.reshape(-1).tolist())
+    first = repr(float(gram[0, 0]))
+    near = first[:-1] + str((int(first[-1]) + 1) % 10)
+    near_text = text.replace(first, near, 1)
+    assert sum(x != y for x, y in zip(text, near_text)) == 1
+    near_gram = np.array(json.loads(near_text)).reshape(12, 12)
+    members = [(text, gram, 0.5), (near_text, near_gram, 0.5), (text, gram, 2.0)]
+    smoothers_json = ", ".join(
+        f'{{"label": "k{i}", "kind": "krr", "parameters": {{"gram": {t}, "lambda": {lam}}}}}'
+        for i, (t, _, lam) in enumerate(members))
+    path = tmp_path / "config.json"
+    path.write_text('{"schema_version": 1, "n_reps": 10, "master_seed": 1, '
+                    '"model": {"n": 12, "sigma": 1.0, "theta0": {"kind": "sparse", "k": 1, '
+                    f'"amplitude": 1.0}}}}, "family": {{"smoothers": [{smoothers_json}]}}}}')
+    family = cli._parse_experiment_config(cli._load_json(path))["family"]
+    k0, k1, k2 = family.members
+    assert k2.basis is k0.basis and k1.basis is not k0.basis and family.basis is None
+    assert k1.params["gram"][0] == float(near) != k0.params["gram"][0]
+    for m, (_, g, lam) in zip(family.members, members):
+        alone = krr_from_gram(m.label, g, lam)
+        assert m.h.tobytes() == alone.h.tobytes()
+        assert m.basis.tobytes() == alone.basis.tobytes()
+
+
 def test_krr_members_share_one_gram_and_basis():
     rng = np.random.default_rng(12)
     a, b = rng.standard_normal((2, 5, 5))

@@ -1,5 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sure_lab import _validate as validate
 from sure_lab.cli import ConfigError
@@ -76,6 +81,11 @@ def test_array_shapes():
     pytest.param([1.0, "2"], id="string-entry"),
     pytest.param([1.0, None], id="null-entry"),
     pytest.param([True, False], id="bools"),
+    pytest.param([True, 1.0], id="true-among-floats"),
+    pytest.param([0.5, False], id="false-among-floats"),
+    pytest.param([1, True], id="true-among-ints"),
+    pytest.param([[0.5], [True]], id="nested-true"),
+    pytest.param([np.True_, 2.0], id="numpy-bool"),
     pytest.param([[1.0], [1.0, 2.0]], id="ragged"),
     pytest.param([1.0, float("nan")], id="nan"),
     pytest.param([1.0, 10**400], id="huge-int"),
@@ -86,3 +96,162 @@ def test_array_shapes():
 def test_array_rejects(value):
     with pytest.raises(ConfigError, match="w: expected a list of finite numbers"):
         validate.array(value, "w")
+
+
+def test_array_keeps_zeros_and_ones():
+    eye = np.eye(3)
+    assert validate.array(eye.reshape(-1).tolist(), "w", (3, 3)).tobytes() == eye.tobytes()
+    assert validate.array([[0, 1], [1, 0]], "w").tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+# -- load_json: json.load's values, types and errors ------------------------
+
+def _same(a, b):
+    """a and b are equal with equal types throughout, -0.0 and NaN included."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a)
+                                                       == math.copysign(1, b))
+    return a == b
+
+
+def _containers(value):
+    """Every list and dict in a decoded document."""
+    if isinstance(value, (list, dict)):
+        yield value
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _containers(child)
+
+
+def _check_loads(text):
+    """validate._loads(text) gives json.loads's value, with each list and dict
+    its own object, or raises json's error with json's message."""
+    try:
+        expected = json.loads(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            validate._loads(text)
+        assert str(info.value) == str(exc)
+        return
+    got = validate._loads(text)
+    assert _same(got, expected)
+    containers = list(_containers(got))
+    assert len({id(x) for x in containers}) == len(containers)
+
+
+_NUMBERS = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e400", "-1e400", "-0", "-0.0", "0E0", "1E+2", "2.5e-3", "-0.0e-5"]))
+# JSON separators, and entries that are not JSON numbers: NaN and Infinity are
+# not JSON, nor is a non-breaking space JSON whitespace
+_SEPARATORS = st.sampled_from([",", ", ", ",\n    ", " ,\t", "\r\n,"])
+_INTRUDERS = st.sampled_from(["NaN", "Infinity", "-Infinity", "true", "null", '"1"', "{}",
+                              "1\u00a0", "[1]", "1,", ""])
+
+
+@st.composite
+def _array_texts(draw):
+    """A flat array of numbers, most of them at least SHARED_ARRAY_CHARS long,
+    some with an entry that is not a JSON number."""
+    numbers = draw(st.lists(_NUMBERS, min_size=1, max_size=20))
+    sep = draw(_SEPARATORS)
+    if draw(st.integers(0, 3)) != 3:
+        numbers *= validate.SHARED_ARRAY_CHARS // len(sep.join(numbers)) + 1
+    if draw(st.integers(0, 4)) == 4:
+        numbers.insert(draw(st.integers(0, len(numbers))), draw(_INTRUDERS))
+    return "[" + sep.join(numbers) + "]"
+
+
+@st.composite
+def _documents(draw):
+    """JSON text that repeats some long arrays, also as the content of strings;
+    some of it invalid, some spelling the placeholder key \\u0000."""
+    arrays = draw(st.lists(_array_texts(), min_size=1, max_size=3))
+    strings = st.one_of(st.text(st.characters(exclude_characters="\\x00"), max_size=8),
+                        st.sampled_from(arrays),
+                        st.sampled_from(['"', "\\", "][", "\\u0000"])).map(json.dumps)
+    values = st.one_of(st.sampled_from(arrays), _NUMBERS, strings)
+    items = [(draw(strings), array) for array in arrays * 2]
+    items += draw(st.lists(st.tuples(strings, values), max_size=4))
+    if draw(st.integers(0, 5)) == 5:
+        items.append((json.dumps("\x00"), draw(values)))
+    items = draw(st.permutations(items))
+    text = "{" + ", ".join(f"{key}: {value}" for key, value in items) + "}"
+    if draw(st.booleans()):
+        text = "[" + ",\n".join([text, *draw(st.lists(values, max_size=4))]) + "]"
+    if draw(st.integers(0, 4)) == 4:  # truncated, or a stray character
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(st.sampled_from(["", "x", "]", '"', "\\"])) + text[cut:]
+    return text
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_documents())
+def test_loads_matches_json(text):
+    _check_loads(text)
+
+
+_LONG = ", ".join(["0.5"] * 400)
+
+
+@pytest.mark.parametrize("entry", ["{}", '"a"', "NaN", "\u00a0", "[1]", "true"])
+def test_loads_matches_json_past_the_first_kilobyte(entry):
+    """An entry that is not a number, far enough in that the array looks long
+    and numeric until there."""
+    array = f"[{_LONG}, {entry}, 1]"
+    _check_loads(f'{{"a": {array}, "b": [{array}, {array}]}}')
+
+
+def test_loads_decodes_a_repeated_array_once(monkeypatch):
+    gram = json.dumps([i / 7 for i in range(100)])
+    text = '{"a": %s, "b": [%s, %s], "c": "[1]"}' % (gram, gram, gram)
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+    doc = validate._loads(text)
+    assert _same(doc, loads(text))
+    assert decoded[0] == gram and len(decoded) == 2  # the array, then the packed text
+    assert decoded[1].count('{"\\u0000":0}') == 3
+
+
+@pytest.mark.parametrize("text, line, column, msg", [
+    ('{\n  "a": [1, 2,]\n}', 2, 14, "Expecting value"),
+    ('{"a": %s,\n "b": %s,\n "c": tru}' % ((json.dumps([0.5] * 300),) * 2), 3, 7,
+     "Expecting value"),
+    ('{"a": %s} x' % json.dumps([0.5] * 300), 1, 1509, "Extra data"),
+    ('{"\\u0000": 1, "a": %s' % json.dumps([0.5] * 300), 1, 1520,
+     "Expecting ',' delimiter"),
+])
+def test_load_json_invalid_json_message(tmp_path, text, line, column, msg):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(validate.ConfigError) as info:
+        validate.load_json(path)
+    assert str(info.value) == f"{path}: invalid JSON at line {line}, column {column}: {msg}"
+    with pytest.raises(json.JSONDecodeError) as plain:
+        json.loads(text)
+    assert (plain.value.lineno, plain.value.colno, plain.value.msg) == (line, column, msg)
+
+
+def test_load_json_reads_utf8_and_names_undecodable_files(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes('{"label": "z\u00e9ro"}'.encode("utf-8"))
+    assert validate.load_json(path) == {"label": "z\u00e9ro"}
+    path.write_bytes(b'{"label": "z\xe9ro"}')  # Latin-1
+    with pytest.raises(validate.ConfigError) as info:
+        validate.load_json(path)
+    assert str(info.value).startswith(f"{path}: not UTF-8 text: 'utf-8' codec can't decode")
+
+
+def test_load_json_rejects_nesting_too_deep_to_decode(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(validate.ConfigError, match="nested too deeply to decode"):
+        validate.load_json(path)
