@@ -30,33 +30,34 @@ class ConfigError(ValueError):
 
 
 # load_json decodes a flat array of numbers whose text has at least this many
-# characters once per distinct text: a version-1 KRR grid repeats its Gram
-# matrix in every member. Shorter arrays cost less to decode than to look up.
+# bytes once per distinct text: a version-1 KRR grid repeats its Gram matrix
+# in every member. Shorter arrays cost less to decode than to look up.
 SHARED_ARRAY_CHARS = 1024
-_NUMBER_CHARS = r"[-+.0-9eE \t\n\r,]"  # of JSON numbers, commas and JSON whitespace
+_NUMBER_CHARS = rb"[-+.0-9eE \t\n\r,]"  # of JSON numbers, commas and JSON whitespace
 # The "[" of a candidate: SHARED_ARRAY_CHARS - 2 _NUMBER_CHARS follow it.
-_LONG_ARRAY_START = re.compile(r"\[(?=%s{%d})" % (_NUMBER_CHARS, SHARED_ARRAY_CHARS - 2))
-_FLAT_ARRAY = re.compile(r"\[%s*\]" % _NUMBER_CHARS)
+_LONG_ARRAY_START = re.compile(rb"\[(?=%s{%d})" % (_NUMBER_CHARS, SHARED_ARRAY_CHARS - 2))
+_FLAT_ARRAY = re.compile(rb"\[%s*\]" % _NUMBER_CHARS)
 # The one key of the object that stands for a shared array in the packed text.
 _PLACEHOLDER = "\x00"
 
 
 def load_json(path):
-    """The JSON document in the UTF-8 file `path`, equal to `json.load`'s with
-    the same types: plain dicts and lists, every list its own object.
+    """The JSON document in the UTF-8 file `path`, equal to `json.load`'s of
+    the file opened in text mode, with the same types: plain dicts and lists.
 
     Each distinct long flat array of numbers (SHARED_ARRAY_CHARS) is decoded
-    once. Text that is not UTF-8, invalid JSON and nesting deeper than the
-    decoder's recursion limit raise ConfigError naming the path, for invalid
-    JSON with the line and column `json` reports.
+    once, and every place that repeats it holds that one list; every dict and
+    every other list is its own object. Text that is not UTF-8, invalid JSON
+    and nesting deeper than the decoder's recursion limit raise ConfigError
+    naming the path: with the byte position `bytes.decode` reports, and for
+    invalid JSON with the line and column `json` reports.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        return _loads(data)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    try:
-        return _loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
@@ -64,41 +65,67 @@ def load_json(path):
         raise ConfigError(f"{path}: JSON nested too deeply to decode") from exc
 
 
-def _loads(text):
-    """json.loads(text), decoding each distinct long flat numeric array once.
+def _loads(data):
+    """json.loads of the UTF-8 bytes `data` as text mode reads them (CR LF and
+    a lone CR are LF), decoding each distinct long flat numeric array once.
+
+    Only the bytes outside those arrays and one copy of each array are decoded
+    to text; a UnicodeDecodeError is the one decoding all of `data` raises, so
+    its position is the byte's in the file. No byte of a UTF-8 multi-byte
+    character is ASCII, so cutting the bytes at "[" and "]" never splits one.
+    """
+    text = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+    try:
+        return _decode(text)
+    except UnicodeDecodeError:
+        data.decode("utf-8")  # raises the error at its position in `data`
+        raise
+
+
+def _decode(text):
+    """json.loads(text.decode("utf-8")), decoding each distinct long flat
+    numeric array once and returning one list for all its places.
 
     Each such array is replaced by the object {"\\u0000": its number} and the
-    packed text is decoded with a hook that puts a copy of the array back.
-    When the text already spells that key, holds no such array, or a decode
+    packed text is decoded with a hook that puts the array's list back. A
+    candidate that starts with the array replaced last is that array (a flat
+    array holds one "]", its last byte), so an array repeated member after
+    member is neither scanned, copied nor hashed again. When the text outside
+    the arrays already spells that key, nothing was replaced, or a decode
     fails, the text is decoded as it is, so values and errors are json's.
     Strings need no skipping: an array replaced inside one ends the string at
     the placeholder's quote, and the backslash after it fails the decode.
     """
-    if "\\u0000" in text:
-        return json.loads(text)
-    arrays = {}  # distinct array text -> its number
+    arrays = {}  # distinct array bytes -> its number
     parts = []  # the packed text up to `done`
     pos = done = end = 0
+    last = None  # the array replaced last
     while match := _LONG_ARRAY_START.search(text, pos):
         start, pos = match.start(), match.end()
-        if end < pos:  # else the first "]" after pos is still end - 1
-            end = text.find("]", pos) + 1
-            if end == 0:  # no array ends after this one starts
-                break
-        if text.find("[", pos, end) >= 0:  # nested: so each text is sliced at most once
-            continue
-        array = text[start:end]
-        if array in arrays or _FLAT_ARRAY.fullmatch(array):  # all _NUMBER_CHARS
-            parts += text[done:start], '{"\\u0000":%d}' % arrays.setdefault(array, len(arrays))
-            pos = done = end
+        if last is None or not text.startswith(last, start):
+            if end < pos:  # else the first "]" after pos is still end - 1
+                end = text.find(b"]", pos) + 1
+                if end == 0:  # no array ends after this one starts
+                    break
+            if text.find(b"[", pos, end) >= 0:  # nested: so each text is sliced at most once
+                continue
+            last = text[start:end]
+            if last not in arrays and not _FLAT_ARRAY.fullmatch(last):  # all _NUMBER_CHARS
+                last = None
+                continue
+        parts += text[done:start], b'{"\\u0000":%d}' % arrays.setdefault(last, len(arrays))
+        pos = done = end = start + len(last)
     if arrays:
-        try:
-            values = [json.loads(array) for array in arrays]
-            return json.loads("".join(parts) + text[done:], object_hook=lambda obj: (
-                values[obj[_PLACEHOLDER]][:] if _PLACEHOLDER in obj else obj))
-        except ValueError:
-            pass
-    return json.loads(text)
+        packed = (b"".join(parts) + text[done:]).decode("utf-8")
+        # arrays hold no backslash, so any key spelled outside them adds to the count
+        if packed.count("\\u0000") == len(parts) // 2:
+            try:
+                values = [json.loads(array.decode("utf-8")) for array in arrays]
+                return json.loads(packed, object_hook=lambda obj: (
+                    values[obj[_PLACEHOLDER]] if _PLACEHOLDER in obj else obj))
+            except ValueError:
+                pass
+    return json.loads(text.decode("utf-8"))
 
 
 def obj(value, where, required=(), optional=()) -> dict:

@@ -122,11 +122,19 @@ def _open_output(path, stack):
     return stack.enter_context(open(path, "w", encoding="utf-8"))
 
 
+def _for_stdout(text):
+    """`text` with the characters stdout cannot encode escaped (z\\xe9ro)."""
+    encoding = sys.stdout.encoding or "utf-8"
+    return text.encode(encoding, "backslashreplace").decode(encoding)
+
+
 def _write_report(doc, fh, fmt):
+    """Write the report to `fh`; on stdout, what its encoding cannot hold is escaped."""
     if fmt == "csv":
-        fh.write("key,value\n" + "\n".join(_flatten(doc)) + "\n")
+        text = "key,value\n" + "\n".join(_flatten(doc)) + "\n"
     else:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    fh.write(_for_stdout(text) if fh is sys.stdout else text)
 
 
 def _bound_table(summary, cfg):
@@ -330,9 +338,8 @@ def cmd_family_info(args) -> int:
         family = _parse_experiment_config(_load_json(args.config))["family"]
     # one line per member: control characters, and characters stdout cannot
     # encode, escaped; the label column as wide as the longest label (at least 16)
-    encoding = sys.stdout.encoding or "utf-8"
-    labels = ["".join(c if c.isprintable() else c.encode("unicode_escape").decode()
-                      for c in m.label).encode(encoding, "backslashreplace").decode(encoding)
+    labels = [_for_stdout("".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                                  for c in m.label))
               for m in family.members]
     width = max(16, *map(len, labels))
     print(f"{'label':<{width}}{'df':>12}{'frob_sq':>12}{'opnorm':>12}{'gershgorin':>12}")

@@ -327,11 +327,13 @@ _KIND_PARAMETERS = {"zero": (), "identity": (), "explicit": ("matrix",),
 def build_family(specs, n: int, where: str) -> SmootherFamily:
     """The family of a JSON list of smoother descriptions for dimension n.
 
-    KRR members given equal Gram matrices share one eigendecomposition: one
-    read-only `gram` parameter and one `basis`. k-NN members given equal points
-    share one neighbour ordering and one read-only `points` parameter. Each
-    member is bit-identical to the `krr_from_gram` or `knn_from_points` call
-    with its parameters.
+    An array parameter is converted once per list object, so a list the
+    reader gives every member that repeats it is converted once. KRR members
+    given equal Gram matrices share one eigendecomposition: one read-only
+    `gram` parameter and one `basis`. k-NN members given equal points share
+    one neighbour ordering and one read-only `points` parameter. Each member
+    is bit-identical to the `krr_from_gram` or `knn_from_points` call with its
+    parameters.
     """
     if isinstance(specs, list) and len(specs) * n * n > validate.MAX_ENTRIES:
         raise validate.ConfigError(f"len(smoothers) * n^2: must be at most 2^27, "
@@ -345,9 +347,10 @@ def build_smoother(spec: dict, n: int, shared=None) -> Smoother:
     """Build one smoother from its JSON description for dimension n.
 
     Malformed members (unknown kind, missing or unknown `parameters` keys,
-    values of the wrong type or shape) raise ValueError. `shared` maps a
-    Gram matrix to its eigendecomposition and a point set to its neighbour
-    ordering; it is reused and extended across the members of one family.
+    values of the wrong type or shape) raise ValueError. `shared` maps an
+    array parameter's list object to its conversion, a Gram matrix to its
+    eigendecomposition and a point set to its neighbour ordering; it is
+    reused and extended across the members of one family.
     """
     shared = {} if shared is None else shared
     validate.obj(spec, "smoother spec", ("label", "kind"), ("parameters",))
@@ -360,21 +363,30 @@ def build_smoother(spec: dict, n: int, shared=None) -> Smoother:
     if kind == "identity":
         return _make(label, np.eye(n), "identity", {}, opnorm=float(n > 0))
     if kind == "explicit":
-        return from_matrix(label, validate.array(params["matrix"], f"{where}.matrix", (n, n)))
+        return from_matrix(label, _array(shared, params["matrix"], f"{where}.matrix", (n, n)))
     if kind == "projection":
         p = validate.integer(params["p"], f"{where}.p", 1)
         return projection_from_design(
-            label, validate.array(params["design"], f"{where}.design", (n, p)),
+            label, _array(shared, params["design"], f"{where}.design", (n, p)),
             validate.list_of(params["subset"], f"{where}.subset", validate.integer, 0))
     if kind == "krr":
-        gram = validate.array(params["gram"], f"{where}.gram", (n, n))
+        gram = _array(shared, params["gram"], f"{where}.gram", (n, n))
         lam = validate.number(params["lambda"], f"{where}.lambda")
         return _krr(label, _shared(shared, _gram_spectrum, gram), lam)
-    points = validate.array(params["points"], f"{where}.points")
+    points = _array(shared, params["points"], f"{where}.points")
     if len(points) != n:
         raise validate.ConfigError(f"{where}.points: expected n = {n} points, got {len(points)}")
     k = validate.integer(params["k"], f"{where}.k", 1)
     return _knn(label, _shared(shared, _neighbour_order, points), k)
+
+
+def _array(shared, value, where, shape=None):
+    """validate.array(value, where, shape), once per (value object, shape) in
+    `shared`, which keeps `value` so that its id is not reused."""
+    key = (id(value), shape)
+    if key not in shared:
+        shared[key] = value, validate.array(value, where, shape)
+    return shared[key][1]
 
 
 def _shared(shared, derive, a):

@@ -205,8 +205,8 @@ def test_simulate_malformed_json(tmp_path, capsys):
 
 def test_documents_are_utf8_in_an_ascii_locale(tmp_path):
     """Configs, family documents, --out and --records are read and written as
-    UTF-8 whatever the locale; family-info escapes what stdout cannot encode,
-    and a file that is not UTF-8 exits 1 naming its path."""
+    UTF-8 whatever the locale; family-info and a report on stdout escape what
+    stdout cannot encode, and a file that is not UTF-8 exits 1 naming its path."""
     smoothers = [{"label": "z\u00e9ro", "kind": "zero", "parameters": {}},
                  {"label": "id", "kind": "identity", "parameters": {}}]
     raw = tmp_path / "raw.json"
@@ -224,6 +224,7 @@ def test_documents_are_utf8_in_an_ascii_locale(tmp_path):
              "--records", str(tmp_path / "r.csv")],
             ["simulate", "--config", str(raw), "--threads", "1", "--format", "csv",
              "--out", str(tmp_path / "s.csv")],
+            ["simulate", "--config", str(raw), "--threads", "1", "--format", "csv"],
             ["simulate", "--config", str(latin1)]]
     script = ("import json, sys\nfrom sure_lab.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n    print('exit', main(argv), flush=True)\n")
@@ -232,8 +233,9 @@ def test_documents_are_utf8_in_an_ascii_locale(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
                           capture_output=True, encoding="utf-8", timeout=120)
     assert [line for line in proc.stdout.splitlines() if line.startswith("exit")] == [
-        "exit 0", "exit 0", "exit 0", "exit 0", "exit 1"], proc.stderr
+        "exit 0", "exit 0", "exit 0", "exit 0", "exit 0", "exit 1"], proc.stderr
     assert proc.stdout.count("\nz\\xe9ro ") == 2
+    assert "\nsummary.selection_histogram.z\\xe9ro," in proc.stdout
     assert ",z\u00e9ro," in (tmp_path / "r.csv").read_text(encoding="utf-8")
     assert ("\nsummary.selection_histogram.z\u00e9ro,"
             in (tmp_path / "s.csv").read_text(encoding="utf-8"))

@@ -462,6 +462,32 @@ def test_saved_krr_family_reloads_bit_identical(tmp_path, monkeypatch):
         assert back.basis is loaded.members[0].basis
 
 
+def test_saved_krr_grid_converts_its_gram_once(tmp_path, monkeypatch):
+    """A saved 24-member grid on one Gram: the reader gives every member one
+    list, which is converted once, and each member is the one krr_from_gram
+    builds alone."""
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((10, 10))
+    gram = a @ a.T
+    lams = np.geomspace(1e-2, 1e2, 24).tolist()
+    path = tmp_path / "family.json"
+    save_family(SmootherFamily.of([krr_from_gram(f"k{i}", gram, lam)
+                                   for i, lam in enumerate(lams)]), path)
+    converted = []
+    array = smoothers.validate.array
+    monkeypatch.setattr(smoothers.validate, "array",
+                        lambda value, *args: converted.append(args[0]) or array(value, *args))
+    family = load_family(path)
+    assert converted == ["smoother 'k0' parameters.gram"]
+    first = family.members[0]
+    for m, lam in zip(family.members, lams):
+        assert m.params["gram"] is first.params["gram"] and m.basis is first.basis
+        alone = krr_from_gram(m.label, gram, lam)
+        assert m.h.tobytes() == alone.h.tobytes()
+        assert (m.df, m.frob_sq, m.opnorm) == (alone.df, alone.frob_sq, alone.opnorm)
+        assert m.spectrum.tobytes() == alone.spectrum.tobytes()
+
+
 def test_krr_grams_one_digit_apart_stay_distinct(tmp_path):
     """Two Gram texts that differ in one digit are two arrays to the reader:
     two eigendecompositions, each member that of its own Gram."""

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,20 +130,31 @@ def _containers(value):
             yield from _containers(child)
 
 
+def _text_mode(data):
+    """The text `open(path, encoding="utf-8").read()` gives for a file holding `data`."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
 def _check_loads(text):
-    """validate._loads(text) gives json.loads's value, with each list and dict
-    its own object, or raises json's error with json's message."""
+    """validate._loads of the UTF-8 bytes of `text` gives json.loads's value of
+    the text that text mode reads from them, or raises json's error with json's
+    message. Two containers are one object only when they are equal flat lists
+    of numbers; every dict and every other list is its own object."""
+    data = text.encode("utf-8")
     try:
-        expected = json.loads(text)
+        expected = json.loads(_text_mode(data))
     except ValueError as exc:
         with pytest.raises(type(exc)) as info:
-            validate._loads(text)
+            validate._loads(data)
         assert str(info.value) == str(exc)
         return
-    got = validate._loads(text)
+    got = validate._loads(data)
     assert _same(got, expected)
-    containers = list(_containers(got))
-    assert len({id(x) for x in containers}) == len(containers)
+    seen = set()
+    for x in _containers(got):
+        if id(x) in seen:
+            assert isinstance(x, list) and all(type(v) in (int, float) for v in x)
+        seen.add(id(x))
 
 
 _NUMBERS = st.one_of(
@@ -215,8 +228,9 @@ def test_loads_decodes_a_repeated_array_once(monkeypatch):
     decoded = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
-    doc = validate._loads(text)
+    doc = validate._loads(text.encode("utf-8"))
     assert _same(doc, loads(text))
+    assert doc["a"] is doc["b"][0] is doc["b"][1]
     assert decoded[0] == gram and len(decoded) == 2  # the array, then the packed text
     assert decoded[1].count('{"\\u0000":0}') == 3
 
@@ -255,3 +269,87 @@ def test_load_json_rejects_nesting_too_deep_to_decode(tmp_path):
     path.write_text("[" * 100_000 + "]" * 100_000)
     with pytest.raises(validate.ConfigError, match="nested too deeply to decode"):
         validate.load_json(path)
+
+
+# -- load_json reads bytes: each case against json.load of the file in text mode
+
+_GRAM = json.dumps([i / 7 for i in range(200)])  # a long flat array
+
+
+def _text_mode_load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_load_json_reads_line_endings_as_text_mode(tmp_path, newline):
+    path = tmp_path / "doc.json"
+    gram = json.dumps(json.loads(_GRAM), indent=2).replace("\n", newline)
+    lines = ["{", f'  "a": {gram},', f'  "b": [{gram},{newline}{gram}],', '  "c": "x"', "}"]
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    doc = validate.load_json(path)
+    assert _same(doc, _text_mode_load(path)) and doc["a"] is doc["b"][0] is doc["b"][1]
+    for bad in ('  "c": tru', '  "c": "x",', '  "c" "x"'):
+        path.write_bytes(newline.join(lines[:3] + [bad, "}"]).encode("utf-8"))
+        with pytest.raises(json.JSONDecodeError) as plain:
+            _text_mode_load(path)
+        with pytest.raises(validate.ConfigError) as info:
+            validate.load_json(path)
+        assert plain.value.lineno > 1
+        assert str(info.value) == (f"{path}: invalid JSON at line {plain.value.lineno}, "
+                                   f"column {plain.value.colno}: {plain.value.msg}")
+
+
+def test_load_json_rejects_a_utf8_bom(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xef\xbb\xbf" + ('{"a": %s, "b": %s}' % (_GRAM, _GRAM)).encode("utf-8"))
+    with pytest.raises(json.JSONDecodeError, match="Unexpected UTF-8 BOM"):
+        _text_mode_load(path)
+    with pytest.raises(validate.ConfigError) as info:
+        validate.load_json(path)
+    assert str(info.value) == (f"{path}: invalid JSON at line 1, column 1: "
+                               "Unexpected UTF-8 BOM (decode using utf-8-sig)")
+
+
+def test_load_json_keeps_non_ascii_text_next_to_a_repeated_array(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {"label": "zéro", "a": json.loads(_GRAM), "€": "\U0001f600",
+           "b": [json.loads(_GRAM), "ü"]}
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    got = validate.load_json(path)
+    assert _same(got, _text_mode_load(path)) and _same(got, doc)
+    assert got["a"] is got["b"][0]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_load_json_names_the_byte_a_repeated_array_precedes(tmp_path, newline):
+    """A Latin-1 byte after a long repeated array: the position is the one
+    decoding the whole file reports, CR bytes and arrays counted."""
+    path = tmp_path / "doc.json"
+    data = newline.join(['{"a": %s,' % _GRAM, '"b": %s,' % _GRAM, '"c": "z\xe9ro"}'])
+    path.write_bytes(data.encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_bytes().decode("utf-8")
+    with pytest.raises(UnicodeDecodeError):
+        _text_mode_load(path)
+    with pytest.raises(validate.ConfigError) as info:
+        validate.load_json(path)
+    assert whole.value.start == data.index("\xe9")
+    assert str(info.value) == f"{path}: not UTF-8 text: {whole.value}"
+
+
+def test_load_json_peak_memory_stays_near_the_file_size(tmp_path):
+    """A KRR grid of 24 members on one Gram (n = 64): the reader holds the file's
+    bytes and one copy of the Gram, not the file again as text."""
+    gram = np.random.default_rng(3).standard_normal((64, 64)).reshape(-1).tolist()
+    members = [{"label": f"k{i}", "kind": "krr", "parameters": {"gram": gram, "lambda": 0.1 * i}}
+               for i in range(24)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"family": {"smoothers": members}}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        validate.load_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
