@@ -52,10 +52,9 @@ def load_json(path):
     naming the path: with the byte position `bytes.decode` reports, and for
     invalid JSON with the line and column `json` reports.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        return _loads(data)
+        with open(path, "rb") as fh:
+            return _loads(fh.read())
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -67,65 +66,63 @@ def load_json(path):
 
 def _loads(data):
     """json.loads of the UTF-8 bytes `data` as text mode reads them (CR LF and
-    a lone CR are LF), decoding each distinct long flat numeric array once.
-
-    Only the bytes outside those arrays and one copy of each array are decoded
-    to text; a UnicodeDecodeError is the one decoding all of `data` raises, so
-    its position is the byte's in the file. No byte of a UTF-8 multi-byte
-    character is ASCII, so cutting the bytes at "[" and "]" never splits one.
-    """
-    text = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
-    try:
-        return _decode(text)
-    except UnicodeDecodeError:
-        data.decode("utf-8")  # raises the error at its position in `data`
-        raise
-
-
-def _decode(text):
-    """json.loads(text.decode("utf-8")), decoding each distinct long flat
-    numeric array once and returning one list for all its places.
+    a lone CR are LF), decoding each distinct long flat numeric array once and
+    returning one list for all its places.
 
     Each such array is replaced by the object {"\\u0000": its number} and the
     packed text is decoded with a hook that puts the array's list back. A
-    candidate that starts with the array replaced last is that array (a flat
-    array holds one "]", its last byte), so an array repeated member after
-    member is neither scanned, copied nor hashed again. When the text outside
-    the arrays already spells that key, nothing was replaced, or a decode
-    fails, the text is decoded as it is, so values and errors are json's.
-    Strings need no skipping: an array replaced inside one ends the string at
-    the placeholder's quote, and the backslash after it fails the decode.
+    candidate "[" is an array when one anchored match reads numbers up to its
+    "]"; a nested one stops at its inner "[". A candidate that starts with
+    the array replaced last among those sharing its first SHARED_ARRAY_CHARS
+    bytes is that array (a flat array holds one "]", its last byte), so a
+    repeated array, also one that alternates with others, is recognized in
+    place: past its first bytes it is neither matched, copied nor hashed
+    again. When the text outside the arrays already spells that key, nothing
+    was replaced, or a decode fails, the text is decoded as it is, so values
+    and errors are json's. Strings need no skipping: an array replaced
+    inside one ends the string at the placeholder's quote, and the backslash
+    after it fails the decode.
+
+    Only the bytes outside those arrays and one copy of each array are decoded
+    to text, and the bytes are dropped before a plain decode. No byte of a
+    UTF-8 multi-byte character is ASCII, so cutting the bytes at "[" and "]"
+    never splits one. A UnicodeDecodeError is the one decoding all of `data`
+    raises, so its position is the byte's in the file.
     """
+    text = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
     arrays = {}  # distinct array bytes -> its number
     parts = []  # the packed text up to `done`
-    pos = done = end = 0
-    last = None  # the array replaced last
+    pos = done = 0
+    seen = {}  # first SHARED_ARRAY_CHARS bytes -> the array replaced last that starts so
     while match := _LONG_ARRAY_START.search(text, pos):
-        start, pos = match.start(), match.end()
-        if last is None or not text.startswith(last, start):
-            if end < pos:  # else the first "]" after pos is still end - 1
-                end = text.find(b"]", pos) + 1
-                if end == 0:  # no array ends after this one starts
-                    break
-            if text.find(b"[", pos, end) >= 0:  # nested: so each text is sliced at most once
+        start = match.start()
+        array = seen.get(text[start:start + SHARED_ARRAY_CHARS])
+        if array is None or not text.startswith(array, start):
+            flat = _FLAT_ARRAY.match(text, start)
+            if flat is None:  # nested, or an entry that is not a number
+                pos = start + 1
                 continue
-            last = text[start:end]
-            if last not in arrays and not _FLAT_ARRAY.fullmatch(last):  # all _NUMBER_CHARS
-                last = None
-                continue
-        parts += text[done:start], b'{"\\u0000":%d}' % arrays.setdefault(last, len(arrays))
-        pos = done = end = start + len(last)
-    if arrays:
-        packed = (b"".join(parts) + text[done:]).decode("utf-8")
-        # arrays hold no backslash, so any key spelled outside them adds to the count
-        if packed.count("\\u0000") == len(parts) // 2:
-            try:
-                values = [json.loads(array.decode("utf-8")) for array in arrays]
-                return json.loads(packed, object_hook=lambda obj: (
-                    values[obj[_PLACEHOLDER]] if _PLACEHOLDER in obj else obj))
-            except ValueError:
-                pass
-    return json.loads(text.decode("utf-8"))
+            array = flat[0]
+            seen[array[:SHARED_ARRAY_CHARS]] = array
+        parts += text[done:start], b'{"\\u0000":%d}' % arrays.setdefault(array, len(arrays))
+        pos = done = start + len(array)
+    try:
+        if arrays:
+            packed = (b"".join(parts) + text[done:]).decode("utf-8")
+            # arrays hold no backslash, so any key spelled outside them adds to the count
+            if packed.count("\\u0000") == len(parts) // 2:
+                try:
+                    values = [json.loads(array.decode("utf-8")) for array in arrays]
+                    return json.loads(packed, object_hook=lambda obj: (
+                        values[obj[_PLACEHOLDER]] if _PLACEHOLDER in obj else obj))
+                except ValueError:
+                    pass
+        text = text.decode("utf-8")
+    except UnicodeDecodeError:
+        data.decode("utf-8")  # raises the error at its position in `data`
+        raise
+    data = flat = None  # json.loads gets the only copy of the document
+    return json.loads(text)
 
 
 def obj(value, where, required=(), optional=()) -> dict:

@@ -60,10 +60,12 @@ def _check_dim(smoother: Smoother, n: int) -> None:
 
 
 def risk(smoother: Smoother, model: GaussianSequenceModel) -> float:
-    """Exact risk ||(I - H) theta0||^2 + sigma^2 ||H||_F^2; no sampling."""
+    """Exact risk ||(I - H) theta0||^2 + sigma^2 ||H||_F^2; no sampling. A risk
+    beyond the float range is inf."""
     _check_dim(smoother, model.n)
-    bias = model.theta0 - smoother.h @ model.theta0
-    return float(bias @ bias) + model.sigma_sq * smoother.frob_sq
+    with np.errstate(over="ignore"):
+        bias = model.theta0 - smoother.h @ model.theta0
+        return float(bias @ bias) + model.sigma_sq * smoother.frob_sq
 
 
 def sure(smoother: Smoother, y, sigma: float) -> float:
@@ -141,7 +143,8 @@ def shell_indices(risks, sigma_sq: float, r_star_value: float) -> np.ndarray:
         raise DegenerateFamilyError(
             f"shell decomposition requires r_star > 0, got {r_star_value}")
     risks = np.asarray(risks, dtype=float)
-    ratio = (risks - risks.min()) / (sigma_sq * r_star_value) + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        ratio = (risks - risks.min()) / (sigma_sq * r_star_value) + 1.0
     if not np.all(np.isfinite(ratio)):
         raise ValueError(f"shell ratios are not finite at r_star = {r_star_value!r}: "
                          "a risk overflows or r_star is too small")

@@ -8,8 +8,9 @@ kernels. Families whose members share one eigenbasis (KRR members on one
 Gram matrix) get every SURE from the rotated draws; families of k-NN members
 on one neighbour ordering get every SURE from running sums over that
 ordering. Both then apply only the selected and the oracle member. Any other
-family applies every member with one matrix product. Block boundaries depend
-only on n_reps and the family, so results do not depend on the worker count.
+family applies every member with one matrix product. All three then select
+the same way. Block boundaries depend only on n_reps and the family, so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -129,7 +130,10 @@ def _rowdot(a, b):
 class _Context:
     """Per-(family, model) arrays shared by every block of replicates.
 
-    Three selection kernels:
+    Three selection kernels. Each returns ||y - H_s y||^2 for every row and
+    member s, and apply(s), H_s y per row for one member s or one per row;
+    block() adds 2 sigma^2 tr H_s, takes the argmin j and recomputes SURE(j)
+    from y - H_j y, the vector the statistics use.
     - spectral: a family with a shared eigenbasis V = family.basis
       (H_s = V diag(f_s) V^T) selects in the rotated coordinates u = V^T y,
       where every SURE is sum_i (1 - f_si)^2 u_i^2 + 2 sigma^2 tr H_s:
@@ -139,8 +143,8 @@ class _Context:
       neighbours' values over the ranks r < k_max, so H_k y = C / k at rank k:
       O(n k_max) a replicate;
     - dense: any other family applies every member with one product,
-      O(|S| n^2) a replicate.
-    The first two then apply only the selected and the oracle member.
+      O(|S| n^2) a replicate, and apply(s) picks the products.
+    The first two form H_s y for the selected and the oracle member only.
     """
 
     def __init__(self, family: SmootherFamily, model: GaussianSequenceModel):
@@ -153,6 +157,14 @@ class _Context:
         self.sigma_sq = model.sigma_sq
         self.theta0 = model.theta0
         members = family.members
+        # First, so that a risk beyond the float range stops the run (shell_indices
+        # raises) before H theta0 can overflow.
+        self.risks = np.array([criteria.risk(m, model) for m in members])
+        self.oracle_idx = int(np.argmin(self.risks))
+        self.r_star = float(self.risks[self.oracle_idx]) / self.sigma_sq
+        # degenerate r_star disables the shell machinery
+        self.shells = (criteria.shell_indices(self.risks, self.sigma_sq, self.r_star)
+                       if self.r_star > 0 else None)
         # On the two structured kernels about eight n-vectors a row are live at
         # the peak (draws, the rotation or the running sums, the two formed
         # products, residuals). Spectral rows of 100-250 ran fastest at n = 200;
@@ -172,20 +184,14 @@ class _Context:
             self.at_rank = [[s for s, k in enumerate(ks) if k == r + 1]
                             for r in range(max(ks))]
             self._select = _Context._knn
-        else:  # block() applies every member with one product
+        else:
             # member s is rows s*n .. s*n + n - 1
             self.h_flat = np.concatenate([m.h for m in members])
             row_floats = len(family) * self.n  # the products H_s y of one replicate
-            self._select = None
+            self._select = _Context._dense
         self.trs = np.array([m.df for m in members])
         self.frob_sqs = np.array([m.frob_sq for m in members])
         self.bias = self.theta0 - self.h_theta
-        self.risks = np.array([criteria.risk(m, model) for m in members])
-        self.oracle_idx = int(np.argmin(self.risks))
-        self.r_star = float(self.risks[self.oracle_idx]) / self.sigma_sq
-        # degenerate r_star disables the shell machinery
-        self.shells = (criteria.shell_indices(self.risks, self.sigma_sq, self.r_star)
-                       if self.r_star > 0 else None)
         self.block_len = min(max(BLOCK_BYTES // (8 * row_floats), 1), 1024)
 
     def _spectral(self, y):
@@ -212,8 +218,7 @@ class _Context:
         h = [m.h for m in self.family.members]
 
         def apply(s):  # one product per distinct member
-            if np.ndim(s) == 0:
-                return y @ h[s].T
+            s = np.broadcast_to(s, len(y))
             out = np.empty_like(y)
             for t in np.unique(s):
                 rows = s == t
@@ -222,28 +227,28 @@ class _Context:
 
         return resid_sq.T, apply
 
+    def _dense(self, y):
+        """As _spectral, from every member applied by one product."""
+        hy = (y @ self.h_flat.T).reshape(len(y), -1, self.n)  # hy[b, s] = H_s y_b
+        resid_sq = np.empty(hy.shape[:2])
+        for s in range(hy.shape[1]):  # one (B, |S|, n) residual array was 1.4x slower
+            resid = y - hy[:, s]
+            resid_sq[:, s] = _rowdot(resid, resid)
+        rows = np.arange(len(y))
+        return resid_sq, lambda s: hy[rows, s]
+
     def block(self, z: np.ndarray, first_index: int) -> dict:
         """Record columns of replicates first_index, ... with noise rows z (B x n)."""
         s2, n, theta0 = self.sigma_sq, self.n, self.theta0
         rows = np.arange(len(z))
         y = theta0 + z
         j0 = self.oracle_idx
-        if self._select is None:  # every member applied by one product
-            hy = (y @ self.h_flat.T).reshape(len(z), -1, n)  # hy[b, s] = H_s y_b
-            sure = np.empty(hy.shape[:2])
-            for s in range(hy.shape[1]):  # one (B, |S|, n) residual array was 1.4x slower
-                resid = y - hy[:, s]
-                sure[:, s] = _rowdot(resid, resid)
-            sure += 2.0 * s2 * self.trs
-            j = np.argmin(sure, axis=1)  # first index on ties
-            hy_j, hy_0, sure_min = hy[rows, j], hy[:, j0], sure[rows, j]
-        else:  # every SURE without forming H_s y; only H_j y and H_j0 y are formed
-            sure, apply = self._select(self, y)
-            sure += 2.0 * s2 * self.trs
-            j = np.argmin(sure, axis=1)  # first index on ties
-            hy_j, hy_0 = apply(j), apply(j0)
-            resid = y - hy_j  # SURE(j) again, from the vector the statistics use
-            sure_min = _rowdot(resid, resid) + 2.0 * s2 * self.trs[j]
+        sure, apply = self._select(self, y)
+        sure += 2.0 * s2 * self.trs
+        j = np.argmin(sure, axis=1)  # first index on ties
+        hy_j, hy_0 = apply(j), apply(j0)
+        resid = y - hy_j  # SURE(j) again, from the vector the statistics use
+        sure_min = _rowdot(resid, resid) + 2.0 * s2 * self.trs[j]
 
         def centered(s, hz):  # criteria.centered_variables of member(s) s, per row
             quad = 2.0 * _rowdot(z, hz) - _rowdot(hz, hz)  # z^T (2H - H^T H) z

@@ -94,11 +94,14 @@ def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None,
     if not np.all(np.isfinite(h)):
         raise ValueError("smoother matrix entries must be finite")
     h.setflags(write=False)
+    with np.errstate(over="ignore"):  # a trace or ||H||_F^2 beyond the float range is inf
+        df = float(np.trace(h)) if df is None else df
+        frob_sq = float(np.sum(h * h)) if frob_sq is None else frob_sq
     return Smoother(
         label=str(label),
         h=h,
-        df=float(np.trace(h)) if df is None else df,
-        frob_sq=float(np.sum(h * h)) if frob_sq is None else frob_sq,
+        df=df,
+        frob_sq=frob_sq,
         opnorm=operator_norm(h) if opnorm is None else float(opnorm),
         kind=kind,
         params=params,

@@ -125,6 +125,11 @@ def test_csv_outputs_quote_labels(tmp_path):
     pytest.param(["simulate", "--config", "CFG", "--threads", "0"], "--threads", id="threads-0"),
     pytest.param(["simulate", "--config", "CFG", "--threads", "-4"], "--threads",
                  id="threads-negative"),
+    pytest.param(["family-info"], "family-info: provide exactly one of --family or --config",
+                 id="family-info-neither"),
+    pytest.param(["family-info", "--family", "CFG", "--config", "CFG"],
+                 "family-info: provide exactly one of --family or --config",
+                 id="family-info-both"),
 ])
 def test_usage_errors_exit_1(tmp_path, capsys, argv, needle):
     cfg_path = write_config(tmp_path, base_config(n_reps=2))
@@ -165,6 +170,12 @@ def test_help_exits_0(capsys):
                  id="nan-bounds.c_test"),
     pytest.param(lambda c: c.update(bounds={"eta_grid": [float("inf")]}), "bounds.eta_grid",
                  id="inf-bounds.eta_grid"),
+    pytest.param(lambda c: c.update(bounds={"eta_grid": []}),
+                 "bounds.eta_grid: must be a nonempty list", id="empty-bounds.eta_grid"),
+    pytest.param(lambda c: c.update(family={}),
+                 "family: provide exactly one of 'smoothers' or 'path'", id="family-neither"),
+    pytest.param(lambda c: c["family"].update(path="family.json"),
+                 "family: provide exactly one of 'smoothers' or 'path'", id="family-both"),
     pytest.param(lambda c: c["model"].update(sigma=10**400), "model.sigma",
                  id="huge-int-model.sigma"),
     pytest.param(lambda c: c["model"].update(sigma=1e-160), "sigma", id="tiny-square-sigma"),
@@ -194,6 +205,53 @@ def test_simulate_validation_errors(tmp_path, capsys, mutate, needle):
     cfg_path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", cfg_path]) == 1
     assert needle in capsys.readouterr().err
+
+
+def test_simulate_family_path_of_another_dimension(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    save_family(SmootherFamily.of([from_matrix("id3", np.eye(3))]), path)
+    cfg_path = write_config(tmp_path, base_config(family={"path": str(path)}))
+    assert main(["simulate", "--config", cfg_path]) == 1
+    assert "family: dimension 3 does not match model.n = 2" in capsys.readouterr().err
+
+
+def test_simulate_zero_oracle_risk_has_no_edf_bound(tmp_path):
+    """theta0 = 0 and a zero member: r* = 0, so no shells and no edf bound."""
+    cfg_path = write_config(tmp_path, base_config(
+        n_reps=20, model={"n": 2, "sigma": 1.0, "theta0": {"kind": "zero"}}))
+    out = tmp_path / "summary.json"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["r_star"] == 0.0 and doc["summary"]["shell_histogram"] is None
+    assert doc["bounds"]["edf"]["bound"] is None and doc["bounds"]["edf"]["ratio"] is None
+
+
+@pytest.mark.parametrize("command,theta0,members,code", [
+    pytest.param("simulate", {"kind": "constant", "value": 1e200},
+                 [{"label": "a", "kind": "zero"}, {"label": "b", "kind": "identity"}], 1,
+                 id="risk-overflows"),
+    pytest.param("simulate", {"kind": "constant", "value": 1e10},
+                 [{"label": "a", "kind": "explicit",
+                   "parameters": {"matrix": [1e300, -1e300, 0.0, 1.0]}}], 1,
+                 id="h-theta0-overflows"),
+    pytest.param("family-info", {"kind": "constant", "value": 1.0},
+                 [{"label": "a", "kind": "explicit",
+                   "parameters": {"matrix": [1e300, 0.0, 0.0, 1.0]}}], 0,
+                 id="frobenius-norm-overflows"),
+])
+def test_statistics_beyond_the_float_range_warn_nothing(tmp_path, capsys, command, theta0,
+                                                        members, code):
+    """A risk or ||H||_F^2 beyond the float range is inf, and no RuntimeWarning
+    escapes (the suite turns warnings into errors)."""
+    cfg_path = write_config(tmp_path, base_config(
+        n_reps=10, model={"n": 2, "sigma": 1.0, "theta0": theta0},
+        family={"smoothers": members}))
+    assert main([command, "--config", cfg_path]) == code
+    captured = capsys.readouterr()
+    if command == "simulate":
+        assert captured.err.startswith("error: shell ratios are not finite")
+    else:
+        assert captured.out.split("\n")[1].split() == ["a", "1e+300", "inf", "1e+300", "-"]
 
 
 def test_simulate_malformed_json(tmp_path, capsys):

@@ -363,7 +363,7 @@ def _dense_twin(family):
 
 
 def _kernel(ctx):
-    return "dense" if ctx._select is None else ctx._select.__name__.lstrip("_")
+    return ctx._select.__name__.lstrip("_")
 
 
 def _assert_records_match(got, want):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -235,6 +236,19 @@ def test_loads_decodes_a_repeated_array_once(monkeypatch):
     assert decoded[1].count('{"\\u0000":0}') == 3
 
 
+def test_loads_matches_each_distinct_array_once(monkeypatch):
+    """Arrays that alternate are recognized in place, as a run of one is."""
+    grams = [json.dumps([i / k for i in range(200)]) for k in (7, 11)]
+    text = "[%s]" % ", ".join(grams[i % 2] for i in range(6))
+    matched = []
+    flat = validate._FLAT_ARRAY
+    monkeypatch.setattr(validate, "_FLAT_ARRAY", types.SimpleNamespace(
+        match=lambda *args: matched.append(args[1]) or flat.match(*args)))
+    doc = validate._loads(text.encode("utf-8"))
+    assert _same(doc, json.loads(text)) and len(matched) == 2
+    assert doc[0] is doc[2] is doc[4] and doc[1] is doc[3] is doc[5] and doc[0] is not doc[1]
+
+
 @pytest.mark.parametrize("text, line, column, msg", [
     ('{\n  "a": [1, 2,]\n}', 2, 14, "Expecting value"),
     ('{"a": %s,\n "b": %s,\n "c": tru}' % ((json.dumps([0.5] * 300),) * 2), 3, 7,
@@ -353,3 +367,21 @@ def test_load_json_peak_memory_stays_near_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * path.stat().st_size
+
+
+def test_load_json_drops_the_bytes_before_a_plain_decode(tmp_path):
+    """A k-NN family of 20 members on 200 nested [x] points: no long flat array,
+    so the document is decoded as it is, with the bytes no longer held."""
+    rng = np.random.default_rng(4)
+    members = [{"label": f"knn{k}", "kind": "knn",
+                "parameters": {"points": rng.standard_normal((200, 1)).tolist(), "k": k}}
+               for k in range(1, 21)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"family": {"smoothers": members}}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        validate.load_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.8 * path.stat().st_size
