@@ -28,7 +28,6 @@ from .criteria import (
     SelectionReport,
     centered_variables,
     edf_bound,
-    oracle_gap_bound,
     oracle_select,
     r_star,
     risk,
@@ -40,10 +39,8 @@ from .criteria import (
 from .montecarlo import (
     MonteCarloSummary,
     ReplicateRecords,
-    ShellDecayReport,
     records_to_csv,
     run_experiment,
-    shell_decay_report,
     sure_unbiasedness_check,
 )
 from .concentration import (
@@ -51,7 +48,6 @@ from .concentration import (
     SubExpParams,
     exact_quadratic_mgf,
     max_moment_bound,
-    max_moment_bound_subexp,
     quadratic_form_params,
     quadratic_form_sampler,
     verify_max_moment,

@@ -170,13 +170,6 @@ def string(value, where, choices=None) -> str:
     return value
 
 
-def boolean(value, where) -> bool:
-    """JSON true or false."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: must be true or false, got {value!r:.60}")
-    return value
-
-
 def list_of(value, where, item, *args) -> list:
     """A JSON list whose entries pass item(entry, f"{where}[i]", *args); the results."""
     if not isinstance(value, list):

@@ -26,7 +26,9 @@ from ._validate import ConfigError
 from .sequence_model import GaussianSequenceModel, derive_stream, make_theta0
 from .smoothers import SmootherFamily, load_family
 
-CONFIG_SCHEMA_VERSION = 1
+# Version 2 only dropped keys, so version-1 documents still load; a dropped
+# key is an unknown key in either version.
+CONFIG_SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -71,24 +73,14 @@ def _build_family(spec, n) -> SmootherFamily:
 
 def _parse_experiment_config(doc):
     validate.obj(doc, "config", ("schema_version", "model", "family", "n_reps", "master_seed"),
-                 ("outputs", "bounds"))
-    validate.integer(doc["schema_version"], "schema_version",
-                     CONFIG_SCHEMA_VERSION, CONFIG_SCHEMA_VERSION)
+                 ("outputs",))
+    validate.integer(doc["schema_version"], "schema_version", 1, CONFIG_SCHEMA_VERSION)
     n_reps = validate.integer(doc["n_reps"], "n_reps", 1, sys.maxsize)  # len() of the block range
     master_seed = validate.integer(doc["master_seed"], "master_seed", 0, 2**64 - 1)
-    outputs = validate.obj(doc.get("outputs", {}), "outputs",
-                           optional=("summary", "records", "keep_records"))
+    outputs = validate.obj(doc.get("outputs", {}), "outputs", optional=("summary", "records"))
     for key in ("summary", "records"):
         if outputs.get(key) is not None:
             validate.string(outputs[key], f"outputs.{key}")
-    # keep_records has no effect; it stays valid so schema-1 documents still load
-    validate.boolean(outputs.get("keep_records", False), "outputs.keep_records")
-    bounds = validate.obj(doc.get("bounds", {}), "bounds", optional=("c_test", "eta_grid"))
-    c_test = validate.number(bounds.get("c_test", 1.0), "bounds.c_test", positive=True)
-    eta_grid = validate.list_of(bounds.get("eta_grid", [0.1, 0.5, 1.0]), "bounds.eta_grid",
-                                validate.number, True)
-    if not eta_grid:
-        raise ConfigError("bounds.eta_grid: must be a nonempty list of positive numbers")
     model = _build_model(doc["model"])
     return {
         "model": model,
@@ -96,8 +88,6 @@ def _parse_experiment_config(doc):
         "n_reps": n_reps,
         "master_seed": master_seed,
         "outputs": outputs,
-        "c_test": c_test,
-        "eta_grid": eta_grid,
     }
 
 
@@ -140,7 +130,6 @@ def _write_report(doc, fh, fmt):
 def _bound_table(summary, cfg):
     model = cfg["model"]
     family = cfg["family"]
-    oracle_risk = min(criteria.risk(m, model) for m in family.members)
     edf_est = summary.estimates["edf_total"]["mean"]
     h_op_eff = family.h_op_effective
     if summary.r_star > 0:
@@ -148,15 +137,6 @@ def _bound_table(summary, cfg):
     else:
         bound = None
     ratio = None if not bound else edf_est / bound
-    gap_rows = [
-        {
-            "eta": eta,
-            "c_test": cfg["c_test"],
-            "bound": criteria.oracle_gap_bound(
-                oracle_risk, model.sigma, len(family), eta, cfg["c_test"]),
-        }
-        for eta in cfg["eta_grid"]
-    ]
     return {
         "edf": {
             "estimate": edf_est,
@@ -166,9 +146,8 @@ def _bound_table(summary, cfg):
             "ratio": ratio,
         },
         "oracle_gap": {
-            "oracle_risk": oracle_risk,
+            "oracle_risk": min(criteria.risk(m, model) for m in family.members),
             "risk_tuned_estimate": summary.estimates["risk_tuned"]["mean"],
-            "rows": gap_rows,
         },
     }
 
@@ -235,7 +214,7 @@ def _parse_lemma_config(doc):
     """The battery settings: each field as given in `doc`, or its default, once checked."""
     validate.obj(doc, "config", optional=("schema_version", "master_seed", *_LEMMA_FIELDS))
     validate.integer(doc.get("schema_version", CONFIG_SCHEMA_VERSION), "schema_version",
-                     CONFIG_SCHEMA_VERSION, CONFIG_SCHEMA_VERSION)
+                     1, CONFIG_SCHEMA_VERSION)
     cfg = {"master_seed": validate.integer(doc.get("master_seed", 42), "master_seed",
                                            0, 2**64 - 1)}
     for section, fields in _LEMMA_FIELDS.items():

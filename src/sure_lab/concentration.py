@@ -25,7 +25,6 @@ __all__ = [
     "verify_mgf_bound",
     "max_moment_bound",
     "verify_max_moment",
-    "max_moment_bound_subexp",
 ]
 
 
@@ -194,28 +193,3 @@ def verify_max_moment(n_vars: int, k: float, tau: float, n_samples: int,
     empirical = float(np.mean(maxima))
     stderr = float(np.std(maxima, ddof=1) / np.sqrt(maxima.size))
     return empirical, bound, empirical - 4.0 * stderr <= bound
-
-
-def max_moment_bound_subexp(n_vars: int, k: float, params: SubExpParams,
-                            c_test: float) -> float:
-    """Sub-exponential maxima scale
-    c * max{sqrt(tau^2 log N), b log N, sqrt(tau^2 k), b k}.
-
-    The constant is caller-supplied (default choice for smoke tests: 10).
-    """
-    if c_test <= 0:
-        raise ValueError(f"c_test must be positive, got {c_test}")
-    k = float(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n_vars = int(n_vars)
-    if n_vars < 1:
-        raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-    log_n = math.log(n_vars)
-    tau_sq, b = params.tau_sq, params.b
-    return c_test * max(
-        math.sqrt(tau_sq * log_n),
-        b * log_n,
-        math.sqrt(tau_sq * k),
-        b * k,
-    )

@@ -27,7 +27,6 @@ __all__ = [
     "r_star",
     "shell_indices",
     "edf_bound",
-    "oracle_gap_bound",
     "DegenerateFamilyError",
 ]
 
@@ -168,18 +167,3 @@ def edf_bound(r_star_value: float, family_size: int, h_op: float) -> float:
         return 0.0
     log_plus = max(0.0, math.log(h_op * h_op * log_s / r_star_value))
     return math.sqrt(r_star_value * log_s) + h_op * log_s * (1.0 + log_plus)
-
-
-def oracle_gap_bound(min_risk: float, sigma: float, family_size: int,
-                     eta: float, c_test: float) -> float:
-    """Oracle-inequality right-hand side (1 + c eta) min_risk + c sigma^2 log|S| / eta.
-
-    c_test stands in for the unknown universal constant; it is a monitoring
-    choice, never a certified value.
-    """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if c_test <= 0:
-        raise ValueError(f"c_test must be positive, got {c_test}")
-    log_s = math.log(int(family_size))
-    return (1.0 + c_test * eta) * min_risk + c_test * float(sigma) ** 2 * log_s / eta

@@ -30,10 +30,8 @@ from .smoothers import Smoother, SmootherFamily
 __all__ = [
     "ReplicateRecords",
     "MonteCarloSummary",
-    "ShellDecayReport",
     "run_experiment",
     "sure_unbiasedness_check",
-    "shell_decay_report",
     "records_to_csv",
     "RECORD_CSV_COLUMNS",
 ]
@@ -386,47 +384,6 @@ def sure_unbiasedness_check(smoother: Smoother, model: GaussianSequenceModel,
     else:
         z_score = (mean - target) / stderr
     return mean, target, z_score
-
-
-@dataclass(frozen=True)
-class ShellDecayReport:
-    """Empirical shell frequencies next to the lemma-shaped decay profile."""
-
-    rows: list  # dicts: shell, frequency, members, lemma_shape
-    violations: list  # shells where frequency increased after first occupied
-    r_star: float
-    h_op: float
-
-    @property
-    def nonincreasing(self) -> bool:
-        return not self.violations
-
-
-def shell_decay_report(summary: MonteCarloSummary, family: SmootherFamily,
-                       model: GaussianSequenceModel) -> ShellDecayReport:
-    """Tabulate P(selected in shell l) against |S_l| exp(-2^l r* / h^2), h = max(1, h_op).
-
-    Frequencies come from the summary's shell histogram of a run of `family`
-    under `model`. The exponential is a shape comparison with the unknown
-    constant set to 1, not a certified bound.
-    """
-    if summary.shell_histogram is None:
-        raise criteria.DegenerateFamilyError(
-            "shell decay report requires r_star > 0; family contains a zero-risk member")
-    rs = summary.r_star
-    risks = np.array([criteria.risk(m, model) for m in family.members])
-    members = np.bincount(criteria.shell_indices(risks, model.sigma_sq, rs)).tolist()
-    rows = [{
-        "shell": l,
-        "frequency": summary.shell_histogram.get(str(l), 0) / summary.n_reps,
-        "members": size,
-        "lemma_shape": size * float(np.exp(-2.0**l * rs / family.h_op_effective**2)),
-    } for l, size in enumerate(members)]
-    freqs = [row["frequency"] for row in rows]
-    first = next((i for i, f in enumerate(freqs) if f > 0), len(freqs))
-    violations = [rows[i]["shell"] for i in range(first + 1, len(rows))
-                  if freqs[i] > freqs[i - 1]]
-    return ShellDecayReport(rows=rows, violations=violations, r_star=rs, h_op=family.h_op)
 
 
 def csv_field(text: str) -> str:

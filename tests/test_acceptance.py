@@ -24,8 +24,9 @@ from sure_lab import (
     projection_from_design,
     quadratic_form_params,
     quadratic_form_sampler,
+    risk,
     run_experiment,
-    shell_decay_report,
+    shell_indices,
     sure,
     sure_identity_residual,
     sure_unbiasedness_check,
@@ -297,14 +298,18 @@ def test_edf_bound_ratio_grid():
 
 def test_shell_decay(experiments):
     summary, _ = experiments("shell_ladder")
-    family, model, _ = EXPERIMENT_DEFS["shell_ladder"]
-    report = shell_decay_report(summary, family, model)
-    occupied = [row["shell"] for row in report.rows if row["members"] > 0]
-    freqs = {row["shell"]: row["frequency"] for row in report.rows}
-    passed = report.nonincreasing and len(occupied) >= 3
+    family, model, n_reps = EXPERIMENT_DEFS["shell_ladder"]
+    risks = [risk(m, model) for m in family.members]
+    members = np.bincount(shell_indices(risks, model.sigma_sq, summary.r_star))
+    occupied = np.flatnonzero(members).tolist()
+    # an empty shell has frequency 0
+    freqs = [summary.shell_histogram.get(str(l), 0) / n_reps for l in range(len(members))]
+    first = next((l for l, f in enumerate(freqs) if f > 0), len(freqs))
+    violations = [l for l in range(first + 1, len(freqs)) if freqs[l] > freqs[l - 1]]
+    passed = not violations and len(occupied) >= 3
     _verdict("shell_decay", passed,
-             f"{len(occupied)} occupied shells, frequencies {freqs}, "
-             f"violations {report.violations}")
+             f"{len(occupied)} occupied shells, frequencies {dict(enumerate(freqs))}, "
+             f"violations {violations}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from sure_lab.cli import main
 
 def base_config(**overrides):
     cfg = {
-        "schema_version": 1,
+        "schema_version": 2,
         "model": {"n": 2, "sigma": 1.0,
                   "theta0": {"kind": "sparse", "k": 1, "amplitude": 1.0}},
         "family": {"smoothers": [
@@ -54,8 +54,12 @@ def test_simulate_basic(tmp_path):
     assert doc["summary"]["n_reps"] == 500
     assert doc["summary"]["identity_pass_rates"] == {
         "edf_decomposition": 1.0, "basic_inequality": 1.0, "exopt_linkage": 1.0}
+    assert doc["schema_version"] == 2
     assert doc["bounds"]["edf"]["bound"] > 0
-    assert len(doc["bounds"]["oracle_gap"]["rows"]) == 3
+    # the two ends of the gap tuning costs: min_s R(s) (zero: 1, identity: 2) and E[loss]
+    assert doc["bounds"]["oracle_gap"] == {
+        "oracle_risk": 1.0,
+        "risk_tuned_estimate": doc["summary"]["estimates"]["risk_tuned"]["mean"]}
 
 
 def test_simulate_deterministic_across_runs_and_threads(tmp_path):
@@ -157,21 +161,23 @@ def test_help_exits_0(capsys):
     (lambda c: c["model"].update(sigma=-1.0), "sigma"),
     (lambda c: c["model"]["theta0"].update(kind="bogus"), "theta0"),
     (lambda c: c.update(master_seed=-1), "master_seed"),
-    (lambda c: c.update(bounds={"eta_grid": [0.0]}), "eta_grid"),
     pytest.param(lambda c: c.update(n_reps=True), "n_reps", id="bool-n_reps"),
     pytest.param(lambda c: c.update(master_seed=False), "master_seed", id="bool-master_seed"),
     pytest.param(lambda c: c["model"].update(n=True), "model.n", id="bool-model.n"),
     pytest.param(lambda c: c["model"].update(sigma=True), "model.sigma", id="bool-model.sigma"),
-    pytest.param(lambda c: c.update(bounds={"c_test": True}), "bounds.c_test",
-                 id="bool-bounds.c_test"),
-    pytest.param(lambda c: c.update(bounds={"eta_grid": [0.5, True]}), "bounds.eta_grid",
-                 id="bool-bounds.eta_grid"),
-    pytest.param(lambda c: c.update(bounds={"c_test": float("nan")}), "bounds.c_test",
-                 id="nan-bounds.c_test"),
-    pytest.param(lambda c: c.update(bounds={"eta_grid": [float("inf")]}), "bounds.eta_grid",
-                 id="inf-bounds.eta_grid"),
-    pytest.param(lambda c: c.update(bounds={"eta_grid": []}),
-                 "bounds.eta_grid: must be a nonempty list", id="empty-bounds.eta_grid"),
+    # keys that schema version 2 dropped are unknown keys in both versions
+    pytest.param(lambda c: c.update(schema_version=1, bounds={"c_test": 1.0}),
+                 "config: unknown keys ['bounds']", id="v1-bounds"),
+    pytest.param(lambda c: c.update(bounds={"c_test": 1.0}),
+                 "config: unknown keys ['bounds']", id="v2-bounds"),
+    pytest.param(lambda c: c.update(schema_version=1, outputs={"keep_records": False}),
+                 "outputs: unknown keys ['keep_records']", id="v1-outputs.keep_records"),
+    pytest.param(lambda c: c.update(outputs={"keep_records": False}),
+                 "outputs: unknown keys ['keep_records']", id="v2-outputs.keep_records"),
+    pytest.param(lambda c: c.update(schema_version=0), "schema_version: must be an integer in "
+                 "[1, 2], got 0", id="schema_version-0"),
+    pytest.param(lambda c: c.update(schema_version=3), "schema_version: must be an integer in "
+                 "[1, 2], got 3", id="schema_version-3"),
     pytest.param(lambda c: c.update(family={}),
                  "family: provide exactly one of 'smoothers' or 'path'", id="family-neither"),
     pytest.param(lambda c: c["family"].update(path="family.json"),
@@ -191,8 +197,6 @@ def test_help_exits_0(capsys):
     pytest.param(lambda c: c.update(family={"path": 5}), "family.path", id="int-family.path"),
     pytest.param(lambda c: c.update(outputs={"records": 5}), "outputs.records",
                  id="int-outputs.records"),
-    pytest.param(lambda c: c.update(outputs={"keep_records": "yes"}), "outputs.keep_records",
-                 id="string-outputs.keep_records"),
     pytest.param(lambda c: c.update(n_reps=10**30), "n_reps", id="huge-int-n_reps"),
     pytest.param(lambda c: c["model"].update(n=2**40), "model.n", id="huge-model.n"),
     # two members of 10^8 entries each
@@ -205,6 +209,24 @@ def test_simulate_validation_errors(tmp_path, capsys, mutate, needle):
     cfg_path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", cfg_path]) == 1
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-lemmas", "family-info"])
+def test_schema_versions_1_and_2_give_identical_outputs(tmp_path, capsys, command):
+    cfg = base_config() if command != "verify-lemmas" else {
+        "maxima": {"n_samples": 100, "n_vars": [1], "k": [1], "tau": [1.0]},
+        "quadratic": {"n_samples": 10_000, "n_matrices": 1, "dim": 2}}
+    outputs = []
+    for version in (1, 2):
+        cfg_path = write_config(tmp_path, cfg | {"schema_version": version}, f"v{version}.json")
+        out, records = tmp_path / f"out{version}", tmp_path / f"records{version}.csv"
+        flags = {"simulate": ["--threads", "1", "--out", str(out), "--records", str(records)],
+                 "verify-lemmas": ["--out", str(out)], "family-info": []}[command]
+        assert main([command, "--config", cfg_path, *flags]) == 0
+        outputs.append([capsys.readouterr().out] + [p.read_bytes() for p in (out, records)
+                                                    if p.exists()])
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == {"simulate": 3, "verify-lemmas": 2, "family-info": 1}[command]
 
 
 def test_simulate_family_path_of_another_dimension(tmp_path, capsys):
@@ -550,6 +572,8 @@ def test_verify_lemmas_cases_draw_distinct_streams(tmp_path, monkeypatch):
                  id="float-n_matrices"),
     pytest.param("quadratic", {"dim": 0}, "quadratic.dim", id="zero-dim"),
     pytest.param(None, {"master_seed": True}, "master_seed", id="bool-master_seed"),
+    pytest.param(None, {"schema_version": 0}, "schema_version", id="schema_version-0"),
+    pytest.param(None, {"schema_version": 3}, "schema_version", id="schema_version-3"),
     pytest.param("quadratic", {"n_matrices": 10**30}, "quadratic.n_matrices",
                  id="huge-n_matrices"),
     pytest.param("quadratic", {"n_matrices": 1025}, "quadratic.n_matrices",
@@ -593,8 +617,7 @@ _FUZZ_DOCUMENTS = {
     "simulate": base_config(
         model={"n": 2, "sigma": 1.0, "theta0": {"kind": "poly_decay", "alpha": 1.0, "scale": 2.0}},
         family={"smoothers": _FUZZ_SMOOTHERS}, n_reps=20,
-        outputs={"summary": None, "records": None, "keep_records": False},
-        bounds={"c_test": 1.0, "eta_grid": [0.5, 1.0]}),
+        outputs={"summary": None, "records": None}),
     "verify-lemmas": {
         "schema_version": 1, "master_seed": 3,
         "maxima": {"n_samples": 100, "n_vars": [1, 3], "k": [1, 2], "tau": [1.0]},

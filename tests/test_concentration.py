@@ -7,7 +7,6 @@ from sure_lab import (
     SubExpParams,
     exact_quadratic_mgf,
     max_moment_bound,
-    max_moment_bound_subexp,
     quadratic_form_params,
     quadratic_form_sampler,
     verify_max_moment,
@@ -143,15 +142,6 @@ def test_verify_max_moment_examples():
     empirical, bound, passed = verify_max_moment(100, 2, 1.0, 10**5, master_seed=4)
     assert passed
     assert bound == pytest.approx(4.0 * math.log(100))
-
-
-def test_max_moment_bound_subexp_examples():
-    assert max_moment_bound_subexp(1, 1, SubExpParams(1.0, 0.0), 1.0) == 1.0
-    # max{sqrt(log 55), log 55, sqrt(2), 2}: the b log N term, log 55 ~ 4.007
-    assert max_moment_bound_subexp(55, 2, SubExpParams(1.0, 1.0), 1.0) == math.log(55)
-    # b = 0 reduces to the sub-Gaussian scale sqrt(tau_sq * max{log N, k})
-    sub_gauss = max_moment_bound_subexp(10, 3, SubExpParams(2.0, 0.0), 1.0)
-    assert sub_gauss == pytest.approx(math.sqrt(2.0 * max(math.log(10), 3.0)))
 
 
 def test_subexp_params_validation():

@@ -12,7 +12,6 @@ from sure_lab import (
     centered_variables,
     edf_bound,
     from_matrix,
-    oracle_gap_bound,
     oracle_select,
     r_star,
     risk,
@@ -262,12 +261,3 @@ def test_edf_bound_monotone(rs, size_a, size_b, hop_a, hop_b):
         hop_a, hop_b = hop_b, hop_a
     assert edf_bound(rs, size_a, hop_a) <= edf_bound(rs, size_b, hop_a) + 1e-12
     assert edf_bound(rs, size_a, hop_a) <= edf_bound(rs, size_a, hop_b) + 1e-12
-
-
-def test_oracle_gap_bound_examples():
-    assert oracle_gap_bound(1.0, 1.0, 1, 1.0, 1.0) == pytest.approx(2.0)
-    assert oracle_gap_bound(2.0, 1.0, 8, 0.5, 1.0) == pytest.approx(3.0 + 2.0 * math.log(8))
-    # (1 + c eta) * 0 + c * log(8) / eta with c = 2, eta = 1
-    assert oracle_gap_bound(0.0, 1.0, 8, 1.0, 2.0) == pytest.approx(2.0 * math.log(8))
-    with pytest.raises(ValueError):
-        oracle_gap_bound(1.0, 1.0, 2, 0.0, 1.0)

@@ -1,10 +1,12 @@
 """Every JSON example in README.md and docs/*.md is accepted by the reader it
-documents, so the examples keep up with the validation rules, and the
-README's block-length rules are the engine's."""
+documents, so the examples keep up with the validation rules, a documented
+summary has the keys a run writes, and the README's block-length rules are
+the engine's."""
 
 import json
 import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,9 +21,38 @@ BLOCKS = [pytest.param(block, id=f"{path.name}[{i}]")
                                                re.DOTALL | re.MULTILINE))]
 
 
+# The experiment of the documented summary, with fewer replicates.
+SUMMARY_CONFIG = {
+    "schema_version": 2,
+    "model": {"n": 2, "sigma": 1.0, "theta0": {"kind": "sparse", "k": 1, "amplitude": 1.0}},
+    "family": {"smoothers": [{"label": "a", "kind": "zero", "parameters": {}},
+                             {"label": "b", "kind": "identity", "parameters": {}}]},
+    "n_reps": 1000,
+    "master_seed": 42,
+}
+
+
+def key_paths(doc, prefix=()):
+    """The key path of every value in a JSON object."""
+    paths = set()
+    for key, value in doc.items():
+        paths.add(prefix + (key,))
+        if isinstance(value, dict):
+            paths |= key_paths(value, prefix + (key,))
+    return paths
+
+
 def read(doc):
-    """The reader of a document: an experiment config has a model, a family
-    document has smoothers, and anything else is a lemma battery config."""
+    """The reader of a document: a `simulate` summary has a summary, whose key
+    paths must be those of a real run; an experiment config has a model, a
+    family document has smoothers, and anything else is a lemma battery config."""
+    if "summary" in doc:
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = pathlib.Path(tmp, "config.json"), pathlib.Path(tmp, "summary.json")
+            config.write_text(json.dumps(SUMMARY_CONFIG))
+            assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            assert key_paths(doc) == key_paths(json.loads(out.read_text()))
+        return doc
     if "model" in doc:
         return cli._parse_experiment_config(doc)
     if "smoothers" in doc:
@@ -30,7 +61,7 @@ def read(doc):
 
 
 def test_docs_have_examples():
-    assert len(BLOCKS) >= 4
+    assert len(BLOCKS) >= 5
 
 
 @pytest.mark.parametrize("block", BLOCKS)

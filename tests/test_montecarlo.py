@@ -3,7 +3,6 @@ import gc
 import io
 import itertools
 import json
-import math
 import os
 import weakref
 
@@ -14,6 +13,7 @@ from sure_lab import (
     GaussianSequenceModel,
     SmootherFamily,
     centered_variables,
+    criteria,
     derive_stream,
     family_from_doc,
     from_matrix,
@@ -25,7 +25,6 @@ from sure_lab import (
     records_to_csv,
     risk,
     run_experiment,
-    shell_decay_report,
     sure,
     sure_select,
     sure_unbiasedness_check,
@@ -212,6 +211,15 @@ def test_histograms_sum_to_n_reps(zero_id_family, model):
     summary, _ = run_experiment(zero_id_family, model, 3_000, 1)
     assert sum(summary.selection_histogram.values()) == 3_000
     assert sum(summary.shell_histogram.values()) == 3_000
+    # the members' risks 1 and 2 lie in shells 0 and 1 at r* = 1; shell 1 is the rarer
+    hist = summary.shell_histogram
+    assert sorted(hist) == ["0", "1"] and hist["0"] >= hist["1"]
+    # two equal members share shell 0, and so does the one member of a family
+    twins = SmootherFamily.of([from_matrix(label, np.diag([0.5, 0.5])) for label in "ab"])
+    single = SmootherFamily.of([from_matrix("zero", np.zeros((2, 2)))])
+    for family in (twins, single):
+        summary, _ = run_experiment(family, model, 500, 4)
+        assert summary.shell_histogram == {"0": 500}
 
 
 def test_degenerate_r_star_disables_shells(zero_id_family):
@@ -220,7 +228,13 @@ def test_degenerate_r_star_disables_shells(zero_id_family):
     assert summary.shell_histogram is None
     assert "shell" not in records.columns
     with pytest.raises(DegenerateFamilyError):
-        shell_decay_report(summary, zero_id_family, zero_model)
+        criteria.shell_indices([risk(m, zero_model) for m in zero_id_family.members],
+                               zero_model.sigma_sq, summary.r_star)
+    # r* = 1/4: the identity's risk 2 is in shell 3, and shells 1 and 2 stay empty
+    quarter = GaussianSequenceModel(theta0=[0.5, 0.0], sigma=1.0)
+    summary, _ = run_experiment(zero_id_family, quarter, 2_000, 42)
+    assert summary.r_star == 0.25 and sorted(summary.shell_histogram) == ["0", "3"]
+    assert sum(summary.shell_histogram.values()) == 2_000
 
 
 def test_sure_unbiasedness_targets(model):
@@ -239,47 +253,11 @@ def test_sure_unbiasedness_targets(model):
     assert mean_h == summary.estimates["sure_min_mean"]["mean"]
 
 
-def test_shell_decay_report_two_member(zero_id_family, model):
-    summary, _ = run_experiment(zero_id_family, model, 10_000, 42)
-    report = shell_decay_report(summary, zero_id_family, model)
-    assert [row["shell"] for row in report.rows] == [0, 1]
-    assert report.rows[0]["members"] == 1 and report.rows[1]["members"] == 1
-    assert report.rows[0]["frequency"] + report.rows[1]["frequency"] == pytest.approx(1.0)
-    assert report.nonincreasing
-
-
-def test_shell_decay_report_empty_middle_shells(zero_id_family):
-    model = GaussianSequenceModel(theta0=[0.5, 0.0], sigma=1.0)  # r* = 1/4, identity in shell 3
-    summary, _ = run_experiment(zero_id_family, model, 2_000, 42)
-    report = shell_decay_report(summary, zero_id_family, model)
-    assert [row["members"] for row in report.rows] == [1, 0, 0, 1]
-    assert [row["frequency"] for row in report.rows][1:3] == [0.0, 0.0]
-    assert sum(row["frequency"] for row in report.rows) == pytest.approx(1.0)
-
-
-def test_shell_decay_report_zero_family_is_finite(model):
-    fam = SmootherFamily.of([from_matrix("zero", np.zeros((2, 2)))])
-    assert fam.h_op == 0.0 and fam.h_op_effective == 1.0
-    summary, _ = run_experiment(fam, model, 100, 3)
-    report = shell_decay_report(summary, fam, model)
-    assert [row["lemma_shape"] for row in report.rows] == [math.exp(-1.0)]  # r* = 1
-
-
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_experiment_rejects_overflowing_shells(zero_id_family):
     model = GaussianSequenceModel(theta0=[1e-160, 0.0], sigma=1.0)  # r* = 1e-320
     with pytest.raises(ValueError, match="r_star"):
         run_experiment(zero_id_family, model, 10, 1)
-
-
-def test_shell_decay_all_in_shell_zero(model):
-    fam = SmootherFamily.of([
-        from_matrix("a", np.diag([0.5, 0.5])),
-        from_matrix("b", np.diag([0.5, 0.5])),
-    ])
-    summary, _ = run_experiment(fam, model, 500, 4)
-    report = shell_decay_report(summary, fam, model)
-    assert report.rows[0]["frequency"] == 1.0
 
 
 def test_summary_fields_are_json_keys(zero_id_family, model):

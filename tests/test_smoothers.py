@@ -355,7 +355,9 @@ def test_family_h_op():
         from_matrix("zero", np.zeros((2, 2))),
         from_matrix("double", 2.0 * np.eye(2)),
     ])
-    assert fam.h_op == pytest.approx(2.0)
+    assert fam.h_op == pytest.approx(2.0) and fam.h_op_effective == fam.h_op
+    zero = SmootherFamily.of([from_matrix("zero", np.zeros((2, 2)))])
+    assert zero.h_op == 0.0 and zero.h_op_effective == 1.0  # the bounds need h_op >= 1
 
 
 def test_family_json_round_trip(tmp_path):

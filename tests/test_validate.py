@@ -55,15 +55,12 @@ def test_number():
         validate.number(0.0, "w", positive=True)
 
 
-def test_string_boolean_and_list_of():
+def test_string_and_list_of():
     assert validate.string("a", "w") == "a"
     with pytest.raises(ConfigError, match="w: must be a string"):
         validate.string(5, "w")
     with pytest.raises(ConfigError, match=r"unknown w \['a'\]"):
         validate.string(["a"], "w", ("a", "b"))
-    assert validate.boolean(False, "w") is False
-    with pytest.raises(ConfigError, match="true or false"):
-        validate.boolean(0, "w")
     assert validate.list_of([1, 2], "w", validate.integer, 1) == [1, 2]
     with pytest.raises(ConfigError, match=r"w\[1\]: must be an integer >= 1"):
         validate.list_of([1, 0], "w", validate.integer, 1)
