@@ -19,6 +19,7 @@ __all__ = [
     "SelectionReport",
     "CenteredVariables",
     "risk",
+    "risk_from",
     "sure",
     "oracle_select",
     "sure_select",
@@ -62,9 +63,16 @@ def risk(smoother: Smoother, model: GaussianSequenceModel) -> float:
     """Exact risk ||(I - H) theta0||^2 + sigma^2 ||H||_F^2; no sampling. A risk
     beyond the float range is inf."""
     _check_dim(smoother, model.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the risk
+        h_theta0 = smoother.apply(model.theta0)
+    return risk_from(h_theta0, smoother.frob_sq, model)
+
+
+def risk_from(h_theta0, frob_sq: float, model: GaussianSequenceModel) -> float:
+    """The risk of a member with H theta0 = h_theta0 and ||H||_F^2 = frob_sq."""
     with np.errstate(over="ignore"):
-        bias = model.theta0 - smoother.h @ model.theta0
-        return float(bias @ bias) + model.sigma_sq * smoother.frob_sq
+        bias = model.theta0 - h_theta0
+        return float(bias @ bias) + model.sigma_sq * frob_sq
 
 
 def sure(smoother: Smoother, y, sigma: float) -> float:

@@ -155,9 +155,18 @@ class _Context:
         self.sigma_sq = model.sigma_sq
         self.theta0 = model.theta0
         members = family.members
-        # First, so that a risk beyond the float range stops the run (shell_indices
-        # raises) before H theta0 can overflow.
-        self.risks = np.array([criteria.risk(m, model) for m in members])
+        self.basis = family.basis  # None off the spectral kernel
+        if self.basis is not None:
+            self.filters = np.stack([m.spectrum for m in members])
+        # H_s theta0 of every member, once: one rotation for a shared basis. An
+        # overflow gives an inf risk, which stops the run below (shell_indices
+        # raises) before anything else uses H theta0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.h_theta = (((self.theta0 @ self.basis) * self.filters) @ self.basis.T
+                            if self.basis is not None
+                            else np.stack([m.apply(self.theta0) for m in members]))
+        self.risks = np.array([criteria.risk_from(ht, m.frob_sq, model)
+                               for ht, m in zip(self.h_theta, members)])
         self.oracle_idx = int(np.argmin(self.risks))
         self.r_star = float(self.risks[self.oracle_idx]) / self.sigma_sq
         # degenerate r_star disables the shell machinery
@@ -169,10 +178,7 @@ class _Context:
         # a 161-row k-NN block at n = 200, |S| = 20 holds 2.1 MB, the 65-row
         # dense block 2.7 MB.
         row_floats = 8 * self.n + len(family)
-        self.h_theta = np.stack([m.h @ self.theta0 for m in members])
-        self.basis = family.basis  # None off the spectral kernel
         if self.basis is not None:
-            self.filters = np.stack([m.spectrum for m in members])
             self.resid_filters_sq = (1.0 - self.filters) ** 2
             self._select = _Context._spectral  # unbound: a bound method would be a cycle
         elif family.neighbours is not None:

@@ -1,8 +1,9 @@
-"""Linear smoother matrices with cached df, Frobenius norm, and operator norm.
+"""Linear smoothers with cached df, Frobenius norm, and operator norm.
 
 Constructors cover orthogonal projections from a design matrix, kernel ridge
 regression from a Gram matrix, k-nearest-neighbor averaging, and explicit
-matrices. Families are immutable and JSON-serializable (see
+matrices. Kernel ridge members keep their spectral form only and form their
+dense matrix on first access. Families are immutable and JSON-serializable (see
 docs/family_schema.md).
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,33 +52,57 @@ def operator_norm(h) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Smoother:
-    """Labeled n x n matrix with cached tr(H), ||H||_F^2, and ||H||_op.
+    """Labeled linear smoother H (n x n) with cached tr(H), ||H||_F^2, and ||H||_op.
 
     `params` holds the constructor inputs; array inputs are kept as
     read-only ndarrays and become lists only in `family_to_doc`. KRR members
-    also keep their spectral form H = basis @ diag(spectrum) @ basis.T (an
-    orthonormal eigenbasis of the Gram matrix and the filter mu/(mu+lambda));
-    `basis` and `spectrum` are None for the other kinds. k-NN members keep
-    `neighbours`, the read-only neighbour ordering of their points (row i
-    lists the points by distance from point i, itself first), which members
-    on one point set share; it is None for the other kinds. == and hash are
-    identity.
+    keep only their spectral form H = basis @ diag(spectrum) @ basis.T (an
+    orthonormal eigenbasis of the Gram matrix and the filter mu/(mu+lambda)),
+    with `dense` None; the other kinds keep their read-only matrix as `dense`,
+    with `basis` and `spectrum` None. `h` is the read-only dense matrix of any
+    member, formed from the spectral form on first access and kept; `apply`
+    multiplies by H without forming it. k-NN members keep `neighbours`, the
+    read-only neighbour ordering of their points (row i lists the points by
+    distance from point i, itself first), which members on one point set
+    share; it is None for the other kinds. == and hash are identity.
     """
 
     label: str
-    h: np.ndarray
     df: float
     frob_sq: float
     opnorm: float
     kind: str
     params: dict = field(repr=False)
+    dense: np.ndarray | None = field(repr=False)
     basis: np.ndarray | None = field(repr=False)
     spectrum: np.ndarray | None = field(repr=False)
     neighbours: np.ndarray | None = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.h.shape[0]
+        return (self.basis if self.dense is None else self.dense).shape[0]
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """The dense matrix: `dense`, or 0.5 (A + A^T) of A = (basis * spectrum) @
+        basis.T, the identity at lambda = 0 (a KRR member's constructor arithmetic)."""
+        if self.dense is not None:
+            return self.dense
+        if self.params["lambda"] == 0.0:
+            h = np.eye(self.n)
+        else:
+            h = (self.basis * self.spectrum) @ self.basis.T
+            h = 0.5 * (h + h.T)
+        h.setflags(write=False)
+        return h
+
+    def apply(self, v) -> np.ndarray:
+        """H v for a vector v, or H v_b for each row v_b of a stacked (B, n) array:
+        basis @ (spectrum * basis.T @ v) for a member with a spectral form, which
+        leaves `h` unformed, else h @ v."""
+        if self.dense is None:
+            return ((v @ self.basis) * self.spectrum) @ self.basis.T
+        return self.dense @ v if np.ndim(v) == 1 else v @ self.dense.T
 
 
 def _frozen(a, shape=(-1,)) -> np.ndarray:
@@ -87,8 +113,8 @@ def _frozen(a, shape=(-1,)) -> np.ndarray:
 
 
 def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None,
-          basis=None, spectrum=None, neighbours=None) -> Smoother:
-    """Freeze and wrap the float array `h` itself; known statistics are passed in."""
+          neighbours=None) -> Smoother:
+    """Freeze and wrap the dense float array `h` itself; known statistics are passed in."""
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"smoother matrix must be square, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
@@ -99,14 +125,14 @@ def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None,
         frob_sq = float(np.sum(h * h)) if frob_sq is None else frob_sq
     return Smoother(
         label=str(label),
-        h=h,
         df=df,
         frob_sq=frob_sq,
         opnorm=operator_norm(h) if opnorm is None else float(opnorm),
         kind=kind,
         params=params,
-        basis=basis,
-        spectrum=spectrum,
+        dense=h,
+        basis=None,
+        spectrum=None,
         neighbours=neighbours,
     )
 
@@ -164,11 +190,17 @@ def _gram_spectrum(gram):
     gram = np.asarray(gram, dtype=float)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError(f"gram must be square, got shape {gram.shape}")
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("gram matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(gram))) if gram.size else 0.0)
-    asym = float(np.max(np.abs(gram - gram.T))) if gram.size else 0.0
+    with np.errstate(over="ignore"):  # an overflowing difference is an inf asymmetry
+        asym = float(np.max(np.abs(gram - gram.T))) if gram.size else 0.0
     if asym > 1e-10 * scale:
         raise ValueError(f"gram matrix asymmetry {asym:g} exceeds tolerance")
-    gram = 0.5 * (gram + gram.T)
+    with np.errstate(over="ignore"):  # checked just below
+        gram = 0.5 * (gram + gram.T)
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("gram matrix symmetrization 0.5 (G + G^T) overflows the float range")
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals.min() < -1e-10 * scale:
         raise ValueError(f"gram matrix has negative eigenvalue {eigvals.min():g}")
@@ -177,23 +209,22 @@ def _gram_spectrum(gram):
 
 
 def _krr(label, gram_spectrum, lam) -> Smoother:
-    """KRR member for one lambda from a _gram_spectrum, which members may share."""
+    """KRR member for one lambda from a _gram_spectrum, which members may share;
+    it keeps the spectral form only (see Smoother.h)."""
     gram, eigvals, eigvecs = gram_spectrum
     lam = float(lam)
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    params = {"gram": gram, "lambda": lam}
-    n = eigvecs.shape[0]
     if lam == 0.0:
         if eigvals.min() <= 1e-12 * max(eigvals.max(), 1.0):
             raise np.linalg.LinAlgError("lambda = 0 requires a nonsingular gram matrix")
-        return _make(label, np.eye(n), "krr", params, opnorm=1.0,
-                     basis=eigvecs, spectrum=_frozen(np.ones(n)))
-    shrink = eigvals / (eigvals + lam)
-    h = (eigvecs * shrink) @ eigvecs.T
-    h = 0.5 * (h + h.T)
-    return _make(label, h, "krr", params, df=float(np.sum(shrink)), opnorm=float(shrink.max()),
-                 basis=eigvecs, spectrum=_frozen(shrink))
+        shrink = np.ones(eigvecs.shape[0])
+    else:
+        shrink = eigvals / (eigvals + lam)
+    return Smoother(label=str(label), df=float(np.sum(shrink)),
+                    frob_sq=float(np.sum(shrink * shrink)), opnorm=float(shrink.max()),
+                    kind="krr", params={"gram": gram, "lambda": lam}, dense=None,
+                    basis=eigvecs, spectrum=_frozen(shrink), neighbours=None)
 
 
 def knn_from_points(label: str, points, k: int) -> Smoother:
@@ -375,7 +406,11 @@ def build_smoother(spec: dict, n: int, shared=None) -> Smoother:
     if kind == "krr":
         gram = _array(shared, params["gram"], f"{where}.gram", (n, n))
         lam = validate.number(params["lambda"], f"{where}.lambda")
-        return _krr(label, _shared(shared, _gram_spectrum, gram), lam)
+        try:
+            eigen = _shared(shared, _gram_spectrum, gram)
+        except ValueError as exc:
+            raise validate.ConfigError(f"{where}.gram: {exc}") from exc
+        return _krr(label, eigen, lam)
     points = _array(shared, params["points"], f"{where}.points")
     if len(points) != n:
         raise validate.ConfigError(f"{where}.points: expected n = {n} points, got {len(points)}")
@@ -393,11 +428,16 @@ def _array(shared, value, where, shape=None):
 
 
 def _shared(shared, derive, a):
-    """derive(a), computed once per distinct (derive, a.shape, a.tobytes()) in `shared`."""
-    key = (derive, a.shape, a.tobytes())
+    """derive(a), computed once per distinct (derive, a.shape, a.tobytes()) in
+    `shared`. An array seen before is found by identity, without hashing its
+    bytes; `shared` keeps it, so that its id is not reused."""
+    key = (derive, id(a))
     if key not in shared:
-        shared[key] = derive(a)
-    return shared[key]
+        by_value = (derive, a.shape, a.tobytes())
+        if by_value not in shared:
+            shared[by_value] = derive(a)
+        shared[key] = a, shared[by_value]
+    return shared[key][1]
 
 
 def family_to_doc(family: SmootherFamily) -> dict:

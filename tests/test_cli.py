@@ -19,6 +19,7 @@ from sure_lab import (
     montecarlo,
     save_family,
     sequence_model,
+    smoothers,
 )
 from sure_lab.cli import main
 
@@ -453,6 +454,38 @@ def test_family_info_krr_grid_df_decreasing(tmp_path, capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:-1]
     dfs = [float(row.split()[1]) for row in rows]
     assert dfs == sorted(dfs, reverse=True)
+
+
+def test_gram_whose_symmetrization_overflows_exits_1_without_a_warning(tmp_path):
+    """A finite Gram with a 1e308 diagonal: 0.5 (G + G^T) overflows. Both commands
+    exit 1 naming the member's Gram, and nothing else reaches stderr."""
+    cfg_path = write_config(tmp_path, base_config(family={"smoothers": [
+        {"label": "k", "kind": "krr",
+         "parameters": {"gram": [1e308, 0.0, 0.0, 1e308], "lambda": 1.0}}]}))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    for command in ("family-info", "simulate"):
+        proc = subprocess.run([sys.executable, "-m", "sure_lab.cli", command, "--config", cfg_path],
+                              env=env, capture_output=True, encoding="utf-8", timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: family.smoothers: smoother 'k' parameters.gram: gram "
+                               "matrix symmetrization 0.5 (G + G^T) overflows the float range\n")
+
+
+def test_krr_grid_commands_form_no_dense_matrix(tmp_path, capsys, monkeypatch):
+    """family-info and simulate on KRR members of one Gram read no member's h."""
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((6, 6))
+    cfg_path = write_config(tmp_path, base_config(
+        n_reps=50, model={"n": 6, "sigma": 1.0, "theta0": {"kind": "constant", "value": 1.0}},
+        family={"smoothers": [
+            {"label": f"lam{lam}", "kind": "krr",
+             "parameters": {"gram": (a @ a.T).reshape(-1).tolist(), "lambda": lam}}
+            for lam in (0.0, 0.1, 1.0, 10.0)]}))
+    monkeypatch.setattr(smoothers.Smoother, "h", property(
+        lambda m: pytest.fail(f"the dense matrix of {m.label} was formed")))
+    assert main(["family-info", "--config", cfg_path]) == 0
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "s.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_lemmas_quick(tmp_path):

@@ -335,8 +335,9 @@ def _knn_family(rng, n, ks, d):
 
 
 def _dense_twin(family):
-    """The family with the spectral forms dropped, so the engine applies every matrix."""
-    return SmootherFamily.of([dataclasses.replace(m, basis=None, spectrum=None)
+    """The family with the spectral forms dropped, each member carrying its dense
+    matrix, so the engine applies every matrix."""
+    return SmootherFamily.of([dataclasses.replace(m, dense=m.h, basis=None, spectrum=None)
                               for m in family.members])
 
 

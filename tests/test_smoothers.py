@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from sure_lab import (
     GaussianSequenceModel,
     SmootherFamily,
     cli,
+    criteria,
     family_from_doc,
     family_to_doc,
     from_matrix,
@@ -206,6 +208,26 @@ def test_krr_rejects_asymmetric_and_indefinite():
         krr_from_gram("kr", [[1.0, 0.5], [0.0, 1.0]], 1.0)
     with pytest.raises(ValueError):
         krr_from_gram("kr", np.diag([1.0, -1.0]), 1.0)
+
+
+@pytest.mark.parametrize("gram", [
+    pytest.param([[np.inf, 0.0], [0.0, 1.0]], id="inf"),
+    pytest.param([[np.nan, 0.0], [0.0, 1.0]], id="nan"),
+])
+def test_krr_rejects_non_finite_gram(gram):
+    """Rejected before the eigensolver, naming the Gram (the suite turns any
+    warning into an error)."""
+    with pytest.raises(ValueError, match="^gram matrix entries must be finite$"):
+        krr_from_gram("kr", gram, 1.0)
+
+
+@pytest.mark.parametrize("gram", [
+    pytest.param([[1e308, 0.0], [0.0, 1e308]], id="diagonal"),
+    pytest.param([[1.0, 1e308], [1e308, 1.0]], id="off-diagonal"),
+])
+def test_krr_rejects_gram_whose_symmetrization_overflows(gram):
+    with pytest.raises(ValueError, match="gram matrix symmetrization .* overflows"):
+        krr_from_gram("kr", gram, 1.0)
 
 
 def test_krr_invariants():
@@ -532,6 +554,63 @@ def test_krr_members_share_one_gram_and_basis():
         assert not k0.basis.flags.writeable and not k0.spectrum.flags.writeable
     assert [m.basis for m in (from_matrix("e", np.eye(5)),
                               knn_from_points("k", np.arange(5.0), 2))] == [None, None]
+
+
+def _dense_of(m):
+    """The dense matrix krr_from_gram built before members kept only their spectral
+    form: 0.5 (A + A^T) of A = (basis * spectrum) @ basis.T, the identity at lambda = 0."""
+    if m.params["lambda"] == 0.0:
+        return np.eye(m.n)
+    h = (m.basis * m.spectrum) @ m.basis.T
+    return 0.5 * (h + h.T)
+
+
+@pytest.mark.parametrize("singular", [True, False], ids=["singular", "lambda0"])
+@pytest.mark.parametrize("n", [2, 7, 20])
+def test_krr_spectral_form_matches_dense(n, singular):
+    """On a rank n - 1 Gram with positive lambdas, and on a nonsingular Gram
+    with lambda = 0 as well, the structured apply, risk and ||H||_F^2 agree with
+    their dense formulas within 1e-12 relative, and the dense matrix formed on
+    first access has the bytes of the old constructor's."""
+    rng = np.random.default_rng(300 + n)
+    a = rng.standard_normal((n, n - 1 if singular else n))
+    lams = [0.05, 1.0, 20.0] if singular else [0.0, 0.05, 1.0, 20.0]
+    family = family_from_doc(_krr_doc(n, [a @ a.T] * len(lams), lams))
+    model = GaussianSequenceModel(rng.normal(scale=2.0, size=n), 0.7)
+    v, rows = rng.standard_normal(n), rng.standard_normal((5, n))
+    for m in family.members:
+        assert "h" not in vars(m)  # built without its dense matrix
+        h = m.h
+        assert h is m.h and not h.flags.writeable  # formed once, read-only
+        assert h.tobytes() == _dense_of(m).tobytes()
+        assert h.tobytes() == krr_from_gram(m.label, a @ a.T, m.params["lambda"]).h.tobytes()
+        for x, want in ((v, h @ v), (rows, rows @ h.T)):
+            np.testing.assert_allclose(m.apply(x), want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+        assert m.frob_sq == pytest.approx(float(np.sum(h * h)), rel=1e-12)
+        bias = model.theta0 - h @ model.theta0
+        dense_risk = float(bias @ bias) + model.sigma_sq * float(np.sum(h * h))
+        assert criteria.risk(m, model) == pytest.approx(dense_risk, rel=1e-12)
+
+
+def test_krr_grid_of_1000_members_holds_no_dense_matrix():
+    """1000 members on one Gram list at n = 200: one eigendecomposition and
+    1000 filters, no n x n matrix per member (1000 of them would be 320 MB)."""
+    n = 200
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((n, n))
+    gram = (a @ a.T).reshape(-1).tolist()
+    specs = [{"label": f"k{i}", "kind": "krr", "parameters": {"gram": gram, "lambda": lam}}
+             for i, lam in enumerate(np.geomspace(1e-2, 1e2, 1000).tolist())]
+    tracemalloc.start()
+    try:
+        family = smoothers.build_family(specs, n, "family")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family) == 1000 and family.basis is not None
+    assert peak < 8 * 2**20, peak
+    assert not any("h" in vars(m) for m in family)
 
 
 def _knn_doc(n, point_sets, ks):
