@@ -5,12 +5,14 @@ is computed on a block's draws, SURE selects, and the statistics whose exact
 identities (edf decomposition, basic inequality, excess-optimism linkage)
 are checked on every draw come out as columns. There are three selection
 kernels. Families whose members share one eigenbasis (KRR members on one
-Gram matrix) get every SURE from the rotated draws; families of k-NN members
-on one neighbour ordering get every SURE from running sums over that
-ordering. Both then apply only the selected and the oracle member. Any other
-family applies every member with one matrix product. All three then select
-the same way. Block boundaries depend only on n_reps and the family, so
-results do not depend on the worker count.
+Gram matrix) work in that eigenbasis: the draws are rotated once, every
+member is a filter there, and every statistic is an inner product there.
+Families of k-NN members on one neighbour ordering get every SURE, and the
+oracle member's product, from running sums over that ordering, then apply
+only the selected members. Any other family applies every member with one
+matrix product. All three then select the same way. Block boundaries depend
+only on n_reps and the family, so results do not depend on the worker
+count; workers take turns drawing the noise.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -128,21 +131,26 @@ def _rowdot(a, b):
 class _Context:
     """Per-(family, model) arrays shared by every block of replicates.
 
-    Three selection kernels. Each returns ||y - H_s y||^2 for every row and
-    member s, and apply(s), H_s y per row for one member s or one per row;
-    block() adds 2 sigma^2 tr H_s, takes the argmin j and recomputes SURE(j)
-    from y - H_j y, the vector the statistics use.
+    Three selection kernels, each in its own orthonormal coordinates: V^T x
+    on the spectral kernel, x itself on the other two. Given the block's rows
+    y in those coordinates, each returns ||y - H_s y||^2 for every row and
+    member s, H_j0 y for the oracle member j0, and apply(j), H_j y per row
+    for the members j selected per row; block() adds 2 sigma^2 tr H_s, takes
+    the argmin j and computes every statistic of a member as inner products
+    in the same coordinates, which an orthonormal V leaves unchanged.
     - spectral: a family with a shared eigenbasis V = family.basis
-      (H_s = V diag(f_s) V^T) selects in the rotated coordinates u = V^T y,
-      where every SURE is sum_i (1 - f_si)^2 u_i^2 + 2 sigma^2 tr H_s:
-      O(n^2 + n|S|) a replicate;
+      (H_s = V diag(f_s) V^T) works on u = V^T y = V^T theta0 + V^T z, with
+      V^T theta0 and f_s * V^T theta0 formed once and the exact draws z
+      rotated once a block. There H_s is the filter f_s and every SURE is
+      sum_i (1 - f_si)^2 u_i^2 + 2 sigma^2 tr H_s: O(n^2 + n|S|) a replicate,
+      one n x n product;
     - k-NN: a family of k-NN members on one neighbour ordering
       (family.neighbours) keeps, for each point, the running sum C of its
-      neighbours' values over the ranks r < k_max, so H_k y = C / k at rank k:
-      O(n k_max) a replicate;
+      neighbours' values over the ranks r < k_max, so H_k y = C / k at rank k,
+      which gives the oracle's product too: O(n k_max) a replicate;
     - dense: any other family applies every member with one product,
-      O(|S| n^2) a replicate, and apply(s) picks the products.
-    The first two form H_s y for the selected and the oracle member only.
+      O(|S| n^2) a replicate, and picks the products.
+    The first two form H_j y only for the selected members.
     """
 
     def __init__(self, family: SmootherFamily, model: GaussianSequenceModel):
@@ -156,24 +164,28 @@ class _Context:
         self.theta0 = model.theta0
         members = family.members
         self.basis = family.basis  # None off the spectral kernel
-        if self.basis is not None:
-            self.filters = np.stack([m.spectrum for m in members])
-        # H_s theta0 of every member, once: one rotation for a shared basis. An
-        # overflow gives an inf risk, which stops the run below (shell_indices
-        # raises) before anything else uses H theta0.
+        # theta0 and every member's H_s theta0, once, in the kernel's coordinates
+        # (one rotation for a shared basis). An overflow gives an inf risk, which
+        # stops the run below (shell_indices raises) before anything else uses them.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.h_theta = (((self.theta0 @ self.basis) * self.filters) @ self.basis.T
-                            if self.basis is not None
-                            else np.stack([m.apply(self.theta0) for m in members]))
+            if self.basis is not None:
+                self.filters = np.stack([m.spectrum for m in members])
+                self.theta_c = self.theta0 @ self.basis
+                self.h_theta_c = self.theta_c * self.filters
+                h_theta = self.h_theta_c @ self.basis.T
+            else:
+                self.theta_c = self.theta0
+                self.h_theta_c = h_theta = np.stack([m.apply(self.theta0) for m in members])
+            self.bias_c = self.theta_c - self.h_theta_c
         self.risks = np.array([criteria.risk_from(ht, m.frob_sq, model)
-                               for ht, m in zip(self.h_theta, members)])
+                               for ht, m in zip(h_theta, members)])
         self.oracle_idx = int(np.argmin(self.risks))
         self.r_star = float(self.risks[self.oracle_idx]) / self.sigma_sq
         # degenerate r_star disables the shell machinery
         self.shells = (criteria.shell_indices(self.risks, self.sigma_sq, self.r_star)
                        if self.r_star > 0 else None)
         # On the two structured kernels about eight n-vectors a row are live at
-        # the peak (draws, the rotation or the running sums, the two formed
+        # the peak (the draws and their rotation or the running sums, y, the two
         # products, residuals). Spectral rows of 100-250 ran fastest at n = 200;
         # a 161-row k-NN block at n = 200, |S| = 20 holds 2.1 MB, the 65-row
         # dense block 2.7 MB.
@@ -183,6 +195,7 @@ class _Context:
             self._select = _Context._spectral  # unbound: a bound method would be a cycle
         elif family.neighbours is not None:
             ks = [m.params["k"] for m in members]
+            self.k0 = ks[self.oracle_idx]
             # ranks[r] is every point's (r+1)-th neighbour; at_rank[r] the members with k = r+1
             self.ranks = np.ascontiguousarray(family.neighbours[:, :max(ks)].T)
             self.at_rank = [[s for s, k in enumerate(ks) if k == r + 1]
@@ -195,14 +208,13 @@ class _Context:
             self._select = _Context._dense
         self.trs = np.array([m.df for m in members])
         self.frob_sqs = np.array([m.frob_sq for m in members])
-        self.bias = self.theta0 - self.h_theta
         self.block_len = min(max(BLOCK_BYTES // (8 * row_floats), 1), 1024)
 
     def _spectral(self, y):
-        """(||y - H_s y||^2 of every member s per row, apply), from the rotated
-        rows; apply(s) is H_s y per row, for s one member or one per row."""
-        u = y @ self.basis
-        return (u * u) @ self.resid_filters_sq.T, lambda s: (u * self.filters[s]) @ self.basis.T
+        """(||y - H_s y||^2 of every member s per row, H_j0 y, apply) for rows y in
+        the eigenbasis, where H_s y is f_s * y: apply(j) is H_j y per row."""
+        return ((y * y) @ self.resid_filters_sq.T, y * self.filters[self.oracle_idx],
+                lambda j: y * self.filters[j])
 
     def _knn(self, y):
         """As _spectral, from running sums over the shared neighbour ordering."""
@@ -214,6 +226,8 @@ class _Context:
             total += np.take(yt, neighbours, axis=0, out=work, mode="clip")  # indices are valid
             if members:
                 np.divide(total, r + 1, out=work)
+                if r + 1 == self.k0:
+                    hy_0 = work.T.copy()  # C / k0, before the residual overwrites it
                 work -= yt
                 np.einsum("ij,ij->j", work, work, out=resid_sq[members[0]])
                 for s in members[1:]:  # one k under several labels
@@ -221,15 +235,17 @@ class _Context:
 
         h = [m.h for m in self.family.members]
 
-        def apply(s):  # one product per distinct member
-            s = np.broadcast_to(s, len(y))
+        def apply(j):  # one product per distinct member, on the rows grouped by member
+            order = np.argsort(j, kind="stable")
+            grouped = y[order]
+            cuts = [0, *(np.flatnonzero(np.diff(j[order])) + 1), len(y)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                grouped[lo:hi] = grouped[lo:hi] @ h[j[order[lo]]].T
             out = np.empty_like(y)
-            for t in np.unique(s):
-                rows = s == t
-                out[rows] = y[rows] @ h[t].T
+            out[order] = grouped
             return out
 
-        return resid_sq.T, apply
+        return resid_sq.T, hy_0, apply
 
     def _dense(self, y):
         """As _spectral, from every member applied by one product."""
@@ -239,29 +255,34 @@ class _Context:
             resid = y - hy[:, s]
             resid_sq[:, s] = _rowdot(resid, resid)
         rows = np.arange(len(y))
-        return resid_sq, lambda s: hy[rows, s]
+        return resid_sq, hy[rows, self.oracle_idx], lambda j: hy[rows, j]
 
     def block(self, z: np.ndarray, first_index: int) -> dict:
         """Record columns of replicates first_index, ... with noise rows z (B x n)."""
-        s2, n, theta0 = self.sigma_sq, self.n, self.theta0
+        s2, n = self.sigma_sq, self.n
         rows = np.arange(len(z))
-        y = theta0 + z
+        # z, theta0 and y in the kernel's coordinates: z is the exact draws
+        # rotated, never y's rotation minus theta0's, which would lose z's
+        # digits when |theta0| >> sigma.
+        zc = z if self.basis is None else z @ self.basis
+        theta0 = self.theta_c
+        y = theta0 + zc
         j0 = self.oracle_idx
-        sure, apply = self._select(self, y)
+        sure, hy_0, apply = self._select(self, y)
         sure += 2.0 * s2 * self.trs
         j = np.argmin(sure, axis=1)  # first index on ties
-        hy_j, hy_0 = apply(j), apply(j0)
+        hy_j = apply(j)
         resid = y - hy_j  # SURE(j) again, from the vector the statistics use
         sure_min = _rowdot(resid, resid) + 2.0 * s2 * self.trs[j]
 
         def centered(s, hz):  # criteria.centered_variables of member(s) s, per row
-            quad = 2.0 * _rowdot(z, hz) - _rowdot(hz, hz)  # z^T (2H - H^T H) z
+            quad = 2.0 * _rowdot(zc, hz) - _rowdot(hz, hz)  # z^T (2H - H^T H) z
             w = quad / s2 + self.frob_sqs[s] - 2.0 * self.trs[s]
-            return w, -_rowdot(self.bias[s], z - hz) / s2
+            return w, -_rowdot(self.bias_c[s], zc - hz) / s2
 
-        hz_j = hy_j - self.h_theta[j]
+        hz_j = hy_j - self.h_theta_c[j]
         w_j, zlin_j = centered(j, hz_j)
-        w_0, zlin_0 = centered(j0, hy_0 - self.h_theta[j0])
+        w_0, zlin_0 = centered(j0, hy_0 - self.h_theta_c[j0])
         diff = hy_j - theta0
         loss = _rowdot(diff, diff)
         lhs = (self.risks[j] - self.risks[j0]) / s2
@@ -270,12 +291,13 @@ class _Context:
             "selected": j,
             "sure_min": sure_min,
             "loss_selected": loss,
-            "edf_total": _rowdot(hy_j, z) / s2 - self.trs[j],
-            "edf_quadratic": _rowdot(z, hz_j) / s2 - self.trs[j],
-            "edf_linear": _rowdot(self.h_theta[j], z) / s2,
+            "edf_total": _rowdot(hy_j, zc) / s2 - self.trs[j],
+            "edf_quadratic": _rowdot(zc, hz_j) / s2 - self.trs[j],
+            "edf_linear": _rowdot(self.h_theta_c[j], zc) / s2,
             "exopt_stat": loss + n * s2 - sure_min,
+            # no member in these two: the draws' own coordinates
             "noise_sq_gap": n * s2 - _rowdot(z, z),
-            "signal_cross": 2.0 * _rowdot(theta0, z),
+            "signal_cross": 2.0 * _rowdot(self.theta0, z),
             "basic_inequality_slack": (w_j - w_0) + 2.0 * (zlin_j - zlin_0) - lhs,
         }
         if self.shells is not None:
@@ -286,10 +308,16 @@ class _Context:
 def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> ReplicateRecords:
     """Replicates 0 .. n_reps-1 in blocks of ctx.block_len, reduced in index order."""
     starts = range(0, n_reps, ctx.block_len)
+    # One worker at a time draws: the per-row loop gives up and retakes the
+    # interpreter lock on every row, and two workers in it at once drew 0.75x
+    # the rows a second of one (161-row blocks, n = 200).
+    drawing = threading.Lock()
 
     def run_block(lo):
         hi = min(lo + ctx.block_len, n_reps)
-        return ctx.block(ctx.sigma * standard_normal_rows(master_seed, lo, hi, ctx.n), lo)
+        with drawing:
+            z = standard_normal_rows(master_seed, lo, hi, ctx.n)
+        return ctx.block(ctx.sigma * z, lo)
 
     workers = min(int(n_threads), len(starts), os.cpu_count() or 1)
     if workers <= 1:

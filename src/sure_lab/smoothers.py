@@ -220,7 +220,13 @@ def _krr(label, gram_spectrum, lam) -> Smoother:
             raise np.linalg.LinAlgError("lambda = 0 requires a nonsingular gram matrix")
         shrink = np.ones(eigvecs.shape[0])
     else:
-        shrink = eigvals / (eigvals + lam)
+        with np.errstate(over="ignore"):
+            denom = eigvals + lam
+        shrink = eigvals / denom
+        over = np.isinf(denom)
+        if over.any():  # halving is exact here, and the halved sum does not overflow
+            half = 0.5 * eigvals[over]
+            shrink[over] = half / (half + 0.5 * lam)
     return Smoother(label=str(label), df=float(np.sum(shrink)),
                     frob_sq=float(np.sum(shrink * shrink)), opnorm=float(shrink.max()),
                     kind="krr", params={"gram": gram, "lambda": lam}, dense=None,

@@ -471,6 +471,27 @@ def test_gram_whose_symmetrization_overflows_exits_1_without_a_warning(tmp_path)
                                "matrix symmetrization 0.5 (G + G^T) overflows the float range\n")
 
 
+def test_krr_filter_whose_sum_overflows_exits_0_without_a_warning(tmp_path):
+    """Eigenvalue 8e307 and lambda 1e308: mu + lambda overflows, yet the member's
+    filter is mu / (mu + lambda) = 4/9, and nothing reaches stderr."""
+    cfg_path = write_config(tmp_path, base_config(n_reps=50, family={"smoothers": [
+        {"label": "k", "kind": "krr",
+         "parameters": {"gram": [8e307, 0.0, 0.0, 8e307], "lambda": 1e308}}]}))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    outputs = {}
+    for command in ("family-info", "simulate"):
+        proc = subprocess.run([sys.executable, "-m", "sure_lab.cli", command, "--config", cfg_path,
+                               *(["--out", str(tmp_path / "s.json")] if command == "simulate" else [])],
+                              env=env, capture_output=True, encoding="utf-8", timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs[command] = proc.stdout
+    assert outputs["family-info"].splitlines()[1].split()[:4] == [
+        "k", "0.888889", "0.395062", "0.444444"]
+    summary = json.loads((tmp_path / "s.json").read_text())
+    assert summary["bounds"]["oracle_gap"]["oracle_risk"] == pytest.approx(
+        (5.0 / 9.0) ** 2 + 2.0 * (4.0 / 9.0) ** 2, rel=1e-12)
+
+
 def test_krr_grid_commands_form_no_dense_matrix(tmp_path, capsys, monkeypatch):
     """family-info and simulate on KRR members of one Gram read no member's h."""
     rng = np.random.default_rng(8)

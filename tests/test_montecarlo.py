@@ -4,6 +4,9 @@ import io
 import itertools
 import json
 import os
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -415,22 +418,49 @@ def test_spectral_kernel_matches_dense(n, singular):
 @pytest.mark.parametrize("n", [2, 7, 20])
 @pytest.mark.parametrize("d", [1, 2], ids=["ties-1d", "2d"])
 def test_knn_kernel_matches_dense(n, d):
+    """Random signals, then the two ends of the running-sum pass for the oracle's
+    product: theta0 = 0 (the largest k, the last rank) and a large rough theta0
+    (k = 1, the first rank), each with the oracle's k under two labels."""
     rng = np.random.default_rng(300 + 10 * n + d)
-    for _ in range(3):
+    for oracle_k in (None, None, None, n, 1):
         ks = [1, n, *rng.integers(1, n + 1, size=int(rng.integers(0, 5)))]
-        ks.append(ks[-1])  # one k under two labels
+        ks.append(ks[-1] if oracle_k is None else oracle_k)  # one k under two labels
         rng.shuffle(ks)
         family = _knn_family(rng, n, ks, d)
-        model = GaussianSequenceModel(theta0=rng.normal(scale=2.0, size=n),
-                                      sigma=float(rng.uniform(0.3, 2.0)))
+        theta0 = (rng.normal(scale=2.0, size=n) if oracle_k is None
+                  else np.zeros(n) if oracle_k == n else rng.normal(scale=1e3, size=n))
+        model = GaussianSequenceModel(theta0=theta0, sigma=float(rng.uniform(0.3, 2.0)))
         dense = dataclasses.replace(family, neighbours=None)
-        assert _kernel(montecarlo._Context(family, model)) == "knn"
+        ctx = montecarlo._Context(family, model)
+        assert _kernel(ctx) == "knn"
+        if oracle_k is not None:
+            assert ks[ctx.oracle_idx] == oracle_k and ks.count(oracle_k) >= 2
         assert _kernel(montecarlo._Context(dense, model)) == "dense"
         runs = [run_experiment(f, model, 300, 5, keep_records=True) for f in (family, dense)]
         (knn_summary, knn), (dense_summary, reference) = runs
         for summary in (knn_summary, dense_summary):
             assert set(summary.identity_pass_rates.values()) == {1.0}
         _assert_records_match(knn, reference)
+
+
+def test_spectral_kernel_keeps_digits_at_high_snr():
+    """max|theta0| / sigma = 1e6: the spectral kernel rotates the exact draws, so
+    its estimates stay within 1e-8 relative of the dense path's. Rotating y and
+    subtracting the rotated theta0 instead drifts 5.8e-8 on this grid."""
+    n = 40
+    x = np.linspace(0.0, 1.0, n)
+    gram = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2 * 0.1 ** 2))
+    family = family_from_doc({"schema_version": 1, "n": n, "smoothers": [
+        {"label": f"k{i}", "kind": "krr",
+         "parameters": {"gram": gram.reshape(-1).tolist(), "lambda": float(lam)}}
+        for i, lam in enumerate(np.logspace(-2, 2, 8))]})
+    model = GaussianSequenceModel(theta0=1e6 * np.sin(6.0 * x), sigma=1.0)
+    assert _kernel(montecarlo._Context(family, model)) == "spectral"
+    spectral, dense = [run_experiment(f, model, 2000, 11)[0] for f in (family, _dense_twin(family))]
+    assert spectral.selection_histogram == dense.selection_histogram
+    assert set(spectral.identity_pass_rates.values()) == {1.0}
+    for name, estimate in dense.estimates.items():
+        assert spectral.estimates[name]["mean"] == pytest.approx(estimate["mean"], rel=1e-8), name
 
 
 def test_context_is_freed_without_the_cycle_collector():
@@ -529,6 +559,39 @@ def test_outputs_byte_identical_across_threads(monkeypatch):
                                               keep_records=True)
             outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True), csv_text(records)))
         assert len(outputs) == 1
+
+
+def test_workers_take_turns_drawing_noise(monkeypatch):
+    """The per-row noise loop admits one worker at a time; each entry waits a
+    little, so two workers let in together would overlap."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # let 3 workers really run
+    inside, most, calls, count = [0], [0], [0], threading.Lock()
+    draw = montecarlo.standard_normal_rows
+
+    def counting_draw(*args):
+        with count:
+            inside[0] += 1
+            most[0] = max(most[0], inside[0])
+            calls[0] += 1
+        try:
+            time.sleep(0.002)  # a window for a second worker to come in
+            return draw(*args)
+        finally:
+            with count:
+                inside[0] -= 1
+
+    monkeypatch.setattr(montecarlo, "standard_normal_rows", counting_draw)
+    n = 16
+    family = SmootherFamily.of([from_matrix(f"m{i}", np.eye(n) * i / 4) for i in range(5)])
+    model = GaussianSequenceModel(theta0=np.ones(n), sigma=1.0)
+    block = montecarlo._Context(family, model).block_len
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_experiment(family, model, 30 * block, 3, n_threads=3)
+    finally:
+        sys.setswitchinterval(switch)
+    assert calls[0] == 30 and most[0] == 1
 
 
 class RecordingPool:

@@ -230,6 +230,15 @@ def test_krr_rejects_gram_whose_symmetrization_overflows(gram):
         krr_from_gram("kr", gram, 1.0)
 
 
+def test_krr_filter_whose_sum_overflows():
+    """mu + lambda beyond the float range: the filter comes from the halved
+    operands, and a member whose sum is finite keeps today's arithmetic."""
+    s = krr_from_gram("kr", np.diag([8e307, 1.0]), 1e308)
+    assert s.spectrum[0] == 1.0 / (1.0 + 1e308)
+    assert s.spectrum[1] == pytest.approx(4.0 / 9.0, rel=1e-15)
+    assert s.df == float(np.sum(s.spectrum)) and s.opnorm == s.spectrum[1]
+
+
 def test_krr_invariants():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((6, 6))
