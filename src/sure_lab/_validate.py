@@ -8,10 +8,9 @@ document (e.g. "model.sigma"); a failed check raises ConfigError naming it.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
-import operator
 import re
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 MAX_ENTRIES = 2**27
 # The largest dimension n whose n x n float64 matrix fits in MAX_ENTRIES.
 MAX_N = math.isqrt(MAX_ENTRIES)
+MAX_SEED = 2**64 - 1  # master seeds are the 64-bit keys of the Philox noise streams
 
 
 class ConfigError(ValueError):
@@ -147,6 +147,11 @@ def integer(value, where, lo, hi=None) -> int:
     return int(value)
 
 
+def seed(value, where) -> int:
+    """A master seed: a JSON integer in [0, MAX_SEED]."""
+    return integer(value, where, 0, MAX_SEED)
+
+
 def number(value, where, positive=False) -> float:
     """A finite JSON number as a float; true, NaN and Infinity are not numbers."""
     if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
@@ -188,10 +193,18 @@ def array(value, where, shape=None) -> np.ndarray:
     except ValueError:  # ragged nesting
         a = None
     if (a is None or a.dtype.kind not in "fiu" or not np.all(np.isfinite(a))
-            or any(isinstance(functools.reduce(operator.getitem, index, value), (bool, np.bool_))
-                   for index in np.argwhere((a == 0) | (a == 1)).tolist())):
+            or _holds_boolean(value, a)):
         raise ConfigError(f"{where}: expected a list of finite numbers")
     if shape is not None and a.size != math.prod(shape):
         raise ConfigError(f"{where}: expected {math.prod(shape)} entries (shape {shape}), "
                           f"got {a.size}")
     return a.astype(float, copy=False).reshape(a.shape if shape is None else shape)
+
+
+def _holds_boolean(value, a) -> bool:
+    """Whether the nested list `value` (as numpy reads it, `a`) holds true or false:
+    flattened, each entry equal to 0 or 1 is one lookup in C, and no other is."""
+    for _ in range(a.ndim - 1):
+        value = list(itertools.chain.from_iterable(value))
+    zero_one = np.flatnonzero((a == 0) | (a == 1)).tolist()
+    return not {bool, np.bool_}.isdisjoint(map(type, map(value.__getitem__, zero_one)))

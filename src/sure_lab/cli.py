@@ -76,7 +76,7 @@ def _parse_experiment_config(doc):
                  ("outputs",))
     validate.integer(doc["schema_version"], "schema_version", 1, CONFIG_SCHEMA_VERSION)
     n_reps = validate.integer(doc["n_reps"], "n_reps", 1, sys.maxsize)  # len() of the block range
-    master_seed = validate.integer(doc["master_seed"], "master_seed", 0, 2**64 - 1)
+    master_seed = validate.seed(doc["master_seed"], "master_seed")
     outputs = validate.obj(doc.get("outputs", {}), "outputs", optional=("summary", "records"))
     for key in ("summary", "records"):
         if outputs.get(key) is not None:
@@ -128,7 +128,6 @@ def _write_report(doc, fh, fmt):
 
 
 def _bound_table(summary, cfg):
-    model = cfg["model"]
     family = cfg["family"]
     edf_est = summary.estimates["edf_total"]["mean"]
     h_op_eff = family.h_op_effective
@@ -146,7 +145,7 @@ def _bound_table(summary, cfg):
             "ratio": ratio,
         },
         "oracle_gap": {
-            "oracle_risk": min(criteria.risk(m, model) for m in family.members),
+            "oracle_risk": cfg["model"].sigma_sq * summary.r_star,
             "risk_tuned_estimate": summary.estimates["risk_tuned"]["mean"],
         },
     }
@@ -154,7 +153,7 @@ def _bound_table(summary, cfg):
 
 def cmd_simulate(args) -> int:
     threads = validate.integer(args.threads, "--threads", 1)
-    seed = None if args.seed is None else validate.integer(args.seed, "--seed", 0, 2**64 - 1)
+    seed = None if args.seed is None else validate.seed(args.seed, "--seed")
     cfg = _parse_experiment_config(_load_json(args.config))
     if seed is not None:
         cfg["master_seed"] = seed
@@ -215,8 +214,7 @@ def _parse_lemma_config(doc):
     validate.obj(doc, "config", optional=("schema_version", "master_seed", *_LEMMA_FIELDS))
     validate.integer(doc.get("schema_version", CONFIG_SCHEMA_VERSION), "schema_version",
                      1, CONFIG_SCHEMA_VERSION)
-    cfg = {"master_seed": validate.integer(doc.get("master_seed", 42), "master_seed",
-                                           0, 2**64 - 1)}
+    cfg = {"master_seed": validate.seed(doc.get("master_seed", 42), "master_seed")}
     for section, fields in _LEMMA_FIELDS.items():
         given = validate.obj(doc.get(section, {}), section, optional=fields)
         cfg[section] = {key: given.get(key, default) for key, (default, _) in fields.items()}
@@ -244,7 +242,7 @@ def cmd_verify_lemmas(args) -> int:
     doc = _load_json(args.config) if args.config else {}
     cfg = _parse_lemma_config(doc)
     if args.seed is not None:
-        cfg["master_seed"] = validate.integer(args.seed, "--seed", 0, 2**64 - 1)
+        cfg["master_seed"] = validate.seed(args.seed, "--seed")
     with contextlib.ExitStack() as stack:
         out = _open_output(args.out, stack)  # before the battery, as simulate does
         report, code = _lemma_battery(cfg)
@@ -285,17 +283,17 @@ def _lemma_battery(cfg):
     rng = derive_stream(seed, 0)
     try:
         # exact chi-square oracle on the identity quadratic form
-        first, _ = concentration.quadratic_form_params(np.eye(2))
+        params = concentration.quadratic_form_params(np.eye(2))
         for check in concentration.verify_mgf_bound(
-                None, first, lambda_grid(first), qd["n_samples"],
+                None, params, lambda_grid(params), qd["n_samples"],
                 slack=qd["slack"], exact_eigs=np.ones(2)):
             all_pass &= check.passed
             report["quadratic_exact"].append(vars(check) | {"matrix": "identity_2"})
         for m_idx in range(qd["n_matrices"]):
             a = rng.standard_normal((qd["dim"], qd["dim"]))
-            first, _ = concentration.quadratic_form_params(a)
+            params = concentration.quadratic_form_params(a)
             checks = concentration.verify_mgf_bound(
-                concentration.quadratic_form_sampler(a), first, lambda_grid(first),
+                concentration.quadratic_form_sampler(a), params, lambda_grid(params),
                 qd["n_samples"], master_seed=seed, slack=qd["slack"], stream=next(streams))
             for check in checks:
                 all_pass &= check.passed
@@ -348,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment")
     sim.add_argument("--config", required=True)
     sim.add_argument("--seed", type=int, default=None, help="override config master_seed")
-    sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker threads (default: CPU count)")
+    sim.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
     sim.add_argument("--records", default=None, help="write per-replicate CSV here")
     sim.add_argument("--out", default=None, help="summary output path (default stdout)")
     sim.add_argument("--format", choices=("json", "csv"), default="json")

@@ -52,37 +52,25 @@ class SubExpParams:
                 f"lambda {lam} outside sub-exponential domain |lambda| <= {1.0 / self.b}")
 
 
-def _symmetric_part_spectrum(a: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (a + a.T)
-    return np.linalg.eigvalsh(sym)
-
-
-def quadratic_form_params(a) -> tuple[SubExpParams, SubExpParams]:
-    """Both sub-exponential parameterizations of z^T A z for z ~ N(0, I).
-
-    first:  (tr((A + A^T)^2), 2 ||A + A^T||_op)
-    second: (||A||_F^2,       4 ||A||_op)
-    """
+def _symmetric_part_spectrum(a) -> np.ndarray:
+    """The eigenvalues of (A + A^T)/2, of which z^T A z is a weighted chi-square sum."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    doubled = a + a.T
-    first = SubExpParams(
-        tau_sq=float(np.sum(doubled * doubled)),  # tr(M^2) = ||M||_F^2 for symmetric M
-        b=2.0 * float(np.linalg.norm(doubled, 2)),
-    )
-    second = SubExpParams(
-        tau_sq=float(np.sum(a * a)),
-        b=4.0 * float(np.linalg.norm(a, 2)),
-    )
-    return first, second
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
+
+
+def quadratic_form_params(a) -> SubExpParams:
+    """Sub-exponential (tau^2, b) of z^T A z, z ~ N(0, I), from the eigenvalues d of
+    (A + A^T)/2: 4 sum d^2 = tr((A + A^T)^2) and 4 max|d| = 2 ||A + A^T||_op."""
+    d = _symmetric_part_spectrum(a)
+    return SubExpParams(tau_sq=4.0 * float(d @ d), b=4.0 * float(np.max(np.abs(d), initial=0.0)))
 
 
 def quadratic_form_sampler(a):
     """Sampler for the centered quadratic form X = z^T A z - tr(A)."""
-    a = np.asarray(a, dtype=float)
     eigs = _symmetric_part_spectrum(a)
 
     def draw(n_samples: int, rng: np.random.Generator) -> np.ndarray:

@@ -64,22 +64,22 @@ def risk(smoother: Smoother, model: GaussianSequenceModel) -> float:
     beyond the float range is inf."""
     _check_dim(smoother, model.n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the risk
-        h_theta0 = smoother.apply(model.theta0)
-    return risk_from(h_theta0, smoother.frob_sq, model)
+        bias = model.theta0 - smoother.apply(model.theta0)
+    return risk_from(bias, smoother.frob_sq, model.sigma_sq)
 
 
-def risk_from(h_theta0, frob_sq: float, model: GaussianSequenceModel) -> float:
-    """The risk of a member with H theta0 = h_theta0 and ||H||_F^2 = frob_sq."""
+def risk_from(bias, frob_sq: float, sigma_sq: float) -> float:
+    """||bias||^2 + sigma^2 ||H||_F^2: the risk of a member with ||H||_F^2 = frob_sq
+    and bias = (I - H) theta0, in any orthonormal coordinates."""
     with np.errstate(over="ignore"):
-        bias = model.theta0 - h_theta0
-        return float(bias @ bias) + model.sigma_sq * frob_sq
+        return float(bias @ bias) + sigma_sq * frob_sq
 
 
 def sure(smoother: Smoother, y, sigma: float) -> float:
     """SURE value ||y - Hy||^2 + 2 sigma^2 tr(H); note tr(H), not ||H||_F^2."""
     y = np.asarray(y, dtype=float).reshape(-1)
     _check_dim(smoother, y.size)
-    resid = y - smoother.h @ y
+    resid = y - smoother.apply(y)
     return float(resid @ resid) + 2.0 * float(sigma) ** 2 * smoother.df
 
 
@@ -111,11 +111,10 @@ def centered_variables(smoother: Smoother, model: GaussianSequenceModel, z) -> C
     _check_dim(smoother, z.size)
     if z.size != model.n:
         raise ValueError(f"noise vector has length {z.size}, expected {model.n}")
-    h = smoother.h
     s2 = model.sigma_sq
-    hz = h @ z
+    hz = smoother.apply(z)
     w = (2.0 * float(z @ hz) - float(hz @ hz)) / s2 + smoother.frob_sq - 2.0 * smoother.df
-    bias = model.theta0 - h @ model.theta0
+    bias = model.theta0 - smoother.apply(model.theta0)
     zlin = -float(bias @ (z - hz)) / s2
     return CenteredVariables(w=w, zlin=zlin)
 

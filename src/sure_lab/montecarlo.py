@@ -172,13 +172,12 @@ class _Context:
                 self.filters = np.stack([m.spectrum for m in members])
                 self.theta_c = self.theta0 @ self.basis
                 self.h_theta_c = self.theta_c * self.filters
-                h_theta = self.h_theta_c @ self.basis.T
             else:
                 self.theta_c = self.theta0
-                self.h_theta_c = h_theta = np.stack([m.apply(self.theta0) for m in members])
+                self.h_theta_c = np.stack([m.apply(self.theta0) for m in members])
             self.bias_c = self.theta_c - self.h_theta_c
-        self.risks = np.array([criteria.risk_from(ht, m.frob_sq, model)
-                               for ht, m in zip(h_theta, members)])
+        self.risks = np.array([criteria.risk_from(bias, m.frob_sq, self.sigma_sq)
+                               for bias, m in zip(self.bias_c, members)])
         self.oracle_idx = int(np.argmin(self.risks))
         self.r_star = float(self.risks[self.oracle_idx]) / self.sigma_sq
         # degenerate r_star disables the shell machinery
@@ -233,14 +232,12 @@ class _Context:
                 for s in members[1:]:  # one k under several labels
                     resid_sq[s] = resid_sq[members[0]]
 
-        h = [m.h for m in self.family.members]
-
         def apply(j):  # one product per distinct member, on the rows grouped by member
             order = np.argsort(j, kind="stable")
             grouped = y[order]
             cuts = [0, *(np.flatnonzero(np.diff(j[order])) + 1), len(y)]
             for lo, hi in zip(cuts, cuts[1:]):
-                grouped[lo:hi] = grouped[lo:hi] @ h[j[order[lo]]].T
+                grouped[lo:hi] = self.family.members[j[order[lo]]].apply(grouped[lo:hi])
             out = np.empty_like(y)
             out[order] = grouped
             return out

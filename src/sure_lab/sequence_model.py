@@ -91,7 +91,7 @@ _MASK64 = 2**64 - 1
 def _philox(master_seed: int, replicate_index: int) -> np.random.Philox:
     master_seed = int(master_seed)
     replicate_index = int(replicate_index)
-    if not 0 <= master_seed < 2**64:
+    if not 0 <= master_seed <= validate.MAX_SEED:
         raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
     if replicate_index < 0:
         raise ValueError(f"replicate_index must be >= 0, got {replicate_index}")

@@ -84,25 +84,21 @@ class Smoother:
 
     @cached_property
     def h(self) -> np.ndarray:
-        """The dense matrix: `dense`, or 0.5 (A + A^T) of A = (basis * spectrum) @
-        basis.T, the identity at lambda = 0 (a KRR member's constructor arithmetic)."""
+        """The dense matrix: `dense`, or (basis * spectrum) @ basis.T of a member
+        with a spectral form, formed on first access, read-only."""
         if self.dense is not None:
             return self.dense
-        if self.params["lambda"] == 0.0:
-            h = np.eye(self.n)
-        else:
-            h = (self.basis * self.spectrum) @ self.basis.T
-            h = 0.5 * (h + h.T)
+        h = (self.basis * self.spectrum) @ self.basis.T
         h.setflags(write=False)
         return h
 
     def apply(self, v) -> np.ndarray:
         """H v for a vector v, or H v_b for each row v_b of a stacked (B, n) array:
         basis @ (spectrum * basis.T @ v) for a member with a spectral form, which
-        leaves `h` unformed, else h @ v."""
+        leaves `h` unformed, else v @ h.T."""
         if self.dense is None:
             return ((v @ self.basis) * self.spectrum) @ self.basis.T
-        return self.dense @ v if np.ndim(v) == 1 else v @ self.dense.T
+        return v @ self.dense.T
 
 
 def _frozen(a, shape=(-1,)) -> np.ndarray:
@@ -112,22 +108,14 @@ def _frozen(a, shape=(-1,)) -> np.ndarray:
     return a
 
 
-def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None,
-          neighbours=None) -> Smoother:
-    """Freeze and wrap the dense float array `h` itself; known statistics are passed in."""
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"smoother matrix must be square, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("smoother matrix entries must be finite")
+def _make(label, h, kind, params, df, frob_sq, opnorm, neighbours=None) -> Smoother:
+    """Freeze and wrap the dense float array `h` itself, with its statistics."""
     h.setflags(write=False)
-    with np.errstate(over="ignore"):  # a trace or ||H||_F^2 beyond the float range is inf
-        df = float(np.trace(h)) if df is None else df
-        frob_sq = float(np.sum(h * h)) if frob_sq is None else frob_sq
     return Smoother(
         label=str(label),
-        df=df,
-        frob_sq=frob_sq,
-        opnorm=operator_norm(h) if opnorm is None else float(opnorm),
+        df=float(df),
+        frob_sq=float(frob_sq),
+        opnorm=float(opnorm),
         kind=kind,
         params=params,
         dense=h,
@@ -138,10 +126,17 @@ def _make(label, h, kind, params, df=None, frob_sq=None, opnorm=None,
 
 
 def from_matrix(label: str, h) -> Smoother:
-    """Wrap a copy of an explicit square matrix; flattened, the copy is params["matrix"]."""
+    """Wrap a copy of an explicit square matrix; flattened, the copy is params["matrix"].
+    The one kind whose tr H and ||H||_F^2 have no closed form."""
     h = np.array(h, dtype=float, order="C")
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"smoother matrix must be square, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("smoother matrix entries must be finite")
     h.setflags(write=False)
-    return _make(label, h, "explicit", {"matrix": h.reshape(-1)})
+    with np.errstate(over="ignore"):  # a trace or ||H||_F^2 beyond the float range is inf
+        df, frob_sq = np.trace(h), np.sum(h * h)
+    return _make(label, h, "explicit", {"matrix": h.reshape(-1)}, df, frob_sq, operator_norm(h))
 
 
 _RANK_TOL = 1e-10
@@ -152,7 +147,7 @@ def projection_from_design(label: str, design, subset) -> Smoother:
 
     Subset indices are 0-based. Rank-deficient selections project onto the
     actual column span (singular values below 1e-10 of the largest are treated
-    as zero), so df equals the span dimension.
+    as zero), so df and ||H||_F^2 equal the span dimension, the rank.
     """
     design = np.asarray(design, dtype=float)
     if design.ndim != 2:
@@ -168,10 +163,9 @@ def projection_from_design(label: str, design, subset) -> Smoother:
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     rank = int(np.sum(s > _RANK_TOL * (s[0] if s.size else 0.0)))
     ur = u[:, :rank]
-    h = ur @ ur.T
-    h = 0.5 * (h + h.T)
-    return _make(label, h, "projection", {"design": _frozen(design), "p": p, "subset": subset},
-                 opnorm=float(rank > 0))
+    return _make(label, ur @ ur.T, "projection",  # exactly symmetric (BLAS syrk)
+                 {"design": _frozen(design), "p": p, "subset": subset},
+                 df=rank, frob_sq=rank, opnorm=rank > 0)
 
 
 def krr_from_gram(label: str, gram, lam: float) -> Smoother:
@@ -179,7 +173,7 @@ def krr_from_gram(label: str, gram, lam: float) -> Smoother:
 
     The Gram matrix is symmetrized when its asymmetry is below 1e-10 (larger
     asymmetry is an error); eigenvalues in [-1e-10, 0) are clipped to 0.
-    lam = 0 requires a nonsingular Gram matrix and yields H = I.
+    lam = 0 requires a nonsingular Gram matrix and yields the filter 1, H = I.
     """
     return _krr(label, _gram_spectrum(gram), lam)
 
@@ -215,18 +209,15 @@ def _krr(label, gram_spectrum, lam) -> Smoother:
     lam = float(lam)
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
-    if lam == 0.0:
-        if eigvals.min() <= 1e-12 * max(eigvals.max(), 1.0):
-            raise np.linalg.LinAlgError("lambda = 0 requires a nonsingular gram matrix")
-        shrink = np.ones(eigvecs.shape[0])
-    else:
-        with np.errstate(over="ignore"):
-            denom = eigvals + lam
-        shrink = eigvals / denom
-        over = np.isinf(denom)
-        if over.any():  # halving is exact here, and the halved sum does not overflow
-            half = 0.5 * eigvals[over]
-            shrink[over] = half / (half + 0.5 * lam)
+    if lam == 0.0 and eigvals.min() <= 1e-12 * max(eigvals.max(), 1.0):
+        raise np.linalg.LinAlgError("lambda = 0 requires a nonsingular gram matrix")
+    with np.errstate(over="ignore"):
+        denom = eigvals + lam
+    shrink = eigvals / denom  # exactly 1 at lambda = 0, where every eigenvalue is positive
+    over = np.isinf(denom)
+    if over.any():  # halving is exact here, and the halved sum does not overflow
+        half = 0.5 * eigvals[over]
+        shrink[over] = half / (half + 0.5 * lam)
     return Smoother(label=str(label), df=float(np.sum(shrink)),
                     frob_sq=float(np.sum(shrink * shrink)), opnorm=float(shrink.max()),
                     kind="krr", params={"gram": gram, "lambda": lam}, dense=None,
@@ -238,7 +229,7 @@ def knn_from_points(label: str, points, k: int) -> Smoother:
 
     Each point is always its own first neighbor; remaining neighbors are the
     closest other points with distance ties broken by smallest index. Hence
-    k=1 gives the identity and k=n the global mean, and ||H||_F^2 = n/k.
+    k=1 gives the identity and k=n the global mean, and tr H = ||H||_F^2 = n/k.
     """
     return _knn(label, _neighbour_order(points), k)
 
@@ -270,8 +261,8 @@ def _knn(label, neighbour_order, k) -> Smoother:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     h = np.zeros((n, n))
     np.put_along_axis(h, order[:, :k], 1.0 / k, axis=1)
-    return _make(label, h, "knn", {"points": points, "k": k}, frob_sq=n / k,
-                 neighbours=order)
+    return _make(label, h, "knn", {"points": points, "k": k}, df=n / k, frob_sq=n / k,
+                 opnorm=operator_norm(h), neighbours=order)
 
 
 def knn_opnorm_bound(smoother: Smoother) -> float:
@@ -399,9 +390,9 @@ def build_smoother(spec: dict, n: int, shared=None) -> Smoother:
     where = f"smoother {label!r} parameters"
     params = validate.obj(spec.get("parameters", {}), where, _KIND_PARAMETERS[kind])
     if kind == "zero":
-        return _make(label, np.zeros((n, n)), "zero", {}, opnorm=0.0)
+        return _make(label, np.zeros((n, n)), "zero", {}, df=0, frob_sq=0, opnorm=0)
     if kind == "identity":
-        return _make(label, np.eye(n), "identity", {}, opnorm=float(n > 0))
+        return _make(label, np.eye(n), "identity", {}, df=n, frob_sq=n, opnorm=n > 0)
     if kind == "explicit":
         return from_matrix(label, _array(shared, params["matrix"], f"{where}.matrix", (n, n)))
     if kind == "projection":

@@ -321,13 +321,13 @@ def test_mgf_battery():
     exact_cases = [np.eye(2), np.diag([1.0, 2.0, 3.0]), np.diag([0.5, -1.5])]
     exact_checks = []
     for a in exact_cases:
-        first, _ = quadratic_form_params(a)
+        first = quadratic_form_params(a)
         lam_max = 0.9 / first.b
         eigs = np.linalg.eigvalsh(0.5 * (a + a.T))
         exact_checks += verify_mgf_bound(
             None, first, [-lam_max, -0.4 * lam_max, 0.4 * lam_max, lam_max],
             n_samples=0, exact_eigs=eigs)
-    i2_check = verify_mgf_bound(None, quadratic_form_params(np.eye(2))[0],
+    i2_check = verify_mgf_bound(None, quadratic_form_params(np.eye(2)),
                                 [0.1], n_samples=0, exact_eigs=[1.0, 1.0])[0]
     assert i2_check.estimate == pytest.approx(1.023414, abs=1e-6)
     assert i2_check.bound == pytest.approx(1.040811, abs=1e-6)
@@ -339,7 +339,7 @@ def test_mgf_battery():
     for i in range(20):
         dim = int(rng.integers(2, 6))
         a = rng.normal(size=(dim, dim))
-        first, _ = quadratic_form_params(a)
+        first = quadratic_form_params(a)
         lam_max = 0.9 / first.b
         mc_checks += verify_mgf_bound(
             quadratic_form_sampler(a), first,

@@ -15,6 +15,7 @@ from sure_lab import (
     SmootherFamily,
     cli,
     concentration,
+    criteria,
     from_matrix,
     montecarlo,
     save_family,
@@ -148,6 +149,11 @@ def test_simulate_checks_seed_before_config(tmp_path, capsys):
     assert main(["simulate", "--config", missing, "--seed", "-1"]) == 1
     err = capsys.readouterr().err
     assert "--seed" in err and "missing.json" not in err
+
+
+def test_simulate_runs_one_worker_by_default():
+    args = cli.build_parser().parse_args(["simulate", "--config", "c.json"])
+    assert args.threads == 1
 
 
 def test_help_exits_0(capsys):
@@ -507,6 +513,30 @@ def test_krr_grid_commands_form_no_dense_matrix(tmp_path, capsys, monkeypatch):
     assert main(["family-info", "--config", cfg_path]) == 0
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "s.json")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_simulate_reads_the_oracle_risk_from_the_engine(tmp_path, monkeypatch):
+    """bounds.oracle_gap.oracle_risk is sigma^2 r*, with no criteria.risk call."""
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((6, 6))
+    sigma = 0.7
+    cfg = base_config(
+        n_reps=50, model={"n": 6, "sigma": sigma, "theta0": {"kind": "constant", "value": 1.5}},
+        family={"smoothers": [
+            {"label": f"lam{lam}", "kind": "krr",
+             "parameters": {"gram": (a @ a.T).reshape(-1).tolist(), "lambda": lam}}
+            for lam in (0.1, 1.0, 10.0)] + [
+            {"label": "knn", "kind": "knn",
+             "parameters": {"points": rng.standard_normal(6).tolist(), "k": 2}}]})
+    parsed = cli._parse_experiment_config(cfg)
+    min_risk = min(criteria.risk(m, parsed["model"]) for m in parsed["family"])
+    monkeypatch.setattr(criteria, "risk", lambda *args: pytest.fail("criteria.risk called"))
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    r_star = doc["summary"]["r_star"]
+    assert doc["bounds"]["oracle_gap"]["oracle_risk"] == r_star * sigma**2
+    assert r_star * sigma**2 == pytest.approx(min_risk, rel=1e-14)
 
 
 def test_verify_lemmas_quick(tmp_path):

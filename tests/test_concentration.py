@@ -15,19 +15,29 @@ from sure_lab import (
 
 
 def test_quadratic_form_params_identity():
-    first, second = quadratic_form_params(np.eye(2))
+    first = quadratic_form_params(np.eye(2))
     assert (first.tau_sq, first.b) == (8.0, 4.0)
-    assert (second.tau_sq, second.b) == (2.0, 4.0)
+
+
+def test_quadratic_form_params_match_the_matrix_norms():
+    """(tau^2, b) from the spectrum of (A + A^T)/2 equal tr((A + A^T)^2) and
+    2 ||A + A^T||_op, computed from the matrix itself, within 1e-12 relative."""
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        a = rng.standard_normal((int(rng.integers(1, 12)),) * 2) * 10.0 ** rng.uniform(-3, 3)
+        params = quadratic_form_params(a)
+        assert params.tau_sq == pytest.approx(float(np.sum((a + a.T) ** 2)), rel=1e-12)
+        assert params.b == pytest.approx(2.0 * float(np.linalg.norm(a + a.T, 2)), rel=1e-12)
 
 
 def test_quadratic_form_params_antisymmetric():
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    first, _ = quadratic_form_params(a)
+    first = quadratic_form_params(a)
     assert (first.tau_sq, first.b) == (0.0, 0.0)  # z^T A z is identically zero
 
 
 def test_quadratic_form_params_shift():
-    first, _ = quadratic_form_params([[0.0, 1.0], [0.0, 0.0]])
+    first = quadratic_form_params([[0.0, 1.0], [0.0, 0.0]])
     assert first.tau_sq == pytest.approx(2.0)
     assert first.b == pytest.approx(2.0)
 
@@ -36,7 +46,7 @@ def test_first_param_dominated_by_frobenius():
     rng = np.random.default_rng(21)
     for _ in range(30):
         a = rng.standard_normal((int(rng.integers(1, 9)),) * 2)
-        first, _ = quadratic_form_params(a)
+        first = quadratic_form_params(a)
         assert first.tau_sq <= 4.0 * np.sum(a * a) + 1e-9
 
 
@@ -60,7 +70,7 @@ def test_verify_mgf_domain_enforcement():
 
 
 def test_verify_mgf_exact_path():
-    params, _ = quadratic_form_params(np.eye(2))
+    params = quadratic_form_params(np.eye(2))
     checks = verify_mgf_bound(None, params, [0.1, 0.0, -0.1], 10**4,
                               exact_eigs=np.ones(2))
     assert all(c.passed for c in checks)
@@ -70,7 +80,7 @@ def test_verify_mgf_exact_path():
 
 def test_verify_mgf_mc_matches_exact_for_diagonal():
     a = np.diag([1.5, -0.5, 0.25])
-    params, _ = quadratic_form_params(a)
+    params = quadratic_form_params(a)
     grid = [0.5 / params.b, -0.5 / params.b]
     mc = verify_mgf_bound(quadratic_form_sampler(a), params, grid, 2 * 10**5,
                           master_seed=5)
@@ -83,7 +93,7 @@ def test_verify_mgf_random_matrices_grid():
     rng = np.random.default_rng(8)
     for _ in range(5):
         a = rng.standard_normal((4, 4))
-        params, _ = quadratic_form_params(a)
+        params = quadratic_form_params(a)
         grid = [f / params.b for f in (0.9, 0.5, 0.1, -0.1, -0.5, -0.9)] + [0.0]
         checks = verify_mgf_bound(quadratic_form_sampler(a), params, grid, 10**5,
                                   master_seed=101, slack=0.0)

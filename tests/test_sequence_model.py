@@ -8,6 +8,7 @@ from sure_lab import (
     run_experiment,
     standard_normal_rows,
 )
+from sure_lab import _validate as validate
 from sure_lab.smoothers import SmootherFamily, from_matrix
 
 
@@ -76,6 +77,12 @@ def test_derive_stream_validation():
         derive_stream(42, -1)
     with pytest.raises(ValueError):
         derive_stream(-1, 0)
+
+
+def test_derive_stream_takes_the_config_seed_range():
+    derive_stream(validate.MAX_SEED, 0).standard_normal(1)
+    with pytest.raises(ValueError, match="master_seed must be a 64-bit unsigned integer"):
+        derive_stream(validate.MAX_SEED + 1, 0)
 
 
 def test_standard_normal_rows_match_derive_stream():

@@ -164,6 +164,19 @@ def test_projection_validation():
         projection_from_design("p", [[1.0], [0.0]], [3])
 
 
+def test_projection_df_and_frobenius_are_the_rank():
+    """Rank-deficient selections: tr H and ||H||_F^2 are the span dimension itself."""
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n = int(rng.integers(3, 15))
+        rank = int(rng.integers(1, n))
+        design = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+        subset = list(range(int(rng.integers(rank, n + 1))))
+        s = projection_from_design("p", design, subset)
+        assert s.df == s.frob_sq == float(rank)
+        assert (s.df, s.frob_sq) == pytest.approx((np.trace(s.h), np.sum(s.h * s.h)), rel=1e-10)
+
+
 def test_projection_invariants_random_designs():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -191,6 +204,15 @@ def test_krr_lambda_zero_identity():
     s = krr_from_gram("kr", np.diag([2.0, 1.0]), 0.0)
     np.testing.assert_allclose(s.h, np.eye(2))
     assert s.df == pytest.approx(2.0)
+
+
+def test_krr_filter_at_lambda_zero_is_exactly_one():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 7, 40):
+        a = rng.standard_normal((n, n))
+        s = krr_from_gram("kr", a @ a.T + 1e-3 * np.eye(n), 0.0)
+        assert s.spectrum.tolist() == [1.0] * n
+        assert (s.df, s.frob_sq, s.opnorm) == (n, n, 1.0)
 
 
 def test_krr_lambda_zero_singular_errors():
@@ -286,6 +308,20 @@ def test_knn_row_stochastic_and_exact_frobenius():
         # rational check: n*k entries of value 1/k give exactly n/k
         assert Fraction(int(counts.sum()), k * k) == Fraction(n, k)
         assert s.frob_sq == n / k
+
+
+def test_knn_df_and_frobenius_are_n_over_k():
+    """tr H = ||H||_F^2 = n/k exactly, for every k of a 200-point stratified layout
+    (the benchmark's k-NN family, k = 1, 3, ..., 39); a summed trace is off by a
+    rounding for most of them."""
+    layout = (np.arange(200) + np.random.default_rng((9, 2)).uniform(0.0, 1.0, 200)) / 200
+    points = [[float(p)] for p in layout]
+    specs = [{"label": f"k{k}", "kind": "knn", "parameters": {"points": points, "k": k}}
+             for k in range(1, 40, 2)]
+    for m in smoothers.build_family(specs, 200, "family"):
+        k = m.params["k"]
+        assert m.df == m.frob_sq == 200 / k
+        assert m.df == pytest.approx(float(np.trace(m.h)), rel=1e-14)
 
 
 def test_knn_k_too_large():
@@ -565,22 +601,13 @@ def test_krr_members_share_one_gram_and_basis():
                               knn_from_points("k", np.arange(5.0), 2))] == [None, None]
 
 
-def _dense_of(m):
-    """The dense matrix krr_from_gram built before members kept only their spectral
-    form: 0.5 (A + A^T) of A = (basis * spectrum) @ basis.T, the identity at lambda = 0."""
-    if m.params["lambda"] == 0.0:
-        return np.eye(m.n)
-    h = (m.basis * m.spectrum) @ m.basis.T
-    return 0.5 * (h + h.T)
-
-
 @pytest.mark.parametrize("singular", [True, False], ids=["singular", "lambda0"])
 @pytest.mark.parametrize("n", [2, 7, 20])
 def test_krr_spectral_form_matches_dense(n, singular):
     """On a rank n - 1 Gram with positive lambdas, and on a nonsingular Gram
     with lambda = 0 as well, the structured apply, risk and ||H||_F^2 agree with
     their dense formulas within 1e-12 relative, and the dense matrix formed on
-    first access has the bytes of the old constructor's."""
+    first access has the bytes of (basis * spectrum) @ basis.T."""
     rng = np.random.default_rng(300 + n)
     a = rng.standard_normal((n, n - 1 if singular else n))
     lams = [0.05, 1.0, 20.0] if singular else [0.0, 0.05, 1.0, 20.0]
@@ -591,7 +618,7 @@ def test_krr_spectral_form_matches_dense(n, singular):
         assert "h" not in vars(m)  # built without its dense matrix
         h = m.h
         assert h is m.h and not h.flags.writeable  # formed once, read-only
-        assert h.tobytes() == _dense_of(m).tobytes()
+        assert h.tobytes() == ((m.basis * m.spectrum) @ m.basis.T).tobytes()
         assert h.tobytes() == krr_from_gram(m.label, a @ a.T, m.params["lambda"]).h.tobytes()
         for x, want in ((v, h @ v), (rows, rows @ h.T)):
             np.testing.assert_allclose(m.apply(x), want, rtol=1e-12,

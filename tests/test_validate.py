@@ -86,6 +86,9 @@ def test_array_shapes():
     pytest.param([1, True], id="true-among-ints"),
     pytest.param([[0.5], [True]], id="nested-true"),
     pytest.param([np.True_, 2.0], id="numpy-bool"),
+    pytest.param([[0, 1, 0], [1, 1, 0], [0, 1, True]], id="true-last-of-a-0-1-matrix"),
+    pytest.param([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, np.True_]]],
+                 id="numpy-true-last-of-a-3-deep-0-1-array"),
     pytest.param([[1.0], [1.0, 2.0]], id="ragged"),
     pytest.param([1.0, float("nan")], id="nan"),
     pytest.param([1.0, 10**400], id="huge-int"),
@@ -102,6 +105,16 @@ def test_array_keeps_zeros_and_ones():
     eye = np.eye(3)
     assert validate.array(eye.reshape(-1).tolist(), "w", (3, 3)).tobytes() == eye.tobytes()
     assert validate.array([[0, 1], [1, 0]], "w").tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    cube = np.arange(24).reshape(2, 3, 4) % 2
+    assert validate.array(cube.tolist(), "w").tobytes() == cube.astype(float).tobytes()
+
+
+def test_seed():
+    for value in (0, 7, 2**64 - 1):
+        assert validate.seed(value, "s") == value
+    for value in (-1, 2**64, True, 1.0):
+        with pytest.raises(ConfigError, match=rf"s: must be an integer in \[0, {2**64 - 1}\]"):
+            validate.seed(value, "s")
 
 
 # -- load_json: json.load's values, types and errors ------------------------
