@@ -1,9 +1,10 @@
-"""The reader of JSON documents and the checks for the values of configs and
-family documents.
+"""The reader of JSON documents and the checks of every input value.
 
-Every outside document is read by `load_json` and its values are checked
-here, so each rule is written once. `where` is the value's place in the
-document (e.g. "model.sigma"); a failed check raises ConfigError naming it.
+Every outside document is read by `load_json`. Its values, and the
+arguments of the library's constructors, lemma functions and engine entry
+points, are checked by the helpers here, so each rule is written once.
+`where` is the value's place in the document (e.g. "model.sigma") or the
+parameter's name (e.g. "gram"); a failed check raises ConfigError naming it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ MAX_SEED = 2**64 - 1  # master seeds are the 64-bit keys of the Philox noise str
 
 
 class ConfigError(ValueError):
-    """An input document holds an invalid value; the message names where."""
+    """An input holds an invalid value; the message names where."""
 
 
 # load_json decodes a flat array of numbers whose text has at least this many
@@ -152,16 +153,22 @@ def seed(value, where) -> int:
     return integer(value, where, 0, MAX_SEED)
 
 
-def number(value, where, positive=False) -> float:
-    """A finite JSON number as a float; true, NaN and Infinity are not numbers."""
+# The least positive float: number(value, where, POSITIVE) admits exactly the
+# positive numbers.
+POSITIVE = math.ulp(0.0)
+
+
+def number(value, where, lo=-math.inf) -> float:
+    """A finite JSON number >= lo as a float; true, NaN and Infinity are not numbers."""
     if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
         try:
             x = float(value)
         except OverflowError:  # an integer beyond the float range
             x = math.inf
-        if math.isfinite(x) and (x > 0 or not positive):
+        if math.isfinite(x) and x >= lo:
             return x
-    kind = "positive number" if positive else "number"
+    kind = ("positive number" if lo == POSITIVE else "number" if lo == -math.inf
+            else f"number >= {lo}")
     raise ConfigError(f"{where}: must be a finite {kind}, got {value!r:.60}")
 
 
@@ -199,6 +206,17 @@ def array(value, where, shape=None) -> np.ndarray:
         raise ConfigError(f"{where}: expected {math.prod(shape)} entries (shape {shape}), "
                           f"got {a.size}")
     return a.astype(float, copy=False).reshape(a.shape if shape is None else shape)
+
+
+def finite_matrix(value, where, square=True) -> np.ndarray:
+    """`value` as a 2-d float array of finite entries, square unless `square` is false."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
+        kind = "square" if square else "2-d"
+        raise ConfigError(f"{where}: expected a {kind} matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"{where}: entries must be finite")
+    return a
 
 
 def _holds_boolean(value, a) -> bool:

@@ -44,7 +44,7 @@ def _load_json(path):
 def _build_model(spec) -> GaussianSequenceModel:
     validate.obj(spec, "model", ("n", "sigma", "theta0"))
     n = validate.integer(spec["n"], "model.n", 1, validate.MAX_N)
-    sigma = validate.number(spec["sigma"], "model.sigma", positive=True)
+    sigma = validate.number(spec["sigma"], "model.sigma", validate.POSITIVE)
     # any keys besides kind: make_theta0 checks the parameters of the kind
     params = dict(validate.obj(spec["theta0"], "model.theta0", ("kind",), spec["theta0"]))
     kind = params.pop("kind")
@@ -192,12 +192,13 @@ _LEMMA_FIELDS = {
     "maxima": {
         "n_samples": (100_000, lambda v, w: validate.integer(v, w, 2)),
         "n_vars": ([1, 10, 100], lambda v, w: validate.list_of(v, w, validate.integer, 1)),
-        "k": ([1, 2, 4], lambda v, w: validate.list_of(v, w, validate.number, True)),
-        "tau": ([1.0, 2.0], lambda v, w: validate.list_of(v, w, validate.number, True)),
+        "k": ([1, 2, 4], lambda v, w: validate.list_of(v, w, validate.number, 1)),
+        "tau": ([1.0, 2.0],
+                lambda v, w: validate.list_of(v, w, validate.number, validate.POSITIVE)),
     },
     "quadratic": {
         "n_samples": (200_000, lambda v, w: validate.integer(v, w, 10**4)),
-        "slack": (0.0, validate.number),
+        "slack": (0.0, lambda v, w: validate.number(v, w, 0)),
         "n_matrices": (5, lambda v, w: validate.integer(v, w, 0, 1024)),
         "dim": (4, lambda v, w: validate.integer(v, w, 1, 1024)),
         "lambda_fractions": ([0.9, 0.5, 0.1],
@@ -221,8 +222,6 @@ def _parse_lemma_config(doc):
         for key, (_, check) in fields.items():
             check(cfg[section][key], f"{section}.{key}")
     mx, qd = cfg["maxima"], cfg["quadratic"]
-    if qd["slack"] < 0:
-        raise ConfigError("quadratic.slack: must be nonnegative")
     if any(not 0 <= f <= 0.95 for f in qd["lambda_fractions"]):
         raise ConfigError("quadratic.lambda_fractions: must lie in [0, 0.95]")
     for where, draws in (("maxima.n_samples * max(maxima.n_vars)",

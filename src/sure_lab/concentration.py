@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _validate as validate
 from .sequence_model import derive_stream
 
 __all__ = [
@@ -36,10 +37,8 @@ class SubExpParams:
     b: float
 
     def __post_init__(self):
-        if self.tau_sq < 0:
-            raise ValueError(f"tau_sq must be nonnegative, got {self.tau_sq}")
-        if self.b < 0:
-            raise ValueError(f"b must be nonnegative, got {self.b}")
+        validate.number(self.tau_sq, "tau_sq", 0)
+        validate.number(self.b, "b", 0)
 
     def mgf_bound(self, lam: float) -> float:
         """exp(lam^2 tau_sq / 2), valid for |lam| <= 1/b."""
@@ -54,11 +53,7 @@ class SubExpParams:
 
 def _symmetric_part_spectrum(a) -> np.ndarray:
     """The eigenvalues of (A + A^T)/2, of which z^T A z is a weighted chi-square sum."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    a = validate.finite_matrix(a, "a")
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
@@ -112,11 +107,9 @@ def verify_mgf_bound(sampler, params: SubExpParams, lambda_grid, n_samples: int,
     |lam| <= 1/b raise; grids should stay below the boundary (0.95/b).
     Samples come from derive_stream(master_seed, stream).
     """
-    if slack < 0:
-        raise ValueError(f"slack must be nonnegative, got {slack}")
-    n_samples = int(n_samples)
-    if exact_eigs is None and n_samples < 10**4:
-        raise ValueError(f"n_samples must be >= 10^4 for MC verification, got {n_samples}")
+    slack = validate.number(slack, "slack", 0)
+    if exact_eigs is None:
+        n_samples = validate.integer(n_samples, "n_samples", 10**4)
     for lam in lambda_grid:
         params.check_domain(float(lam))
 
@@ -149,14 +142,9 @@ def verify_mgf_bound(sampler, params: SubExpParams, lambda_grid, n_samples: int,
 
 def max_moment_bound(n_vars: int, k: float, tau: float) -> float:
     """Moment bound 2 tau^k max{(2 log N)^{k/2}, k^{k/2}} for sub-Gaussian maxima."""
-    n_vars = int(n_vars)
-    if n_vars < 1:
-        raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-    k = float(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    n_vars = validate.integer(n_vars, "n_vars", 1)
+    k = validate.number(k, "k", 1)
+    tau = validate.number(tau, "tau", validate.POSITIVE)
     try:
         bound = 2.0 * tau**k * max((2.0 * math.log(n_vars)) ** (k / 2.0), k ** (k / 2.0))
     except OverflowError:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _validate as validate
 from .sequence_model import GaussianSequenceModel
 from .smoothers import Smoother, SmootherFamily
 
@@ -163,12 +164,9 @@ def edf_bound(r_star_value: float, family_size: int, h_op: float) -> float:
     sqrt(r* log|S|) + h_op log|S| (1 + log_+(h_op^2 log|S| / r*)),
     excluding any universal constant.
     """
-    if int(family_size) < 1:
-        raise ValueError(f"family_size must be >= 1, got {family_size}")
-    if r_star_value <= 0:
-        raise ValueError(f"r_star must be positive, got {r_star_value}")
-    if h_op < 1:
-        raise ValueError(f"h_op must be >= 1, got {h_op}")
+    family_size = validate.integer(family_size, "family_size", 1)
+    r_star_value = validate.number(r_star_value, "r_star_value", validate.POSITIVE)
+    h_op = validate.number(h_op, "h_op", 1)
     log_s = math.log(family_size)
     if log_s == 0.0:
         return 0.0

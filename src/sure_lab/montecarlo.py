@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _validate as validate
 from . import criteria
 from .sequence_model import GaussianSequenceModel, standard_normal_rows
 from .smoothers import Smoother, SmootherFamily
@@ -316,7 +317,7 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> Replic
             z = standard_normal_rows(master_seed, lo, hi, ctx.n)
         return ctx.block(ctx.sigma * z, lo)
 
-    workers = min(int(n_threads), len(starts), os.cpu_count() or 1)
+    workers = min(n_threads, len(starts), os.cpu_count() or 1)
     if workers <= 1:
         blocks = [run_block(lo) for lo in starts]
     else:
@@ -388,9 +389,8 @@ def run_experiment(family: SmootherFamily, model: GaussianSequenceModel,
     min(n_threads, blocks, CPUs) worker threads run. Returns (summary,
     records); records is None unless keep_records is set.
     """
-    n_reps = int(n_reps)
-    if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    n_reps = validate.integer(n_reps, "n_reps", 1)
+    n_threads = validate.integer(n_threads, "n_threads", 1)
     ctx = _Context(family, model)
     records = _run(ctx, n_reps, master_seed, n_threads)
     return _summarize(ctx, records), (records if keep_records else None)
@@ -404,8 +404,7 @@ def sure_unbiasedness_check(smoother: Smoother, model: GaussianSequenceModel,
     one-member family's run.
     Returns (mean_sure, target, z_score).
     """
-    if int(n_reps) < 2:
-        raise ValueError("n_reps must be >= 2 for a z-score")
+    validate.integer(n_reps, "n_reps", 2)  # a z-score needs a standard error
     summary, _ = run_experiment(SmootherFamily.of([smoother]), model, n_reps, master_seed)
     est = summary.estimates["sure_min_mean"]
     mean, stderr = est["mean"], est["stderr"]

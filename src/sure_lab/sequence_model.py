@@ -79,7 +79,7 @@ def make_theta0(kind: str, n: int, **params) -> np.ndarray:
         out[:k] = validate.number(params["amplitude"], "theta0.amplitude")
         return out
     if kind == "poly_decay":
-        alpha = validate.number(params["alpha"], "theta0.alpha", positive=True)
+        alpha = validate.number(params["alpha"], "theta0.alpha", validate.POSITIVE)
         idx = np.arange(1, n + 1, dtype=float)
         return validate.number(params["scale"], "theta0.scale") * idx ** (-alpha)
     return validate.array(params["values"], "theta0.values", (n,))
@@ -89,13 +89,8 @@ _MASK64 = 2**64 - 1
 
 
 def _philox(master_seed: int, replicate_index: int) -> np.random.Philox:
-    master_seed = int(master_seed)
-    replicate_index = int(replicate_index)
-    if not 0 <= master_seed <= validate.MAX_SEED:
-        raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
-    if replicate_index < 0:
-        raise ValueError(f"replicate_index must be >= 0, got {replicate_index}")
-    return np.random.Philox(key=master_seed, counter=replicate_index << 64)
+    return np.random.Philox(key=validate.seed(master_seed, "master_seed"),
+                            counter=validate.integer(replicate_index, "replicate_index", 0) << 64)
 
 
 def derive_stream(master_seed: int, replicate_index: int) -> np.random.Generator:

@@ -38,11 +38,7 @@ def operator_norm(h) -> float:
     Scaling by s = max|H| keeps G^T G finite and normal for any finite H, so
     the symmetric eigensolver (LAPACK, values only) is exact to rounding.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("matrix entries must be finite")
+    h = validate.finite_matrix(h, "h")
     s = float(np.max(np.abs(h))) if h.size else 0.0
     if s == 0.0:
         return 0.0
@@ -128,11 +124,7 @@ def _make(label, h, kind, params, df, frob_sq, opnorm, neighbours=None) -> Smoot
 def from_matrix(label: str, h) -> Smoother:
     """Wrap a copy of an explicit square matrix; flattened, the copy is params["matrix"].
     The one kind whose tr H and ||H||_F^2 have no closed form."""
-    h = np.array(h, dtype=float, order="C")
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"smoother matrix must be square, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("smoother matrix entries must be finite")
+    h = validate.finite_matrix(h, "matrix").copy()
     h.setflags(write=False)
     with np.errstate(over="ignore"):  # a trace or ||H||_F^2 beyond the float range is inf
         df, frob_sq = np.trace(h), np.sum(h * h)
@@ -145,20 +137,16 @@ _RANK_TOL = 1e-10
 def projection_from_design(label: str, design, subset) -> Smoother:
     """Orthogonal projector onto the span of the selected design columns.
 
-    Subset indices are 0-based. Rank-deficient selections project onto the
-    actual column span (singular values below 1e-10 of the largest are treated
-    as zero), so df and ||H||_F^2 equal the span dimension, the rank.
+    `subset` is a nonempty list of 0-based column indices. Rank-deficient
+    selections project onto the actual column span (singular values below
+    1e-10 of the largest are treated as zero), so df and ||H||_F^2 equal the
+    span dimension, the rank.
     """
-    design = np.asarray(design, dtype=float)
-    if design.ndim != 2:
-        raise ValueError(f"design must be a 2-d matrix, got shape {design.shape}")
-    subset = [int(j) for j in subset]
-    if len(subset) == 0:
-        raise ValueError("subset must be nonempty")
+    design = validate.finite_matrix(design, "design", square=False)
     p = design.shape[1]
-    bad = [j for j in subset if not 0 <= j < p]
-    if bad:
-        raise ValueError(f"subset indices {bad} out of range for {p} design columns")
+    subset = validate.list_of(subset, "subset", validate.integer, 0, p - 1)
+    if not subset:
+        raise ValueError("subset: must be nonempty")
     cols = design[:, subset]
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     rank = int(np.sum(s > _RANK_TOL * (s[0] if s.size else 0.0)))
@@ -173,7 +161,8 @@ def krr_from_gram(label: str, gram, lam: float) -> Smoother:
 
     The Gram matrix is symmetrized when its asymmetry is below 1e-10 (larger
     asymmetry is an error); eigenvalues in [-1e-10, 0) are clipped to 0.
-    lam = 0 requires a nonsingular Gram matrix and yields the filter 1, H = I.
+    lam is a finite number >= 0; lam = 0 requires a nonsingular Gram matrix
+    (else LinAlgError) and yields the filter 1, H = I.
     """
     return _krr(label, _gram_spectrum(gram), lam)
 
@@ -181,23 +170,19 @@ def krr_from_gram(label: str, gram, lam: float) -> Smoother:
 def _gram_spectrum(gram):
     """(read-only flattened Gram, clipped eigenvalues, read-only eigenvectors) of a
     PSD Gram matrix, after the checks krr_from_gram documents."""
-    gram = np.asarray(gram, dtype=float)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError(f"gram must be square, got shape {gram.shape}")
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("gram matrix entries must be finite")
+    gram = validate.finite_matrix(gram, "gram")
     scale = max(1.0, float(np.max(np.abs(gram))) if gram.size else 0.0)
     with np.errstate(over="ignore"):  # an overflowing difference is an inf asymmetry
         asym = float(np.max(np.abs(gram - gram.T))) if gram.size else 0.0
     if asym > 1e-10 * scale:
-        raise ValueError(f"gram matrix asymmetry {asym:g} exceeds tolerance")
+        raise ValueError(f"gram: asymmetry {asym:g} exceeds tolerance")
     with np.errstate(over="ignore"):  # checked just below
         gram = 0.5 * (gram + gram.T)
     if not np.all(np.isfinite(gram)):
-        raise ValueError("gram matrix symmetrization 0.5 (G + G^T) overflows the float range")
+        raise ValueError("gram: symmetrization 0.5 (G + G^T) overflows the float range")
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals.min() < -1e-10 * scale:
-        raise ValueError(f"gram matrix has negative eigenvalue {eigvals.min():g}")
+        raise ValueError(f"gram: negative eigenvalue {eigvals.min():g}")
     eigvecs.setflags(write=False)
     return _frozen(gram), np.clip(eigvals, 0.0, None), eigvecs
 
@@ -206,11 +191,9 @@ def _krr(label, gram_spectrum, lam) -> Smoother:
     """KRR member for one lambda from a _gram_spectrum, which members may share;
     it keeps the spectral form only (see Smoother.h)."""
     gram, eigvals, eigvecs = gram_spectrum
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    lam = validate.number(lam, "lambda", 0)
     if lam == 0.0 and eigvals.min() <= 1e-12 * max(eigvals.max(), 1.0):
-        raise np.linalg.LinAlgError("lambda = 0 requires a nonsingular gram matrix")
+        raise np.linalg.LinAlgError("lambda: must be positive when the gram matrix is singular")
     with np.errstate(over="ignore"):
         denom = eigvals + lam
     shrink = eigvals / denom  # exactly 1 at lambda = 0, where every eigenvalue is positive
@@ -230,6 +213,7 @@ def knn_from_points(label: str, points, k: int) -> Smoother:
     Each point is always its own first neighbor; remaining neighbors are the
     closest other points with distance ties broken by smallest index. Hence
     k=1 gives the identity and k=n the global mean, and tr H = ||H||_F^2 = n/k.
+    k is an integer in [1, n].
     """
     return _knn(label, _neighbour_order(points), k)
 
@@ -238,12 +222,8 @@ def _neighbour_order(points):
     """(read-only points as rows, read-only full neighbour ordering of each row) after
     the checks knn_from_points documents; column j of row i is its (j+1)-th neighbour."""
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2:
-        raise ValueError(f"points must be a list of vectors, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("k-NN points must be finite")
+    points = validate.finite_matrix(points[:, None] if points.ndim == 1 else points, "points",
+                                    square=False)
     diffs = points[:, None, :] - points[None, :, :]
     dist_sq = np.sum(diffs * diffs, axis=2)
     np.fill_diagonal(dist_sq, -np.inf)  # each point is its own first neighbor
@@ -256,9 +236,7 @@ def _knn(label, neighbour_order, k) -> Smoother:
     """k-NN member for one k from a _neighbour_order, which members may share."""
     points, order = neighbour_order
     n = order.shape[0]
-    k = int(k)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    k = validate.integer(k, "k", 1, n)
     h = np.zeros((n, n))
     np.put_along_axis(h, order[:, :k], 1.0 / k, axis=1)
     return _make(label, h, "knn", {"points": points, "k": k}, df=n / k, frob_sq=n / k,
@@ -378,7 +356,9 @@ def build_smoother(spec: dict, n: int, shared=None) -> Smoother:
     """Build one smoother from its JSON description for dimension n.
 
     Malformed members (unknown kind, missing or unknown `parameters` keys,
-    values of the wrong type or shape) raise ValueError. `shared` maps an
+    values of the wrong type or shape, values the constructor rejects) raise
+    ConfigError; a parameter's error is "smoother '<label>' parameters.<the
+    constructor's message>", which starts with the parameter. `shared` maps an
     array parameter's list object to its conversion, a Gram matrix to its
     eigendecomposition and a point set to its neighbour ordering; it is
     reused and extended across the members of one family.
@@ -393,26 +373,22 @@ def build_smoother(spec: dict, n: int, shared=None) -> Smoother:
         return _make(label, np.zeros((n, n)), "zero", {}, df=0, frob_sq=0, opnorm=0)
     if kind == "identity":
         return _make(label, np.eye(n), "identity", {}, df=n, frob_sq=n, opnorm=n > 0)
-    if kind == "explicit":
-        return from_matrix(label, _array(shared, params["matrix"], f"{where}.matrix", (n, n)))
-    if kind == "projection":
-        p = validate.integer(params["p"], f"{where}.p", 1)
-        return projection_from_design(
-            label, _array(shared, params["design"], f"{where}.design", (n, p)),
-            validate.list_of(params["subset"], f"{where}.subset", validate.integer, 0))
-    if kind == "krr":
-        gram = _array(shared, params["gram"], f"{where}.gram", (n, n))
-        lam = validate.number(params["lambda"], f"{where}.lambda")
-        try:
-            eigen = _shared(shared, _gram_spectrum, gram)
-        except ValueError as exc:
-            raise validate.ConfigError(f"{where}.gram: {exc}") from exc
-        return _krr(label, eigen, lam)
-    points = _array(shared, params["points"], f"{where}.points")
-    if len(points) != n:
-        raise validate.ConfigError(f"{where}.points: expected n = {n} points, got {len(points)}")
-    k = validate.integer(params["k"], f"{where}.k", 1)
-    return _knn(label, _shared(shared, _neighbour_order, points), k)
+    try:
+        if kind == "explicit":
+            return from_matrix(label, _array(shared, params["matrix"], "matrix", (n, n)))
+        if kind == "projection":
+            p = validate.integer(params["p"], "p", 1)
+            return projection_from_design(
+                label, _array(shared, params["design"], "design", (n, p)), params["subset"])
+        if kind == "krr":
+            gram = _array(shared, params["gram"], "gram", (n, n))
+            return _krr(label, _shared(shared, _gram_spectrum, gram), params["lambda"])
+        points = _array(shared, params["points"], "points")
+        if len(points) != n:
+            raise validate.ConfigError(f"points: expected n = {n} points, got {len(points)}")
+        return _knn(label, _shared(shared, _neighbour_order, points), params["k"])
+    except ValueError as exc:
+        raise validate.ConfigError(f"{where}.{exc}") from exc
 
 
 def _array(shared, value, where, shape=None):
@@ -438,13 +414,24 @@ def _shared(shared, derive, a):
 
 
 def family_to_doc(family: SmootherFamily) -> dict:
+    """The family document of `family`. An array parameter members share (a KRR
+    grid's Gram matrix, a k-NN family's points) becomes one list, which every
+    member's entry holds."""
+    lists = {}  # id of an array parameter -> its list; the members keep the arrays alive
+
+    def plain(value):
+        if not isinstance(value, np.ndarray):
+            return value
+        if id(value) not in lists:
+            lists[id(value)] = value.tolist()
+        return lists[id(value)]
+
     return {
         "schema_version": FAMILY_SCHEMA_VERSION,
         "n": family.n,
         "smoothers": [
             {"label": m.label, "kind": m.kind,
-             "parameters": {key: value.tolist() if isinstance(value, np.ndarray) else value
-                            for key, value in m.params.items()}}
+             "parameters": {key: plain(value) for key, value in m.params.items()}}
             for m in family.members
         ],
     }

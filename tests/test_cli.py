@@ -435,6 +435,17 @@ _KNN_POINTS = [[0.0], [1.0]]
                  ".subset[0]", id="projection-bool-subset"),
     pytest.param({"kind": "knn", "parameters": {"points": [[0.0], [1.0], [2.0]], "k": 1}},
                  "parameters.points: expected n = 2 points", id="knn-points-not-n"),
+    pytest.param({"kind": "knn", "parameters": {"points": _KNN_POINTS, "k": 3}},
+                 "smoother 'm' parameters.k: ", id="knn-k-over-n"),
+    pytest.param({"kind": "projection",
+                  "parameters": {"design": [1.0, 0.0], "p": 1, "subset": [1]}},
+                 "smoother 'm' parameters.subset[0]: ", id="projection-subset-over-p"),
+    pytest.param({"kind": "krr", "parameters": {"gram": [1.0, 0.0, 0.0, 0.0], "lambda": 0}},
+                 "smoother 'm' parameters.lambda: ", id="krr-lambda-0-singular-gram"),
+    pytest.param({"kind": "krr", "parameters": {"gram": [1.0, 0.5, 0.0, 1.0], "lambda": 1.0}},
+                 "smoother 'm' parameters.gram: ", id="krr-asymmetric-gram"),
+    pytest.param({"kind": "krr", "parameters": {"gram": [1.0, 0.0, 0.0, -1.0], "lambda": 1.0}},
+                 "smoother 'm' parameters.gram: ", id="krr-negative-eigenvalue"),
 ])
 def test_family_info_bad_member(tmp_path, capsys, member, needle):
     path = tmp_path / "family.json"
@@ -473,8 +484,8 @@ def test_gram_whose_symmetrization_overflows_exits_1_without_a_warning(tmp_path)
         proc = subprocess.run([sys.executable, "-m", "sure_lab.cli", command, "--config", cfg_path],
                               env=env, capture_output=True, encoding="utf-8", timeout=120)
         assert proc.returncode == 1
-        assert proc.stderr == ("error: family.smoothers: smoother 'k' parameters.gram: gram "
-                               "matrix symmetrization 0.5 (G + G^T) overflows the float range\n")
+        assert proc.stderr == ("error: family.smoothers: smoother 'k' parameters.gram: "
+                               "symmetrization 0.5 (G + G^T) overflows the float range\n")
 
 
 def test_krr_filter_whose_sum_overflows_exits_0_without_a_warning(tmp_path):
@@ -652,6 +663,7 @@ def test_verify_lemmas_cases_draw_distinct_streams(tmp_path, monkeypatch):
     pytest.param("quadratic", {"slack": "x"}, "quadratic.slack", id="string-slack"),
     pytest.param("maxima", {"n_vars": 5}, "maxima.n_vars", id="int-n_vars"),
     pytest.param("maxima", {"k": [1e308]}, "k=", id="huge-k"),
+    pytest.param("maxima", {"k": [0.5]}, "maxima.k[0]", id="k-below-1"),
     pytest.param("quadratic", {"n_matrices": 1.5}, "quadratic.n_matrices",
                  id="float-n_matrices"),
     pytest.param("quadratic", {"dim": 0}, "quadratic.dim", id="zero-dim"),

@@ -81,7 +81,8 @@ def test_derive_stream_validation():
 
 def test_derive_stream_takes_the_config_seed_range():
     derive_stream(validate.MAX_SEED, 0).standard_normal(1)
-    with pytest.raises(ValueError, match="master_seed must be a 64-bit unsigned integer"):
+    with pytest.raises(ValueError,
+                       match=rf"^master_seed: must be an integer in \[0, {validate.MAX_SEED}\]"):
         derive_stream(validate.MAX_SEED + 1, 0)
 
 

@@ -239,7 +239,7 @@ def test_krr_rejects_asymmetric_and_indefinite():
 def test_krr_rejects_non_finite_gram(gram):
     """Rejected before the eigensolver, naming the Gram (the suite turns any
     warning into an error)."""
-    with pytest.raises(ValueError, match="^gram matrix entries must be finite$"):
+    with pytest.raises(ValueError, match="^gram: entries must be finite$"):
         krr_from_gram("kr", gram, 1.0)
 
 
@@ -248,7 +248,7 @@ def test_krr_rejects_non_finite_gram(gram):
     pytest.param([[1.0, 1e308], [1e308, 1.0]], id="off-diagonal"),
 ])
 def test_krr_rejects_gram_whose_symmetrization_overflows(gram):
-    with pytest.raises(ValueError, match="gram matrix symmetrization .* overflows"):
+    with pytest.raises(ValueError, match="^gram: symmetrization .* overflows"):
         krr_from_gram("kr", gram, 1.0)
 
 
@@ -547,7 +547,7 @@ def test_saved_krr_grid_converts_its_gram_once(tmp_path, monkeypatch):
     monkeypatch.setattr(smoothers.validate, "array",
                         lambda value, *args: converted.append(args[0]) or array(value, *args))
     family = load_family(path)
-    assert converted == ["smoother 'k0' parameters.gram"]
+    assert converted == ["gram"]
     first = family.members[0]
     for m, lam in zip(family.members, lams):
         assert m.params["gram"] is first.params["gram"] and m.basis is first.basis
@@ -647,6 +647,28 @@ def test_krr_grid_of_1000_members_holds_no_dense_matrix():
     assert len(family) == 1000 and family.basis is not None
     assert peak < 8 * 2**20, peak
     assert not any("h" in vars(m) for m in family)
+
+
+def test_family_to_doc_converts_a_shared_gram_once():
+    """200 members on one Gram at n = 100: the document holds one list of the
+    Gram for every member (one list a member would be 64 MB)."""
+    n = 100
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((n, n))
+    gram = (a @ a.T).reshape(-1).tolist()
+    family = smoothers.build_family(
+        [{"label": f"k{i}", "kind": "krr", "parameters": {"gram": gram, "lambda": lam}}
+         for i, lam in enumerate(np.geomspace(1e-2, 1e2, 200).tolist())], n, "family")
+    tracemalloc.start()
+    try:
+        doc = family_to_doc(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lists = [entry["parameters"]["gram"] for entry in doc["smoothers"]]
+    assert all(g is lists[0] for g in lists)
+    assert lists[0] == family.members[0].params["gram"].tolist()
+    assert peak < 2 * 2**20, peak
 
 
 def _knn_doc(n, point_sets, ks):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sure_lab import _validate as validate
+from sure_lab import concentration, criteria, smoothers
 from sure_lab.cli import ConfigError
 
 
@@ -52,7 +53,7 @@ def test_number():
     assert validate.number(2, "w") == 2.0 and isinstance(validate.number(2, "w"), float)
     assert validate.number(-1e308, "w") == -1e308
     with pytest.raises(ConfigError, match="positive"):
-        validate.number(0.0, "w", positive=True)
+        validate.number(0.0, "w", validate.POSITIVE)
 
 
 def test_string_and_list_of():
@@ -395,3 +396,51 @@ def test_load_json_drops_the_bytes_before_a_plain_decode(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 6.8 * path.stat().st_size
+
+
+# -- the library's entry points check their inputs with these helpers ----------
+
+# parameter name -> (a call of its consumer on a matrix, whether it must be square)
+_MATRIX_CONSUMERS = {
+    "h": (smoothers.operator_norm, True),
+    "matrix": (lambda a: smoothers.from_matrix("m", a), True),
+    "gram": (lambda a: smoothers.krr_from_gram("m", a, 1.0), True),
+    "design": (lambda a: smoothers.projection_from_design("m", a, [0]), False),
+    "points": (lambda a: smoothers.knn_from_points("m", a, 1), False),
+    "a": (concentration.quadratic_form_params, True),
+}
+_BAD_MATRICES = {"ndim-3": np.ones((2, 2, 2)), "not-square": np.ones((2, 3)),
+                 "inf": [[1.0, 0.0], [0.0, np.inf]], "nan": [[1.0, 0.0], [0.0, np.nan]]}
+
+
+@pytest.mark.parametrize("param,bad", [
+    pytest.param(param, bad, id=f"{param}-{bad}")
+    for param, (_, square) in _MATRIX_CONSUMERS.items() for bad in _BAD_MATRICES
+    if square or bad != "not-square"])
+def test_matrix_consumers_name_the_parameter(param, bad):
+    with pytest.raises(ValueError, match=rf"^{param}: "):
+        _MATRIX_CONSUMERS[param][0](_BAD_MATRICES[bad])
+
+
+@pytest.mark.parametrize("call,param", [
+    pytest.param(lambda: smoothers.krr_from_gram("m", np.eye(2), math.nan), "lambda",
+                 id="krr-nan-lambda"),
+    pytest.param(lambda: criteria.edf_bound(math.nan, 10, 1.0), "r_star_value",
+                 id="edf_bound-nan-r_star"),
+    pytest.param(lambda: criteria.edf_bound(1.0, 10, math.nan), "h_op", id="edf_bound-nan-h_op"),
+    pytest.param(lambda: concentration.SubExpParams(math.nan, 0.0), "tau_sq",
+                 id="SubExpParams-nan-tau_sq"),
+    pytest.param(lambda: concentration.SubExpParams(1.0, math.nan), "b", id="SubExpParams-nan-b"),
+    pytest.param(lambda: concentration.verify_mgf_bound(
+        None, concentration.SubExpParams(1.0, 0.0), [0.1], 10**4, slack=math.nan,
+        exact_eigs=[1.0]), "slack", id="verify_mgf_bound-nan-slack"),
+    pytest.param(lambda: concentration.max_moment_bound(10, 2, math.nan), "tau",
+                 id="max_moment_bound-nan-tau"),
+    pytest.param(lambda: smoothers.knn_from_points("m", np.arange(3.0), 2.7), "k",
+                 id="knn-fractional-k"),
+    pytest.param(lambda: smoothers.projection_from_design("m", np.eye(2), [0.5]), r"subset\[0\]",
+                 id="projection-fractional-subset"),
+])
+def test_library_bounds_reject_nan_and_fractions(call, param):
+    with pytest.raises(ValueError, match=rf"^{param}: "):
+        call()
