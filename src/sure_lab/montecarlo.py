@@ -86,8 +86,9 @@ RECORD_CSV_COLUMNS = ("replicate_index", "selected", "sure_min", "loss_selected"
                       "edf_total", "edf_quadratic", "edf_linear", "exopt_stat",
                       "noise_sq_gap", "signal_cross", "shell", "basic_inequality_slack")
 # records_to_csv holds the text of at most this many rows (about 180 bytes
-# each) at a time, so the CSV's memory does not grow with n_reps.
-CSV_CHUNK_ROWS = 4096
+# each) at a time, so the CSV's memory does not grow with n_reps; from 256 to
+# 4096 rows a chunk, the writer ran equally fast.
+CSV_CHUNK_ROWS = 512
 
 
 class ReplicateRecords:

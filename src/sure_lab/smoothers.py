@@ -2,9 +2,9 @@
 
 Constructors cover orthogonal projections from a design matrix, kernel ridge
 regression from a Gram matrix, k-nearest-neighbor averaging, and explicit
-matrices. Kernel ridge members keep their spectral form only and form their
-dense matrix on first access. Families are immutable and JSON-serializable (see
-docs/family_schema.md).
+matrices. Kernel ridge members keep their spectral form only, and k-NN members
+their neighbour ordering only; both form their dense matrix on first access.
+Families are immutable and JSON-serializable (see docs/family_schema.md).
 """
 
 from __future__ import annotations
@@ -53,14 +53,16 @@ class Smoother:
     `params` holds the constructor inputs; array inputs are kept as
     read-only ndarrays and become lists only in `family_to_doc`. KRR members
     keep only their spectral form H = basis @ diag(spectrum) @ basis.T (an
-    orthonormal eigenbasis of the Gram matrix and the filter mu/(mu+lambda)),
-    with `dense` None; the other kinds keep their read-only matrix as `dense`,
-    with `basis` and `spectrum` None. `h` is the read-only dense matrix of any
-    member, formed from the spectral form on first access and kept; `apply`
-    multiplies by H without forming it. k-NN members keep `neighbours`, the
-    read-only neighbour ordering of their points (row i lists the points by
-    distance from point i, itself first), which members on one point set
-    share; it is None for the other kinds. == and hash are identity.
+    orthonormal eigenbasis of the Gram matrix and the filter mu/(mu+lambda)).
+    k-NN members keep only `neighbours`, the read-only neighbour ordering of
+    their points (row i lists the points by distance from point i, itself
+    first), which members on one point set share; row i of H puts 1/k on the
+    points neighbours[i, :k]. Both have `dense` None; the other kinds keep
+    their read-only matrix as `dense`, with `basis`, `spectrum` and
+    `neighbours` None. `h` is the read-only dense matrix of any member, formed
+    from the spectral form or the ordering on first access and kept; `apply`
+    multiplies a KRR member by H without forming it, any other by `h`. == and
+    hash are identity.
     """
 
     label: str
@@ -76,15 +78,19 @@ class Smoother:
 
     @property
     def n(self) -> int:
-        return (self.basis if self.dense is None else self.dense).shape[0]
+        return next(a for a in (self.dense, self.basis, self.neighbours) if a is not None).shape[0]
 
     @cached_property
     def h(self) -> np.ndarray:
-        """The dense matrix: `dense`, or (basis * spectrum) @ basis.T of a member
-        with a spectral form, formed on first access, read-only."""
+        """The dense matrix: `dense`, or, formed on first access, (basis * spectrum)
+        @ basis.T of a member with a spectral form and the k-NN averaging matrix of
+        a member with a neighbour ordering; read-only."""
         if self.dense is not None:
             return self.dense
-        h = (self.basis * self.spectrum) @ self.basis.T
+        if self.basis is not None:
+            h = (self.basis * self.spectrum) @ self.basis.T
+        else:
+            h = _knn_matrix(self.neighbours, self.params["k"])
         h.setflags(write=False)
         return h
 
@@ -92,9 +98,9 @@ class Smoother:
         """H v for a vector v, or H v_b for each row v_b of a stacked (B, n) array:
         basis @ (spectrum * basis.T @ v) for a member with a spectral form, which
         leaves `h` unformed, else v @ h.T."""
-        if self.dense is None:
+        if self.basis is not None:
             return ((v @ self.basis) * self.spectrum) @ self.basis.T
-        return v @ self.dense.T
+        return v @ self.h.T
 
 
 def _frozen(a, shape=(-1,)) -> np.ndarray:
@@ -104,7 +110,7 @@ def _frozen(a, shape=(-1,)) -> np.ndarray:
     return a
 
 
-def _make(label, h, kind, params, df, frob_sq, opnorm, neighbours=None) -> Smoother:
+def _make(label, h, kind, params, df, frob_sq, opnorm) -> Smoother:
     """Freeze and wrap the dense float array `h` itself, with its statistics."""
     h.setflags(write=False)
     return Smoother(
@@ -117,7 +123,7 @@ def _make(label, h, kind, params, df, frob_sq, opnorm, neighbours=None) -> Smoot
         dense=h,
         basis=None,
         spectrum=None,
-        neighbours=neighbours,
+        neighbours=None,
     )
 
 
@@ -233,14 +239,23 @@ def _neighbour_order(points):
 
 
 def _knn(label, neighbour_order, k) -> Smoother:
-    """k-NN member for one k from a _neighbour_order, which members may share."""
+    """k-NN member for one k from a _neighbour_order, which members may share;
+    it keeps the ordering only (see Smoother.h). Its operator norm comes from
+    its matrix, formed here and dropped."""
     points, order = neighbour_order
     n = order.shape[0]
     k = validate.integer(k, "k", 1, n)
-    h = np.zeros((n, n))
+    return Smoother(label=str(label), df=n / k, frob_sq=n / k,
+                    opnorm=operator_norm(_knn_matrix(order, k)), kind="knn",
+                    params={"points": points, "k": k}, dense=None, basis=None,
+                    spectrum=None, neighbours=order)
+
+
+def _knn_matrix(order, k) -> np.ndarray:
+    """The n x n matrix whose row i puts 1/k on the points order[i, :k]."""
+    h = np.zeros(order.shape)
     np.put_along_axis(h, order[:, :k], 1.0 / k, axis=1)
-    return _make(label, h, "knn", {"points": points, "k": k}, df=n / k, frob_sq=n / k,
-                 opnorm=operator_norm(h), neighbours=order)
+    return h
 
 
 def knn_opnorm_bound(smoother: Smoother) -> float:

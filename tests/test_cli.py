@@ -637,6 +637,22 @@ def test_verify_lemmas_largest_master_seed(tmp_path, capsys):
         assert "--seed" in capsys.readouterr().err
 
 
+def test_verify_lemmas_has_no_exit_of_its_own(tmp_path, monkeypatch, capsys):
+    """A ValueError in the battery exits 1, as any input error does: the reader
+    keeps every lemma evaluation in its domain, so no exit code 3 is left."""
+    def out_of_domain(*args, **kwargs):
+        raise ValueError("lambda: outside the domain |lambda| <= 1/b")
+
+    monkeypatch.setattr(concentration, "verify_mgf_bound", out_of_domain)
+    cfg = {"maxima": {"n_samples": 100, "n_vars": [1], "k": [1], "tau": [1.0]},
+           "quadratic": {"n_samples": 10_000, "n_matrices": 1, "dim": 2}}
+    out = tmp_path / "report.json"
+    assert main(["verify-lemmas", "--config", write_config(tmp_path, cfg, "lemmas.json"),
+                 "--out", str(out)]) == 1
+    assert "error: lambda: outside the domain" in capsys.readouterr().err
+    assert out.read_text() == ""  # opened before the battery, left empty
+
+
 def test_verify_lemmas_cases_draw_distinct_streams(tmp_path, monkeypatch):
     opened = []
 

@@ -547,15 +547,22 @@ def test_outputs_byte_identical_across_threads(monkeypatch):
     rng = np.random.default_rng(77)
     krr_grid = _krr_grid(rng, n, 10, singular=True)
     knn_grid = _knn_family(rng, n, range(1, 40, 2), d=1)
+
+    def fresh_knn_grid():  # a new family a run, whose members form their matrices in it
+        family = _knn_family(np.random.default_rng(78), n, range(1, 40, 2), d=2)
+        assert not any("h" in vars(m) for m in family)
+        return family
+
     model = GaussianSequenceModel(theta0=5.0 / np.arange(1, n + 1), sigma=1.0)
     n_reps = 1000
-    for family, kernel in ((projections, "dense"), (krr_grid, "spectral"), (knn_grid, "knn")):
-        ctx = montecarlo._Context(family, model)
+    for make, kernel in ((lambda: projections, "dense"), (lambda: krr_grid, "spectral"),
+                         (lambda: knn_grid, "knn"), (fresh_knn_grid, "knn")):
+        ctx = montecarlo._Context(make(), model)
         assert _kernel(ctx) == kernel
         assert n_reps % ctx.block_len != 0 and n_reps > 2 * ctx.block_len
         outputs = set()
         for threads in (1, 2, 3):
-            summary, records = run_experiment(family, model, n_reps, 77, n_threads=threads,
+            summary, records = run_experiment(make(), model, n_reps, 77, n_threads=threads,
                                               keep_records=True)
             outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True), csv_text(records)))
         assert len(outputs) == 1

@@ -649,6 +649,48 @@ def test_krr_grid_of_1000_members_holds_no_dense_matrix():
     assert not any("h" in vars(m) for m in family)
 
 
+def test_knn_grid_of_100_members_holds_no_dense_matrix():
+    """100 members k = 1..100 on one point set at n = 200: one neighbour
+    ordering and no n x n matrix per member (100 of them would be 32 MB)."""
+    n = 200
+    points = np.random.default_rng(25).standard_normal((n, 2)).tolist()
+    specs = [{"label": f"k{k}", "kind": "knn", "parameters": {"points": points, "k": k}}
+             for k in range(1, 101)]
+    tracemalloc.start()
+    try:
+        family = smoothers.build_family(specs, n, "family")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family) == 100 and family.neighbours is not None
+    assert peak < 4 * 2**20, peak
+    assert all(m.dense is None and "h" not in vars(m) for m in family)
+
+
+def test_knn_members_hold_only_their_neighbour_ordering(tmp_path, monkeypatch, capsys):
+    """k-NN members from knn_from_points, from a family document and from
+    `family-info` keep no n x n matrix. The one formed on first access is
+    read-only, has the reference's bytes and gives the member's opnorm exactly."""
+    n, ks = 12, [1, 3, 7, 12]
+    points = np.random.default_rng(24).integers(-2, 3, size=(n, 2)).astype(float)  # ties
+    family = family_from_doc(_knn_doc(n, [points.tolist()] * len(ks), ks))
+    path = tmp_path / "family.json"
+    save_family(family, path)
+    built, build_family = [], cli._build_family
+    monkeypatch.setattr(cli, "_build_family", lambda *args: built.append(build_family(*args))
+                        or built[-1])
+    assert cli.main(["family-info", "--family", str(path)]) == 0
+    assert capsys.readouterr().out.count("\n") == len(ks) + 2
+    members = [*(knn_from_points(f"k{k}", points, k) for k in ks), *family, *built[0]]
+    for m in members:  # all before any matrix is formed
+        assert m.dense is None and "h" not in vars(m) and m.n == n
+    for m in members:
+        h = m.h
+        assert h is m.h and not h.flags.writeable  # formed once, read-only
+        assert h.tobytes() == _knn_reference(points, m.params["k"]).tobytes()
+        assert m.opnorm == operator_norm(h)
+
+
 def test_family_to_doc_converts_a_shared_gram_once():
     """200 members on one Gram at n = 100: the document holds one list of the
     Gram for every member (one list a member would be 64 MB)."""
