@@ -9,10 +9,10 @@ Gram matrix) work in that eigenbasis: the draws are rotated once, every
 member is a filter there, and every statistic is an inner product there.
 Families of k-NN members on one neighbour ordering get every SURE, and the
 oracle member's product, from running sums over that ordering, then apply
-only the selected members. Any other family applies every member with one
-matrix product. All three then select the same way. Block boundaries depend
-only on n_reps and the family, so results do not depend on the worker
-count; workers take turns drawing the noise.
+only the other selected members, one matrix product each. Any other family
+applies every member with one matrix product. All three then select the same
+way. Block boundaries depend only on n_reps and the family, so results do
+not depend on the worker count; workers take turns drawing the noise.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class _Context:
       which gives the oracle's product too: O(n k_max) a replicate;
     - dense: any other family applies every member with one product,
       O(|S| n^2) a replicate, and picks the products.
-    The first two form H_j y only for the selected members.
+    A row that selects the oracle gets H_j0 y itself: its slack is exactly 0.
     """
 
     def __init__(self, family: SmootherFamily, model: GaussianSequenceModel):
@@ -234,15 +234,15 @@ class _Context:
                 for s in members[1:]:  # one k under several labels
                     resid_sq[s] = resid_sq[members[0]]
 
-        def apply(j):  # one product per distinct member, on the rows grouped by member
-            order = np.argsort(j, kind="stable")
+        def apply(j):  # one product per other member; the oracle's rows keep C / k0
+            order = np.argsort(j, kind="stable")  # np.unique's first call imports numpy.ma
             grouped = y[order]
             cuts = [0, *(np.flatnonzero(np.diff(j[order])) + 1), len(y)]
             for lo, hi in zip(cuts, cuts[1:]):
-                grouped[lo:hi] = self.family.members[j[order[lo]]].apply(grouped[lo:hi])
-            out = np.empty_like(y)
-            out[order] = grouped
-            return out
+                s = j[order[lo]]
+                grouped[lo:hi] = (hy_0[order[lo:hi]] if s == self.oracle_idx
+                                  else self.family.members[s].apply(grouped[lo:hi]))
+            return grouped[np.argsort(order)]
 
         return resid_sq.T, hy_0, apply
 

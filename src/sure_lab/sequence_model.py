@@ -29,15 +29,15 @@ class GaussianSequenceModel:
     sigma: float
 
     def __post_init__(self):
-        theta0 = np.array(self.theta0, dtype=float, copy=True).reshape(-1)
-        if theta0.size < 1:
-            raise ValueError("theta0 must have length >= 1")
-        if not np.all(np.isfinite(theta0)):
-            raise ValueError("theta0 entries must be finite")
-        sigma = float(self.sigma)
-        if not (sigma > 0 and np.finfo(float).tiny <= sigma * sigma < np.inf):
-            raise ValueError("sigma must be positive with sigma^2 a normal float (about "
-                             f"1.5e-154 to 1.3e+154), got {self.sigma!r}")
+        # as Python objects, so that the one list check sees booleans and strings
+        theta0 = validate.array(np.asarray(self.theta0, dtype=object).tolist(), "theta0")
+        if theta0.ndim != 1 or theta0.size < 1:
+            raise validate.ConfigError(f"theta0: expected a 1-d list of at least one number, "
+                                       f"got shape {theta0.shape}")
+        sigma = validate.number(self.sigma, "sigma", validate.POSITIVE)
+        if not np.finfo(float).tiny <= sigma * sigma < np.inf:
+            raise validate.ConfigError("sigma: sigma^2 must be a normal float (sigma about "
+                                       f"1.5e-154 to 1.3e+154), got {self.sigma!r}")
         theta0.setflags(write=False)
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "sigma", sigma)

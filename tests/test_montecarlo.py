@@ -359,6 +359,15 @@ def _assert_records_match(got, want):
                                        atol=1e-10 * scale, err_msg=name)
 
 
+def _oracle_rows_with_zero_slack(family, model, records):
+    """Assert the basic-inequality slack is exactly 0 on every record whose selected
+    member is the oracle member, and return how many such records there are: the
+    kernel must apply the oracle one way, whichever side of the inequality it is on."""
+    oracle = records.columns["selected"] == montecarlo._Context(family, model).oracle_idx
+    np.testing.assert_array_equal(records.columns["basic_inequality_slack"][oracle], 0.0)
+    return int(np.count_nonzero(oracle))
+
+
 @pytest.mark.parametrize("n", [2, 7, 20])
 def test_block_kernel_matches_criteria(n):
     rng = np.random.default_rng(100 + n)
@@ -401,6 +410,7 @@ def test_block_kernel_matches_criteria(n):
 @pytest.mark.parametrize("singular", [True, False], ids=["singular", "lambda0"])
 def test_spectral_kernel_matches_dense(n, singular):
     rng = np.random.default_rng(200 + n)
+    oracle_rows = 0
     for _ in range(3):
         family = _krr_grid(rng, n, int(rng.integers(2, 13)), singular)
         model = GaussianSequenceModel(theta0=rng.normal(scale=2.0, size=n),
@@ -413,6 +423,9 @@ def test_spectral_kernel_matches_dense(n, singular):
         for summary in (spectral_summary, dense_summary):
             assert set(summary.identity_pass_rates.values()) == {1.0}
         _assert_records_match(spectral, reference)
+        oracle_rows += sum(_oracle_rows_with_zero_slack(f, model, records)
+                           for f, records in ((family, spectral), (dense, reference)))
+    assert oracle_rows > 0
 
 
 @pytest.mark.parametrize("n", [2, 7, 20])
@@ -420,8 +433,10 @@ def test_spectral_kernel_matches_dense(n, singular):
 def test_knn_kernel_matches_dense(n, d):
     """Random signals, then the two ends of the running-sum pass for the oracle's
     product: theta0 = 0 (the largest k, the last rank) and a large rough theta0
-    (k = 1, the first rank), each with the oracle's k under two labels."""
+    (k = 1, the first rank), each with the oracle's k under two labels. On both
+    kernels the slack is exactly 0 where SURE selects the oracle."""
     rng = np.random.default_rng(300 + 10 * n + d)
+    oracle_rows = 0
     for oracle_k in (None, None, None, n, 1):
         ks = [1, n, *rng.integers(1, n + 1, size=int(rng.integers(0, 5)))]
         ks.append(ks[-1] if oracle_k is None else oracle_k)  # one k under two labels
@@ -441,6 +456,9 @@ def test_knn_kernel_matches_dense(n, d):
         for summary in (knn_summary, dense_summary):
             assert set(summary.identity_pass_rates.values()) == {1.0}
         _assert_records_match(knn, reference)
+        oracle_rows += sum(_oracle_rows_with_zero_slack(f, model, records)
+                           for f, records in ((family, knn), (dense, reference)))
+    assert oracle_rows > 0
 
 
 def test_spectral_kernel_keeps_digits_at_high_snr():

@@ -52,6 +52,15 @@ def test_model_invariants():
     for sigma in (1e-160, 1e200, -1.0):  # sigma^2 subnormal, overflowing; sigma negative
         with pytest.raises(ValueError, match="sigma"):
             GaussianSequenceModel(theta0=[1.0, 0.0], sigma=sigma)
+    for sigma in (True, "2"):  # not numbers, though float() reads them
+        with pytest.raises(ValueError, match="^sigma: must be a finite positive number"):
+            GaussianSequenceModel(theta0=[1.0, 0.0], sigma=sigma)
+    for theta0 in ([[1.0, 2.0]], np.ones((2, 1))):  # not 1-d, though they flatten
+        with pytest.raises(ValueError, match="^theta0: expected a 1-d list"):
+            GaussianSequenceModel(theta0=theta0, sigma=1.0)
+    for theta0 in (["1", "2"], [True, False], [1.0, True], np.array([True, False])):
+        with pytest.raises(ValueError, match="^theta0: expected a list of finite numbers"):
+            GaussianSequenceModel(theta0=theta0, sigma=1.0)
 
 
 def test_sample_moments():
