@@ -4,15 +4,17 @@ Replicates run in fixed blocks of consecutive indices: every member's SURE
 is computed on a block's draws, SURE selects, and the statistics whose exact
 identities (edf decomposition, basic inequality, excess-optimism linkage)
 are checked on every draw come out as columns. There are three selection
-kernels. Families whose members share one eigenbasis (KRR members on one
-Gram matrix) work in that eigenbasis: the draws are rotated once, every
-member is a filter there, and every statistic is an inner product there.
-Families of k-NN members on one neighbour ordering get every SURE, and the
-oracle member's product, from running sums over that ordering, then apply
-only the other selected members, one matrix product each. Any other family
-applies every member with one matrix product. All three then select the same
-way. Block boundaries depend only on n_reps and the family, so results do
-not depend on the worker count; workers take turns drawing the noise.
+kernels; each gives, per row, the inner products the statistics are written
+on. Families whose members share one eigenbasis (KRR members on one Gram
+matrix) work in that eigenbasis: the draws are rotated once, every member is
+a filter there, and every inner product is a column of one of three
+products of the block with per-member filter tables. Families of k-NN
+members on one neighbour ordering get every SURE, and the oracle member's
+product, from running sums over that ordering, then apply only the other
+selected members, one matrix product each. Any other family applies every
+member with one matrix product. All three then select the same way. Block
+boundaries depend only on n_reps and the family, so results do not depend
+on the worker count; workers take turns drawing the noise.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-8
-# A block (1 to 1024 replicates) keeps its per-row arrays, on the dense path
-# the products H_s y, within BLOCK_BYTES; larger blocks raised peak memory
-# without speeding up the matrix products.
+# A block (1 to 1024 replicates) keeps the floats its rows hold at the peak,
+# as each kernel counts them, within BLOCK_BYTES.
 BLOCK_BYTES = 2 * 1024 * 1024
 
 # summary estimate -> record column it averages
@@ -135,24 +136,31 @@ class _Context:
 
     Three selection kernels, each in its own orthonormal coordinates: V^T x
     on the spectral kernel, x itself on the other two. Given the block's rows
-    y in those coordinates, each returns ||y - H_s y||^2 for every row and
-    member s, H_j0 y for the oracle member j0, and apply(j), H_j y per row
-    for the members j selected per row; block() adds 2 sigma^2 tr H_s, takes
-    the argmin j and computes every statistic of a member as inner products
-    in the same coordinates, which an orthonormal V leaves unchanged.
+    y = theta0 + z and z in those coordinates, each returns ||y - H_s y||^2
+    for every row and member s, and pick. block() adds 2 sigma^2 tr H_s and
+    takes the argmin j; pick(j, record) returns record(selected, oracle),
+    where selected holds, per row, the seven inner products of the member j
+    selected in it
+        ||y - H_j y||^2, ||H_j y - theta0||^2, (H_j y).z, z.(H_j z),
+        ||H_j z||^2, b_j.(z - H_j z), (H_j theta0).z,
+    with b_s = theta0 - H_s theta0, and oracle the three z.(H_j0 z),
+    ||H_j0 z||^2 and b_j0.(z - H_j0 z) of the oracle member j0. record writes
+    every statistic on those numbers, which an orthonormal V leaves unchanged.
     - spectral: a family with a shared eigenbasis V = family.basis
-      (H_s = V diag(f_s) V^T) works on u = V^T y = V^T theta0 + V^T z, with
-      V^T theta0 and f_s * V^T theta0 formed once and the exact draws z
-      rotated once a block. There H_s is the filter f_s and every SURE is
-      sum_i (1 - f_si)^2 u_i^2 + 2 sigma^2 tr H_s: O(n^2 + n|S|) a replicate,
-      one n x n product;
+      (H_s = V diag(f_s) V^T) works on u = V^T z, the exact draws rotated
+      once a block, and t = V^T theta0, where H_s is the filter f_s. With F
+      the filters (member s is row s), every number is a column of
+      (y∘y)((1-F)^2)^T, (u∘u)[F; F^2]^T or u[F∘t; (1-F)^2∘t; F(1-F)∘t]^T,
+      or a sum of such columns and the constant ||(1-f_s)∘t||^2: O(n^2 + n|S|)
+      a replicate, one n x n product, and no H_j y is formed;
     - k-NN: a family of k-NN members on one neighbour ordering
       (family.neighbours) keeps, for each point, the running sum C of its
       neighbours' values over the ranks r < k_max, so H_k y = C / k at rank k,
       which gives the oracle's product too: O(n k_max) a replicate;
     - dense: any other family applies every member with one product,
       O(|S| n^2) a replicate, and picks the products.
-    A row that selects the oracle gets H_j0 y itself: its slack is exactly 0.
+    The last two take the numbers from H_j y and H_j0 y (_applied). A row that
+    selects the oracle reads the oracle's own numbers: its slack is exactly 0.
     """
 
     def __init__(self, family: SmootherFamily, model: GaussianSequenceModel):
@@ -185,14 +193,22 @@ class _Context:
         # degenerate r_star disables the shell machinery
         self.shells = (criteria.shell_indices(self.risks, self.sigma_sq, self.r_star)
                        if self.r_star > 0 else None)
-        # On the two structured kernels about eight n-vectors a row are live at
-        # the peak (the draws and their rotation or the running sums, y, the two
-        # products, residuals). Spectral rows of 100-250 ran fastest at n = 200;
-        # a 161-row k-NN block at n = 200, |S| = 20 holds 2.1 MB, the 65-row
-        # dense block 2.7 MB.
+        # The floats a row holds at the peak. On the k-NN kernel about eight
+        # n-vectors are live (the draws, y, the running sums, one rank's values,
+        # the two products, residuals): a 161-row block at n = 200, |S| = 20
+        # holds 2.1 MB, the 65-row dense block 2.7 MB.
         row_floats = 8 * self.n + len(family)
         if self.basis is not None:
-            self.resid_filters_sq = (1.0 - self.filters) ** 2
+            # The draws, their rotation, y and one square of them, and the three
+            # products' 6 |S| columns: a 277-row block at n = 200, |S| = 24
+            # peaked at 1.85 MiB (tracemalloc), drawing included.
+            row_floats = 4 * self.n + 6 * len(family)
+            f, t = self.filters, self.theta_c
+            self.resid_filters_sq = (1.0 - f) ** 2
+            self.square_filters = np.concatenate([f, f * f])
+            self.linear_filters = np.concatenate([self.h_theta_c, self.resid_filters_sq * t,
+                                                  f * (1.0 - f) * t])
+            self.bias_sq = _rowdot(self.bias_c, self.bias_c)
             self._select = _Context._spectral  # unbound: a bound method would be a cycle
         elif family.neighbours is not None:
             ks = [m.params["k"] for m in members]
@@ -211,13 +227,28 @@ class _Context:
         self.frob_sqs = np.array([m.frob_sq for m in members])
         self.block_len = min(max(BLOCK_BYTES // (8 * row_floats), 1), 1024)
 
-    def _spectral(self, y):
-        """(||y - H_s y||^2 of every member s per row, H_j0 y, apply) for rows y in
-        the eigenbasis, where H_s y is f_s * y: apply(j) is H_j y per row."""
-        return ((y * y) @ self.resid_filters_sq.T, y * self.filters[self.oracle_idx],
-                lambda j: y * self.filters[j])
+    def _spectral(self, y, u):
+        """(||y - H_s y||^2 of every member s per row, pick) for rows y and u = V^T z
+        in the eigenbasis: pick takes every number from columns j and j0 of the
+        three products."""
+        resid_sq = (y * y) @ self.resid_filters_sq.T
+        # square[:, 0] is z.(H_s z), square[:, 1] ||H_s z||^2; linear[:, 0] is
+        # (H_s theta0).z, linear[:, 1] b_s.(z - H_s z), linear[:, 2] (f_s(1-f_s)t).u
+        square = ((u * u) @ self.square_filters.T).reshape(len(u), 2, -1)
+        linear = (u @ self.linear_filters.T).reshape(len(u), 3, -1)
+        rows, j0 = np.arange(len(u)), self.oracle_idx
 
-    def _knn(self, y):
+        def pick(j, record):
+            zhz, hz_sq = square[rows, :, j].T
+            h_theta_z, bias_resid, cross = linear[rows, :, j].T
+            # H y - theta0 = f u - (1-f) t and (H y).z = u.(f u) + (f t).u
+            return record((resid_sq[rows, j], hz_sq - 2.0 * cross + self.bias_sq[j],
+                           zhz + h_theta_z, zhz, hz_sq, bias_resid, h_theta_z),
+                          (*square[:, :, j0].T, linear[:, 1, j0]))
+
+        return resid_sq, pick
+
+    def _knn(self, y, z):
         """As _spectral, from running sums over the shared neighbour ordering."""
         yt = np.ascontiguousarray(y.T)  # a rank's neighbours of every point are a row gather
         total = np.zeros_like(yt)
@@ -244,9 +275,9 @@ class _Context:
                                   else self.family.members[s].apply(grouped[lo:hi]))
             return grouped[np.argsort(order)]
 
-        return resid_sq.T, hy_0, apply
+        return resid_sq.T, lambda j, record: self._applied(y, z, j, apply(j), hy_0, record)
 
-    def _dense(self, y):
+    def _dense(self, y, z):
         """As _spectral, from every member applied by one product."""
         hy = (y @ self.h_flat.T).reshape(len(y), -1, self.n)  # hy[b, s] = H_s y_b
         resid_sq = np.empty(hy.shape[:2])
@@ -254,54 +285,74 @@ class _Context:
             resid = y - hy[:, s]
             resid_sq[:, s] = _rowdot(resid, resid)
         rows = np.arange(len(y))
-        return resid_sq, hy[rows, self.oracle_idx], lambda j: hy[rows, j]
+        return resid_sq, lambda j, record: self._applied(y, z, j, hy[rows, j],
+                                                         hy[rows, self.oracle_idx], record)
+
+    def _applied(self, y, z, j, hy_j, hy_0, record):
+        """pick(j, record) from H_j y and H_j0 y per row."""
+        def quadratic(s, hz):  # z.(H_s z), ||H_s z||^2, b_s.(z - H_s z)
+            return _rowdot(z, hz), _rowdot(hz, hz), _rowdot(self.bias_c[s], z - hz)
+
+        # hz, resid and diff stay live until record returns (see block)
+        hz = hy_j - self.h_theta_c[j]
+        zhz, hz_sq, bias_resid = quadratic(j, hz)
+        oracle = quadratic(self.oracle_idx, hy_0 - self.h_theta_c[self.oracle_idx])
+        resid, diff = y - hy_j, hy_j - self.theta_c
+        return record((_rowdot(resid, resid), _rowdot(diff, diff), _rowdot(hy_j, z), zhz, hz_sq,
+                       bias_resid, _rowdot(self.h_theta_c[j], z)), oracle)
 
     def block(self, z: np.ndarray, first_index: int) -> dict:
         """Record columns of replicates first_index, ... with noise rows z (B x n)."""
-        s2, n = self.sigma_sq, self.n
-        rows = np.arange(len(z))
+        s2, n, j0 = self.sigma_sq, self.n, self.oracle_idx
         # z, theta0 and y in the kernel's coordinates: z is the exact draws
         # rotated, never y's rotation minus theta0's, which would lose z's
         # digits when |theta0| >> sigma.
         zc = z if self.basis is None else z @ self.basis
-        theta0 = self.theta_c
-        y = theta0 + zc
-        j0 = self.oracle_idx
-        sure, hy_0, apply = self._select(self, y)
-        sure += 2.0 * s2 * self.trs
-        j = np.argmin(sure, axis=1)  # first index on ties
-        hy_j = apply(j)
-        resid = y - hy_j  # SURE(j) again, from the vector the statistics use
-        sure_min = _rowdot(resid, resid) + 2.0 * s2 * self.trs[j]
+        resid_sq, pick = self._select(self, self.theta_c + zc, zc)
+        j = np.argmin(resid_sq + 2.0 * s2 * self.trs, axis=1)  # first index on ties
 
-        def centered(s, hz):  # criteria.centered_variables of member(s) s, per row
-            quad = 2.0 * _rowdot(zc, hz) - _rowdot(hz, hz)  # z^T (2H - H^T H) z
-            w = quad / s2 + self.frob_sqs[s] - 2.0 * self.trs[s]
-            return w, -_rowdot(self.bias_c[s], zc - hz) / s2
+        def centered(s, zhz, hz_sq, bias_resid):  # criteria.centered_variables, per row
+            quad = 2.0 * zhz - hz_sq  # z^T (2H - H^T H) z
+            return quad / s2 + self.frob_sqs[s] - 2.0 * self.trs[s], -bias_resid / s2
 
-        hz_j = hy_j - self.h_theta_c[j]
-        w_j, zlin_j = centered(j, hz_j)
-        w_0, zlin_0 = centered(j0, hy_0 - self.h_theta_c[j0])
-        diff = hy_j - theta0
-        loss = _rowdot(diff, diff)
-        lhs = (self.risks[j] - self.risks[j0]) / s2
-        cols = {
-            "replicate_index": first_index + rows,
-            "selected": j,
-            "sure_min": sure_min,
-            "loss_selected": loss,
-            "edf_total": _rowdot(hy_j, zc) / s2 - self.trs[j],
-            "edf_quadratic": _rowdot(zc, hz_j) / s2 - self.trs[j],
-            "edf_linear": _rowdot(self.h_theta_c[j], zc) / s2,
-            "exopt_stat": loss + n * s2 - sure_min,
-            # no member in these two: the draws' own coordinates
-            "noise_sq_gap": n * s2 - _rowdot(z, z),
-            "signal_cross": 2.0 * _rowdot(self.theta0, z),
-            "basic_inequality_slack": (w_j - w_0) + 2.0 * (zlin_j - zlin_0) - lhs,
-        }
-        if self.shells is not None:
-            cols["shell"] = self.shells[j]
-        return cols
+        def record(selected, oracle):
+            resid_j, loss, hy_z, zhz, hz_sq, bias_resid, h_theta_z = selected
+            sure_min = resid_j + 2.0 * s2 * self.trs[j]
+            w_j, zlin_j = centered(j, zhz, hz_sq, bias_resid)
+            w_0, zlin_0 = centered(j0, *oracle)
+            lhs = (self.risks[j] - self.risks[j0]) / s2
+            cols = {
+                "replicate_index": first_index + np.arange(len(z)),
+                "selected": j,
+                "sure_min": sure_min,
+                "loss_selected": loss,
+                "edf_total": hy_z / s2 - self.trs[j],
+                "edf_quadratic": zhz / s2 - self.trs[j],
+                "edf_linear": h_theta_z / s2,
+                "exopt_stat": loss + n * s2 - sure_min,
+                # no member in these two: the draws' own coordinates
+                "noise_sq_gap": n * s2 - _rowdot(z, z),
+                "signal_cross": 2.0 * _rowdot(self.theta0, z),
+                "basic_inequality_slack": (w_j - w_0) + 2.0 * (zlin_j - zlin_0) - lhs,
+            }
+            if self.shells is not None:
+                cols["shell"] = self.shells[j]
+            return cols
+
+        # pick calls record while the kernel's block arrays are live. Forming
+        # the columns after those were freed let glibc trim the heap at each
+        # block's end, and faulting it back in made a one-worker knn_n200 run
+        # 15 % slower (38 566 minor page faults for 12 000 replicates, against
+        # 284 this way).
+        return pick(j, record)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (a container pinned to 1 CPU of a larger host has 1), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> ReplicateRecords:
@@ -316,9 +367,10 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> Replic
         hi = min(lo + ctx.block_len, n_reps)
         with drawing:
             z = standard_normal_rows(master_seed, lo, hi, ctx.n)
-        return ctx.block(ctx.sigma * z, lo)
+        z *= ctx.sigma
+        return ctx.block(z, lo)
 
-    workers = min(n_threads, len(starts), os.cpu_count() or 1)
+    workers = min(n_threads, len(starts), _cpu_count())
     if workers <= 1:
         blocks = [run_block(lo) for lo in starts]
     else:
@@ -386,9 +438,9 @@ def run_experiment(family: SmootherFamily, model: GaussianSequenceModel,
 
     Replicate i always draws derive_stream(master_seed, i)'s noise, and block
     boundaries depend only on n_reps and the family's shape, so results are
-    independent of n_threads and of scheduling. At most
-    min(n_threads, blocks, CPUs) worker threads run. Returns (summary,
-    records); records is None unless keep_records is set.
+    independent of n_threads and of scheduling. At most min(n_threads,
+    blocks, CPUs this process may run on) worker threads run. Returns
+    (summary, records); records is None unless keep_records is set.
     """
     n_reps = validate.integer(n_reps, "n_reps", 1)
     n_threads = validate.integer(n_threads, "n_threads", 1)

@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -481,6 +482,29 @@ def test_spectral_kernel_keeps_digits_at_high_snr():
         assert spectral.estimates[name]["mean"] == pytest.approx(estimate["mean"], rel=1e-8), name
 
 
+def test_spectral_block_fits_its_memory():
+    """One spectral block of a 24-member KRR grid at n = 200, drawn, scaled and
+    reduced as a run does it: the kernel takes every statistic from three
+    products with per-member tables and holds about four n-vectors a row, so
+    a block of at least 260 rows peaks under 2.3 MiB."""
+    n = 200
+    x = np.linspace(0.0, 1.0, n)
+    gram = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2 * 0.1 ** 2))
+    family = SmootherFamily.of([krr_from_gram(f"k{i}", gram, float(lam))
+                                for i, lam in enumerate(np.logspace(-2, 2, 24))])
+    model = GaussianSequenceModel(theta0=3.0 * np.sin(6.0 * x), sigma=1.5)
+    ctx = montecarlo._Context(family, model)
+    assert _kernel(ctx) == "spectral" and ctx.block_len >= 260
+    montecarlo._run(ctx, ctx.block_len, 5, 1)  # first-call allocations outside the trace
+    tracemalloc.start()
+    try:
+        montecarlo._run(ctx, ctx.block_len, 5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * 2**20
+
+
 def test_context_is_freed_without_the_cycle_collector():
     # A dense context holds |S| n^2 floats; it must go when its last reference does.
     rng = np.random.default_rng(9)
@@ -558,7 +582,7 @@ def test_engine_rows_match_replicate():
 
 
 def test_outputs_byte_identical_across_threads(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # let 3 workers really run
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)  # let 3 workers really run
     n = 128
     projections = SmootherFamily.of([projection_from_design(f"p{m}", np.eye(n), list(range(m)))
                                      for m in (1, 2, 4, 8, 16, 32, 64, 128)])
@@ -589,7 +613,7 @@ def test_outputs_byte_identical_across_threads(monkeypatch):
 def test_workers_take_turns_drawing_noise(monkeypatch):
     """The per-row noise loop admits one worker at a time; each entry waits a
     little, so two workers let in together would overlap."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # let 3 workers really run
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)  # let 3 workers really run
     inside, most, calls, count = [0], [0], [0], threading.Lock()
     draw = montecarlo.standard_normal_rows
 
@@ -640,14 +664,27 @@ class RecordingPool:
 def test_worker_pool_bounded(monkeypatch, zero_id_family, model):
     RecordingPool.sizes = []
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
     block = montecarlo._Context(zero_id_family, model).block_len
     run_experiment(zero_id_family, model, 3 * block, 1, n_threads=10**6)  # 3 blocks
     run_experiment(zero_id_family, model, 10 * block, 1, n_threads=10**6)  # 4 CPUs
     run_experiment(zero_id_family, model, block, 1, n_threads=10**6)  # 1 block: no pool
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    run_experiment(zero_id_family, model, 10 * block, 1, n_threads=10**6)  # unknown: 1
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+    run_experiment(zero_id_family, model, 10 * block, 1, n_threads=10**6)  # 1 CPU: no pool
     assert RecordingPool.sizes == [3, 4]
+
+
+def test_cpu_count_is_the_affinity_set(monkeypatch):
+    """Workers are bounded by the CPUs this process may run on, not the host's:
+    a container pinned to 1 CPU of an 8-CPU host runs one worker."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert montecarlo._cpu_count() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert montecarlo._cpu_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: 1
+    assert montecarlo._cpu_count() == 1
 
 
 def _csv_reference(records):
