@@ -4,17 +4,19 @@ Replicates run in fixed blocks of consecutive indices: every member's SURE
 is computed on a block's draws, SURE selects, and the statistics whose exact
 identities (edf decomposition, basic inequality, excess-optimism linkage)
 are checked on every draw come out as columns. There are three selection
-kernels; each gives, per row, the inner products the statistics are written
-on. Families whose members share one eigenbasis (KRR members on one Gram
-matrix) work in that eigenbasis: the draws are rotated once, every member is
-a filter there, and every inner product is a column of one of three
-products of the block with per-member filter tables. Families of k-NN
-members on one neighbour ordering get every SURE, and the oracle member's
-product, from running sums over that ordering, then apply only the other
-selected members, one matrix product each. Any other family applies every
-member with one matrix product. All three then select the same way. Block
-boundaries depend only on n_reps and the family, so results do not depend
-on the worker count; workers take turns drawing the noise.
+kernels; each gives, per row, every member's residual norm, which selects,
+and six inner products of the selected member (three of the oracle member),
+on which one function writes every statistic for all three. Families whose
+members share one eigenbasis (KRR members on one Gram matrix) work in that
+eigenbasis: the draws are rotated once, every member is a filter there, and
+every inner product is a column of one of three products of the block with
+per-member filter tables. Families of k-NN members on one neighbour
+ordering get every SURE, and the oracle member's product, from running sums
+over that ordering, then apply only the other selected members, one matrix
+product each. Any other family applies every member with one matrix
+product. All three then select the same way. Block boundaries depend only
+on n_reps and the family, so results do not depend on the worker count;
+workers take turns drawing the noise.
 """
 
 from __future__ import annotations
@@ -139,28 +141,31 @@ class _Context:
     y = theta0 + z and z in those coordinates, each returns ||y - H_s y||^2
     for every row and member s, and pick. block() adds 2 sigma^2 tr H_s and
     takes the argmin j; pick(j, record) returns record(selected, oracle),
-    where selected holds, per row, the seven inner products of the member j
+    where selected holds, per row, the six inner products of the member j
     selected in it
-        ||y - H_j y||^2, ||H_j y - theta0||^2, (H_j y).z, z.(H_j z),
-        ||H_j z||^2, b_j.(z - H_j z), (H_j theta0).z,
+        ||y - H_j y||^2 (the residual norm that selected j), z.(H_j z),
+        ||H_j z||^2, (H_j theta0).z, b_j.(z - H_j z), b_j.(H_j z),
     with b_s = theta0 - H_s theta0, and oracle the three z.(H_j0 z),
     ||H_j0 z||^2 and b_j0.(z - H_j0 z) of the oracle member j0. record writes
-    every statistic on those numbers, which an orthonormal V leaves unchanged.
+    every statistic once on those numbers and the constants ||b_s||^2, which
+    an orthonormal V leaves unchanged: sure_min is the selecting criterion,
+    loss_selected is ||H_j z||^2 - 2 b_j.(H_j z) + ||b_j||^2 and (H_j y).z is
+    z.(H_j z) + (H_j theta0).z.
     - spectral: a family with a shared eigenbasis V = family.basis
       (H_s = V diag(f_s) V^T) works on u = V^T z, the exact draws rotated
       once a block, and t = V^T theta0, where H_s is the filter f_s. With F
       the filters (member s is row s), every number is a column of
-      (y∘y)((1-F)^2)^T, (u∘u)[F; F^2]^T or u[F∘t; (1-F)^2∘t; F(1-F)∘t]^T,
-      or a sum of such columns and the constant ||(1-f_s)∘t||^2: O(n^2 + n|S|)
-      a replicate, one n x n product, and no H_j y is formed;
+      (y∘y)((1-F)^2)^T, (u∘u)[F; F^2]^T or u[F∘t; (1-F)^2∘t; F(1-F)∘t]^T:
+      O(n^2 + n|S|) a replicate, one n x n product, and no H_j y is formed;
     - k-NN: a family of k-NN members on one neighbour ordering
       (family.neighbours) keeps, for each point, the running sum C of its
       neighbours' values over the ranks r < k_max, so H_k y = C / k at rank k,
       which gives the oracle's product too: O(n k_max) a replicate;
     - dense: any other family applies every member with one product,
       O(|S| n^2) a replicate, and picks the products.
-    The last two take the numbers from H_j y and H_j0 y (_applied). A row that
-    selects the oracle reads the oracle's own numbers: its slack is exactly 0.
+    The last two take the numbers from H_j z = H_j y - H_j theta0 and H_j0 z
+    (_applied). A row that selects the oracle reads the oracle's own numbers:
+    its slack is exactly 0.
     """
 
     def __init__(self, family: SmootherFamily, model: GaussianSequenceModel):
@@ -186,6 +191,7 @@ class _Context:
                 self.theta_c = self.theta0
                 self.h_theta_c = np.stack([m.apply(self.theta0) for m in members])
             self.bias_c = self.theta_c - self.h_theta_c
+            self.bias_sq = _rowdot(self.bias_c, self.bias_c)
         self.risks = np.array([criteria.risk_from(bias, m.frob_sq, self.sigma_sq)
                                for bias, m in zip(self.bias_c, members)])
         self.oracle_idx = int(np.argmin(self.risks))
@@ -196,7 +202,8 @@ class _Context:
         # The floats a row holds at the peak. On the k-NN kernel about eight
         # n-vectors are live (the draws, y, the running sums, one rank's values,
         # the two products, residuals): a 161-row block at n = 200, |S| = 20
-        # holds 2.1 MB, the 65-row dense block 2.7 MB.
+        # peaked at 2.01 MiB (tracemalloc, drawing included), the 65-row dense
+        # block at 2.80 MiB.
         row_floats = 8 * self.n + len(family)
         if self.basis is not None:
             # The draws, their rotation, y and one square of them, and the three
@@ -208,7 +215,6 @@ class _Context:
             self.square_filters = np.concatenate([f, f * f])
             self.linear_filters = np.concatenate([self.h_theta_c, self.resid_filters_sq * t,
                                                   f * (1.0 - f) * t])
-            self.bias_sq = _rowdot(self.bias_c, self.bias_c)
             self._select = _Context._spectral  # unbound: a bound method would be a cycle
         elif family.neighbours is not None:
             ks = [m.params["k"] for m in members]
@@ -239,11 +245,7 @@ class _Context:
         rows, j0 = np.arange(len(u)), self.oracle_idx
 
         def pick(j, record):
-            zhz, hz_sq = square[rows, :, j].T
-            h_theta_z, bias_resid, cross = linear[rows, :, j].T
-            # H y - theta0 = f u - (1-f) t and (H y).z = u.(f u) + (f t).u
-            return record((resid_sq[rows, j], hz_sq - 2.0 * cross + self.bias_sq[j],
-                           zhz + h_theta_z, zhz, hz_sq, bias_resid, h_theta_z),
+            return record((resid_sq[rows, j], *square[rows, :, j].T, *linear[rows, :, j].T),
                           (*square[:, :, j0].T, linear[:, 1, j0]))
 
         return resid_sq, pick
@@ -275,7 +277,9 @@ class _Context:
                                   else self.family.members[s].apply(grouped[lo:hi]))
             return grouped[np.argsort(order)]
 
-        return resid_sq.T, lambda j, record: self._applied(y, z, j, apply(j), hy_0, record)
+        rows = np.arange(len(y))
+        return resid_sq.T, lambda j, record: self._applied(z, j, resid_sq[j, rows], apply(j),
+                                                           hy_0, record)
 
     def _dense(self, y, z):
         """As _spectral, from every member applied by one product."""
@@ -285,21 +289,18 @@ class _Context:
             resid = y - hy[:, s]
             resid_sq[:, s] = _rowdot(resid, resid)
         rows = np.arange(len(y))
-        return resid_sq, lambda j, record: self._applied(y, z, j, hy[rows, j],
+        return resid_sq, lambda j, record: self._applied(z, j, resid_sq[rows, j], hy[rows, j],
                                                          hy[rows, self.oracle_idx], record)
 
-    def _applied(self, y, z, j, hy_j, hy_0, record):
-        """pick(j, record) from H_j y and H_j0 y per row."""
-        def quadratic(s, hz):  # z.(H_s z), ||H_s z||^2, b_s.(z - H_s z)
-            return _rowdot(z, hz), _rowdot(hz, hz), _rowdot(self.bias_c[s], z - hz)
-
-        # hz, resid and diff stay live until record returns (see block)
-        hz = hy_j - self.h_theta_c[j]
-        zhz, hz_sq, bias_resid = quadratic(j, hz)
-        oracle = quadratic(self.oracle_idx, hy_0 - self.h_theta_c[self.oracle_idx])
-        resid, diff = y - hy_j, hy_j - self.theta_c
-        return record((_rowdot(resid, resid), _rowdot(diff, diff), _rowdot(hy_j, z), zhz, hz_sq,
-                       bias_resid, _rowdot(self.h_theta_c[j], z)), oracle)
+    def _applied(self, z, j, resid_j, hy_j, hy_0, record):
+        """pick(j, record) from ||y - H_j y||^2, H_j y and H_j0 y per row."""
+        j0 = self.oracle_idx
+        # hz, hz_0 and z - hz stay live until record returns (see block)
+        hz, hz_0 = hy_j - self.h_theta_c[j], hy_0 - self.h_theta_c[j0]
+        rz = z - hz
+        return record((resid_j, _rowdot(z, hz), _rowdot(hz, hz), _rowdot(self.h_theta_c[j], z),
+                       _rowdot(self.bias_c[j], rz), _rowdot(self.bias_c[j], hz)),
+                      (_rowdot(z, hz_0), _rowdot(hz_0, hz_0), _rowdot(self.bias_c[j0], z - hz_0)))
 
     def block(self, z: np.ndarray, first_index: int) -> dict:
         """Record columns of replicates first_index, ... with noise rows z (B x n)."""
@@ -316,8 +317,9 @@ class _Context:
             return quad / s2 + self.frob_sqs[s] - 2.0 * self.trs[s], -bias_resid / s2
 
         def record(selected, oracle):
-            resid_j, loss, hy_z, zhz, hz_sq, bias_resid, h_theta_z = selected
-            sure_min = resid_j + 2.0 * s2 * self.trs[j]
+            resid_j, zhz, hz_sq, h_theta_z, bias_resid, bias_hz = selected
+            sure_min = resid_j + 2.0 * s2 * self.trs[j]  # the criterion that selected j
+            loss = hz_sq - 2.0 * bias_hz + self.bias_sq[j]  # H_j y - theta0 = H_j z - b_j
             w_j, zlin_j = centered(j, zhz, hz_sq, bias_resid)
             w_0, zlin_0 = centered(j0, *oracle)
             lhs = (self.risks[j] - self.risks[j0]) / s2
@@ -326,7 +328,7 @@ class _Context:
                 "selected": j,
                 "sure_min": sure_min,
                 "loss_selected": loss,
-                "edf_total": hy_z / s2 - self.trs[j],
+                "edf_total": (zhz + h_theta_z) / s2 - self.trs[j],
                 "edf_quadratic": zhz / s2 - self.trs[j],
                 "edf_linear": h_theta_z / s2,
                 "exopt_stat": loss + n * s2 - sure_min,

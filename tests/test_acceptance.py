@@ -430,3 +430,104 @@ def test_cli_determinism(tmp_path):
     _verdict("cli_determinism", passed,
              f"summaries byte-identical across 1 and 8 threads "
              f"({len(outs[0])} bytes)")
+
+
+# ---------------------------------------------------------------------------
+# 13. Tuned edf against exact references
+# ---------------------------------------------------------------------------
+
+# A Monte Carlo mean passes when it lies within Z_BAND of its standard errors
+# of the exact value: at |z| <= 4 a correct engine fails one check in about
+# 16 000, and a wrong formula off by 0.1 edf fails at these replicate counts.
+Z_BAND = 4.0
+
+
+def _exact_singleton_edf(n: int, steps: int = 6000, s_max: float = 12.0) -> float:
+    """E[edf] of SURE tuning over the n singletons e_i e_i^T at theta0 = 0, sigma = 1.
+
+    SURE(i) = ||y||^2 - y_i^2 + 2 selects argmax_i y_i^2, so E[edf] =
+    E[max_i z_i^2] - 1 = int_0^inf (1 - erf(sqrt(t/2))^n) dt - 1, here by
+    Simpson's rule in s = sqrt(t) (smooth integrand; the tail past s_max is
+    below 1e-30).
+    """
+    h = s_max / steps
+
+    def f(s):
+        return 2.0 * s * (1.0 - math.erf(s / math.sqrt(2.0)) ** n)
+
+    total = f(0.0) + f(s_max) + sum((4.0 if i % 2 else 2.0) * f(i * h) for i in range(1, steps))
+    return total * h / 3.0 - 1.0
+
+
+def _chi2_sf_even(m: int, x: float) -> float:
+    """P(chi^2_m > x) for even m: e^{-x/2} sum_{i < m/2} (x/2)^i / i!."""
+    return math.exp(-x / 2.0) * sum((x / 2.0) ** i / math.factorial(i) for i in range(m // 2))
+
+
+def test_erratum_witness(tmp_path):
+    """The erratum corrects the excess-degrees-of-freedom bound of Tibshirani &
+    Rosset (JASA 2019) for SURE-tuned linear estimators; `bounds.edf.bound` is
+    the corrected form sqrt(r* log|S|) + h_op log|S| (1 + log_+(h_op^2 log|S| / r*)).
+    On the singletons e_i e_i^T at theta0 = 0, sigma = 1, r* = h_op = 1 for
+    every n while the tuned edf grows like 2 log n: edf / sqrt(r* log|S|) more
+    than doubles from n = 4 to 64, so no bound of that order alone holds, and
+    edf / bound stays near 0.488."""
+    exact, estimate, stderr, bound = {}, {}, {}, {}
+    for n in (4, 16, 64):
+        config = {
+            "schema_version": 2,
+            "model": {"n": n, "sigma": 1.0, "theta0": {"kind": "zero"}},
+            "family": {"smoothers": [
+                {"label": f"e{i}", "kind": "projection",
+                 "parameters": {"p": n, "design": np.eye(n).ravel().tolist(), "subset": [i]}}
+                for i in range(n)]},
+            "n_reps": 20_000,
+            "master_seed": SEED,
+        }
+        cfg_path, out = tmp_path / f"singletons{n}.json", tmp_path / f"summary{n}.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        edf = doc["bounds"]["edf"]
+        assert doc["summary"]["r_star"] == 1.0 and edf["h_op_effective"] == 1.0
+        exact[n] = _exact_singleton_edf(n)
+        estimate[n], stderr[n], bound[n] = edf["estimate"], edf["stderr"], edf["bound"]
+        assert edf["ratio"] == estimate[n] / bound[n]
+
+    z = {n: (estimate[n] - exact[n]) / stderr[n] for n in exact}
+    # edf / sqrt(r* log|S|), r* = 1: exact 1.249 at n = 4 and 2.900 at n = 64;
+    # the Monte Carlo reading takes each estimate at the unfavourable end of its band
+    growth = {n: exact[n] / math.sqrt(math.log(n)) for n in exact}
+    mc_doubles = ((estimate[64] - Z_BAND * stderr[64]) / math.sqrt(math.log(64))
+                  > 2.0 * (estimate[4] + Z_BAND * stderr[4]) / math.sqrt(math.log(4)))
+    # every n's edf / bound inside the exact ratios' range (0.487-0.489),
+    # widened by Z_BAND of the widest standard error in ratio units
+    exact_ratio = [exact[n] / bound[n] for n in exact]
+    slack = Z_BAND * max(stderr[n] / bound[n] for n in exact)
+    band = (min(exact_ratio) - slack, max(exact_ratio) + slack)
+    ratio = {n: estimate[n] / bound[n] for n in exact}
+    passed = (all(abs(v) <= Z_BAND for v in z.values()) and growth[64] > 2.0 * growth[4]
+              and mc_doubles and all(band[0] <= r <= band[1] for r in ratio.values()))
+    _verdict("erratum_witness", passed,
+             "; ".join(f"n={n}: edf {estimate[n]:.4f} +- {stderr[n]:.4f} vs exact "
+                       f"{exact[n]:.4f} (z {z[n]:+.2f}), edf/bound {ratio[n]:.4f}" for n in exact)
+             + f"; exact edf/sqrt(log|S|) {growth[4]:.3f} -> {growth[64]:.3f}, "
+               f"band {band[0]:.3f}-{band[1]:.3f}")
+
+
+def test_zero_identity_exact_edf():
+    """{0, I} at theta0 = 0: SURE selects I iff ||y||^2 > 2 n sigma^2, where the
+    edf is ||z||^2 / sigma^2 - n, so E[edf] = n [P(chi^2_{n+2} > 2n) - P(chi^2_n > 2n)]."""
+    assert math.isclose(2 * (_chi2_sf_even(4, 4.0) - _chi2_sf_even(2, 4.0)), 4.0 * math.exp(-2.0))
+    details, passed = [], True
+    for n in (2, 4, 8):
+        family = SmootherFamily.of([from_matrix("zero", np.zeros((n, n))),
+                                    from_matrix("identity", np.eye(n))])
+        summary, _ = run_experiment(family, _model(n, 1.0, "zero"), 10**5, SEED)
+        est = summary.estimates["edf_total"]
+        exact = n * (_chi2_sf_even(n + 2, 2.0 * n) - _chi2_sf_even(n, 2.0 * n))
+        z = (est["mean"] - exact) / est["stderr"]
+        passed &= abs(z) <= Z_BAND
+        details.append(f"n={n}: edf {est['mean']:.4f} +- {est['stderr']:.4f} vs exact "
+                       f"{exact:.4f} (z {z:+.2f})")
+    _verdict("zero_identity_exact_edf", passed, "; ".join(details))

@@ -36,6 +36,7 @@ from sure_lab import (
 from sure_lab.cli import main
 from sure_lab.criteria import DegenerateFamilyError
 from sure_lab.montecarlo import RECORD_CSV_COLUMNS
+from sure_lab.sequence_model import standard_normal_rows
 
 
 def one_row(family, model, z, index=0):
@@ -369,6 +370,20 @@ def _oracle_rows_with_zero_slack(family, model, records):
     return int(np.count_nonzero(oracle))
 
 
+def _assert_sure_min_selected(family, model, records, master_seed):
+    """Assert sure_min is, bit for bit, the criterion the kernel selected by:
+    min over s of ||y - H_s y||^2 + 2 sigma^2 tr H_s from ctx._select, on the
+    blocks and draws of _run."""
+    ctx = montecarlo._Context(family, model)
+    for lo in range(0, len(records), ctx.block_len):
+        hi = min(lo + ctx.block_len, len(records))
+        z = standard_normal_rows(master_seed, lo, hi, model.n) * model.sigma
+        zc = z if ctx.basis is None else z @ ctx.basis
+        resid_sq, _ = ctx._select(ctx, ctx.theta_c + zc, zc)
+        criterion = resid_sq + 2.0 * model.sigma_sq * ctx.trs
+        np.testing.assert_array_equal(records.columns["sure_min"][lo:hi], criterion.min(axis=1))
+
+
 @pytest.mark.parametrize("n", [2, 7, 20])
 def test_block_kernel_matches_criteria(n):
     rng = np.random.default_rng(100 + n)
@@ -424,9 +439,28 @@ def test_spectral_kernel_matches_dense(n, singular):
         for summary in (spectral_summary, dense_summary):
             assert set(summary.identity_pass_rates.values()) == {1.0}
         _assert_records_match(spectral, reference)
-        oracle_rows += sum(_oracle_rows_with_zero_slack(f, model, records)
-                           for f, records in ((family, spectral), (dense, reference)))
+        for f, records in ((family, spectral), (dense, reference)):
+            _assert_sure_min_selected(f, model, records, 4)
+            oracle_rows += _oracle_rows_with_zero_slack(f, model, records)
     assert oracle_rows > 0
+
+
+def _assert_knn_matches_dense(family, model, n_reps, seed):
+    """Run a k-NN kernel family and its dense twin: every identity holds, the
+    records agree, sure_min is the selecting criterion on both kernels, and the
+    slack is exactly 0 where SURE selects the oracle. Returns the oracle rows."""
+    dense = dataclasses.replace(family, neighbours=None)
+    assert _kernel(montecarlo._Context(dense, model)) == "dense"
+    runs = [run_experiment(f, model, n_reps, seed, keep_records=True) for f in (family, dense)]
+    for summary, _ in runs:
+        assert set(summary.identity_pass_rates.values()) == {1.0}
+    (_, knn), (_, reference) = runs
+    _assert_records_match(knn, reference)
+    oracle_rows = 0
+    for f, (_, records) in zip((family, dense), runs):
+        _assert_sure_min_selected(f, model, records, seed)
+        oracle_rows += _oracle_rows_with_zero_slack(f, model, records)
+    return oracle_rows
 
 
 @pytest.mark.parametrize("n", [2, 7, 20])
@@ -434,8 +468,7 @@ def test_spectral_kernel_matches_dense(n, singular):
 def test_knn_kernel_matches_dense(n, d):
     """Random signals, then the two ends of the running-sum pass for the oracle's
     product: theta0 = 0 (the largest k, the last rank) and a large rough theta0
-    (k = 1, the first rank), each with the oracle's k under two labels. On both
-    kernels the slack is exactly 0 where SURE selects the oracle."""
+    (k = 1, the first rank), each with the oracle's k under two labels."""
     rng = np.random.default_rng(300 + 10 * n + d)
     oracle_rows = 0
     for oracle_k in (None, None, None, n, 1):
@@ -446,20 +479,25 @@ def test_knn_kernel_matches_dense(n, d):
         theta0 = (rng.normal(scale=2.0, size=n) if oracle_k is None
                   else np.zeros(n) if oracle_k == n else rng.normal(scale=1e3, size=n))
         model = GaussianSequenceModel(theta0=theta0, sigma=float(rng.uniform(0.3, 2.0)))
-        dense = dataclasses.replace(family, neighbours=None)
         ctx = montecarlo._Context(family, model)
         assert _kernel(ctx) == "knn"
         if oracle_k is not None:
             assert ks[ctx.oracle_idx] == oracle_k and ks.count(oracle_k) >= 2
-        assert _kernel(montecarlo._Context(dense, model)) == "dense"
-        runs = [run_experiment(f, model, 300, 5, keep_records=True) for f in (family, dense)]
-        (knn_summary, knn), (dense_summary, reference) = runs
-        for summary in (knn_summary, dense_summary):
-            assert set(summary.identity_pass_rates.values()) == {1.0}
-        _assert_records_match(knn, reference)
-        oracle_rows += sum(_oracle_rows_with_zero_slack(f, model, records)
-                           for f, records in ((family, knn), (dense, reference)))
+        oracle_rows += _assert_knn_matches_dense(family, model, 300, 5)
     assert oracle_rows > 0
+
+
+def test_knn_kernel_matches_dense_at_bench_shape():
+    """The knn_n200 bench family's shape: 200 stratified points on a line and
+    k = 1, 3, ..., 39, where a matrix product's SURE differs in the last digit
+    from the running-sum SURE that selected the row on most rows."""
+    n = 200
+    points = (np.arange(n) + np.random.default_rng(12).uniform(size=n)) / n
+    family = SmootherFamily.of([knn_from_points(f"knn_k{k}", points, k) for k in range(1, 40, 2)])
+    model = GaussianSequenceModel(theta0=make_theta0("poly_decay", n, alpha=1.0, scale=4.0),
+                                  sigma=1.0)
+    assert _kernel(montecarlo._Context(family, model)) == "knn"
+    _assert_knn_matches_dense(family, model, 1000, 2)
 
 
 def test_spectral_kernel_keeps_digits_at_high_snr():
