@@ -21,9 +21,12 @@ workers take turns drawing the noise.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -133,24 +136,39 @@ def _rowdot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
+def _coldot(a, b):
+    return np.einsum("i...,i...->...", a, b)
+
+
+def _numbers(z, hz, h_theta, bias, dot=_rowdot):
+    """(z.(H z), ||H z||^2, (H theta0).z, b.(z - H z), b.(H z)) per replicate, in
+    the order record reads them, for rows (or, with _coldot, columns) z and
+    hz = H y, which is overwritten with H z and then z - H z; h_theta and
+    bias = theta0 - H theta0 are per replicate or one for all."""
+    hz -= h_theta
+    zhz, hz_sq, h_theta_z, bias_hz = dot(z, hz), dot(hz, hz), dot(h_theta, z), dot(bias, hz)
+    np.subtract(z, hz, out=hz)
+    return zhz, hz_sq, h_theta_z, dot(bias, hz), bias_hz
+
+
 class _Context:
     """Per-(family, model) arrays shared by every block of replicates.
 
     Three selection kernels, each in its own orthonormal coordinates: V^T x
-    on the spectral kernel, x itself on the other two. Given the block's rows
-    y = theta0 + z and z in those coordinates, each returns ||y - H_s y||^2
-    for every row and member s, and pick. block() adds 2 sigma^2 tr H_s and
-    takes the argmin j; pick(j, record) returns record(selected, oracle),
-    where selected holds, per row, the six inner products of the member j
-    selected in it
+    on the spectral kernel, x itself on the other two. Given the block's draws
+    z in those coordinates (y = theta0 + z) and work, the kernel's
+    work_arrays flat arrays of at least B n floats each, a kernel returns
+    ||y - H_s y||^2 for every row and member s, and pick. block() adds
+    2 sigma^2 tr H_s and takes the argmin j; pick(j, record) returns
+    record(selected, oracle), where selected holds, per row, the six inner
+    products of the member j selected in it
         ||y - H_j y||^2 (the residual norm that selected j), z.(H_j z),
         ||H_j z||^2, (H_j theta0).z, b_j.(z - H_j z), b_j.(H_j z),
-    with b_s = theta0 - H_s theta0, and oracle the three z.(H_j0 z),
-    ||H_j0 z||^2 and b_j0.(z - H_j0 z) of the oracle member j0. record writes
-    every statistic once on those numbers and the constants ||b_s||^2, which
-    an orthonormal V leaves unchanged: sure_min is the selecting criterion,
-    loss_selected is ||H_j z||^2 - 2 b_j.(H_j z) + ||b_j||^2 and (H_j y).z is
-    z.(H_j z) + (H_j theta0).z.
+    with b_s = theta0 - H_s theta0, and oracle the last five for the oracle
+    member j0. record writes every statistic once on those numbers and the
+    constants ||b_s||^2, which an orthonormal V leaves unchanged: sure_min is
+    the selecting criterion, loss_selected is ||H_j z||^2 - 2 b_j.(H_j z) +
+    ||b_j||^2 and (H_j y).z is z.(H_j z) + (H_j theta0).z.
     - spectral: a family with a shared eigenbasis V = family.basis
       (H_s = V diag(f_s) V^T) works on u = V^T z, the exact draws rotated
       once a block, and t = V^T theta0, where H_s is the filter f_s. With F
@@ -158,14 +176,17 @@ class _Context:
       (y∘y)((1-F)^2)^T, (u∘u)[F; F^2]^T or u[F∘t; (1-F)^2∘t; F(1-F)∘t]^T:
       O(n^2 + n|S|) a replicate, one n x n product, and no H_j y is formed;
     - k-NN: a family of k-NN members on one neighbour ordering
-      (family.neighbours) keeps, for each point, the running sum C of its
-      neighbours' values over the ranks r < k_max, so H_k y = C / k at rank k,
-      which gives the oracle's product too: O(n k_max) a replicate;
+      (family.neighbours) holds y as columns and keeps, for each point, the
+      running sum C of its neighbours' values over the ranks r < k_max, so
+      H_k y = C / k at rank k, where the oracle's numbers are taken:
+      O(n k_max) a replicate. Each other selected member is applied to its
+      rows' columns of y, one product each. Every B x n array is one of
+      three in work;
     - dense: any other family applies every member with one product,
       O(|S| n^2) a replicate, and picks the products.
-    The last two take the numbers from H_j z = H_j y - H_j theta0 and H_j0 z
-    (_applied). A row that selects the oracle reads the oracle's own numbers:
-    its slack is exactly 0.
+    _numbers takes the five numbers of a member from H z = H y - H theta0.
+    A row that selects the oracle reads the oracle's own numbers: its slack
+    is exactly 0.
     """
 
     def __init__(self, family: SmootherFamily, model: GaussianSequenceModel):
@@ -199,12 +220,9 @@ class _Context:
         # degenerate r_star disables the shell machinery
         self.shells = (criteria.shell_indices(self.risks, self.sigma_sq, self.r_star)
                        if self.r_star > 0 else None)
-        # The floats a row holds at the peak. On the k-NN kernel about eight
-        # n-vectors are live (the draws, y, the running sums, one rank's values,
-        # the two products, residuals): a 161-row block at n = 200, |S| = 20
-        # peaked at 2.01 MiB (tracemalloc, drawing included), the 65-row dense
-        # block at 2.80 MiB.
-        row_floats = 8 * self.n + len(family)
+        # The floats a row holds at the peak, and how many B x n arrays the
+        # kernel takes from its worker's workspace besides the draws.
+        self.work_arrays = 0
         if self.basis is not None:
             # The draws, their rotation, y and one square of them, and the three
             # products' 6 |S| columns: a 277-row block at n = 200, |S| = 24
@@ -217,6 +235,12 @@ class _Context:
                                                   f * (1.0 - f) * t])
             self._select = _Context._spectral  # unbound: a bound method would be a cycle
         elif family.neighbours is not None:
+            # The draws and three arrays (y, the running sums, one rank's values,
+            # which later hold the products), and every member's residual norm:
+            # a 319-row block at n = 200, |S| = 20 peaked at 2.11 MiB (tracemalloc,
+            # drawing and the workspace included), 4.24 n-vectors a row.
+            row_floats = 4 * self.n + len(family)
+            self.work_arrays = 3
             ks = [m.params["k"] for m in members]
             self.k0 = ks[self.oracle_idx]
             # ranks[r] is every point's (r+1)-th neighbour; at_rank[r] the members with k = r+1
@@ -227,16 +251,19 @@ class _Context:
         else:
             # member s is rows s*n .. s*n + n - 1
             self.h_flat = np.concatenate([m.h for m in members])
-            row_floats = len(family) * self.n  # the products H_s y of one replicate
+            # The products H_s y of one replicate: the 65-row block at n = 200,
+            # |S| = 20 peaked at 2.80 MiB.
+            row_floats = len(family) * self.n
             self._select = _Context._dense
         self.trs = np.array([m.df for m in members])
         self.frob_sqs = np.array([m.frob_sq for m in members])
         self.block_len = min(max(BLOCK_BYTES // (8 * row_floats), 1), 1024)
 
-    def _spectral(self, y, u):
-        """(||y - H_s y||^2 of every member s per row, pick) for rows y and u = V^T z
+    def _spectral(self, u, work):
+        """(||y - H_s y||^2 of every member s per row, pick) for the draws u = V^T z
         in the eigenbasis: pick takes every number from columns j and j0 of the
         three products."""
+        y = self.theta_c + u
         resid_sq = (y * y) @ self.resid_filters_sq.T
         # square[:, 0] is z.(H_s z), square[:, 1] ||H_s z||^2; linear[:, 0] is
         # (H_s theta0).z, linear[:, 1] b_s.(z - H_s z), linear[:, 2] (f_s(1-f_s)t).u
@@ -246,70 +273,90 @@ class _Context:
 
         def pick(j, record):
             return record((resid_sq[rows, j], *square[rows, :, j].T, *linear[rows, :, j].T),
-                          (*square[:, :, j0].T, linear[:, 1, j0]))
+                          (*square[:, :, j0].T, *linear[:, :, j0].T))
 
         return resid_sq, pick
 
-    def _knn(self, y, z):
-        """As _spectral, from running sums over the shared neighbour ordering."""
-        yt = np.ascontiguousarray(y.T)  # a rank's neighbours of every point are a row gather
-        total = np.zeros_like(yt)
-        work = np.empty_like(yt)  # one rank's gathered values, then one member's residuals
-        resid_sq = np.empty((len(self.trs), len(y)))  # member s is row s
+    def _knn(self, z, work):
+        """As _spectral, from running sums over the shared neighbour ordering, in
+        the three B x n arrays of work."""
+        b, n = z.shape
+        # yt[:, i] is row i's y, so a rank's neighbours of every point are a row gather
+        yt, total, part = (w[:n * b].reshape(n, b) for w in work)
+        np.add(self.theta0[:, None], z.T, out=yt)
+        total.fill(0.0)
+        resid_sq = np.empty((len(self.trs), b))  # member s is row s
         for r, (neighbours, members) in enumerate(zip(self.ranks, self.at_rank)):
-            total += np.take(yt, neighbours, axis=0, out=work, mode="clip")  # indices are valid
+            total += np.take(yt, neighbours, axis=0, out=part, mode="clip")  # indices are valid
             if members:
-                np.divide(total, r + 1, out=work)
-                if r + 1 == self.k0:
-                    hy_0 = work.T.copy()  # C / k0, before the residual overwrites it
-                work -= yt
-                np.einsum("ij,ij->j", work, work, out=resid_sq[members[0]])
+                if r + 1 == self.k0:  # the oracle's numbers from its product C / k0
+                    oracle = _numbers(z.T, np.divide(total, r + 1, out=part),
+                                      self.h_theta_c[self.oracle_idx, :, None],
+                                      self.bias_c[self.oracle_idx, :, None], _coldot)
+                np.divide(total, r + 1, out=part)
+                part -= yt
+                np.einsum("ij,ij->j", part, part, out=resid_sq[members[0]])
                 for s in members[1:]:  # one k under several labels
                     resid_sq[s] = resid_sq[members[0]]
+        rows = np.arange(b)
 
-        def apply(j):  # one product per other member; the oracle's rows keep C / k0
+        def pick(j, record):  # one product per other member; the oracle's rows read its numbers
             order = np.argsort(j, kind="stable")  # np.unique's first call imports numpy.ma
-            grouped = y[order]
-            cuts = [0, *(np.flatnonzero(np.diff(j[order])) + 1), len(y)]
+            cuts = [0, *(np.flatnonzero(np.diff(j[order])) + 1), b]
+            grouped = total.reshape(b, n)  # H_j y of the rows in that order
             for lo, hi in zip(cuts, cuts[1:]):
                 s = j[order[lo]]
-                grouped[lo:hi] = (hy_0[order[lo:hi]] if s == self.oracle_idx
-                                  else self.family.members[s].apply(grouped[lo:hi]))
-            return grouped[np.argsort(order)]
+                if s == self.oracle_idx:
+                    grouped[lo:hi] = 0.0  # any finite value: these rows read the oracle's
+                else:
+                    ys = np.take(yt, order[lo:hi], axis=1, mode="clip",
+                                 out=work[2][:n * (hi - lo)].reshape(n, hi - lo))
+                    np.matmul(ys.T, self.family.members[s].h.T, out=grouped[lo:hi])
+            # mode="clip" everywhere: the default mode writes a B x n copy of out first
+            hy = np.take(grouped, np.argsort(order), axis=0, out=yt.reshape(b, n), mode="clip")
+            return self._applied(z, j, resid_sq[j, rows], hy,
+                                 np.take(self.h_theta_c, j, axis=0, out=part.reshape(b, n),
+                                         mode="clip"),
+                                 np.take(self.bias_c, j, axis=0, out=grouped, mode="clip"),
+                                 oracle, record)
 
-        rows = np.arange(len(y))
-        return resid_sq.T, lambda j, record: self._applied(z, j, resid_sq[j, rows], apply(j),
-                                                           hy_0, record)
+        return resid_sq.T, pick
 
-    def _dense(self, y, z):
+    def _dense(self, z, work):
         """As _spectral, from every member applied by one product."""
+        y = self.theta0 + z
         hy = (y @ self.h_flat.T).reshape(len(y), -1, self.n)  # hy[b, s] = H_s y_b
         resid_sq = np.empty(hy.shape[:2])
         for s in range(hy.shape[1]):  # one (B, |S|, n) residual array was 1.4x slower
             resid = y - hy[:, s]
             resid_sq[:, s] = _rowdot(resid, resid)
-        rows = np.arange(len(y))
-        return resid_sq, lambda j, record: self._applied(z, j, resid_sq[rows, j], hy[rows, j],
-                                                         hy[rows, self.oracle_idx], record)
+        rows, j0 = np.arange(len(z)), self.oracle_idx
 
-    def _applied(self, z, j, resid_j, hy_j, hy_0, record):
-        """pick(j, record) from ||y - H_j y||^2, H_j y and H_j0 y per row."""
-        j0 = self.oracle_idx
-        # hz, hz_0 and z - hz stay live until record returns (see block)
-        hz, hz_0 = hy_j - self.h_theta_c[j], hy_0 - self.h_theta_c[j0]
-        rz = z - hz
-        return record((resid_j, _rowdot(z, hz), _rowdot(hz, hz), _rowdot(self.h_theta_c[j], z),
-                       _rowdot(self.bias_c[j], rz), _rowdot(self.bias_c[j], hz)),
-                      (_rowdot(z, hz_0), _rowdot(hz_0, hz_0), _rowdot(self.bias_c[j0], z - hz_0)))
+        def pick(j, record):
+            oracle = _numbers(z, hy[rows, j0], self.h_theta_c[j0], self.bias_c[j0])
+            return self._applied(z, j, resid_sq[rows, j], hy[rows, j], self.h_theta_c[j],
+                                 self.bias_c[j], oracle, record)
 
-    def block(self, z: np.ndarray, first_index: int) -> dict:
-        """Record columns of replicates first_index, ... with noise rows z (B x n)."""
+        return resid_sq, pick
+
+    def _applied(self, z, j, resid_j, hy_j, h_theta_j, bias_j, oracle, record):
+        """pick(j, record) from ||y - H_j y||^2, H_j y (overwritten), H_j theta0 and
+        b_j per row, and the oracle member's numbers as _numbers gives them, which
+        the rows that select the oracle read: their slack is exactly 0."""
+        at_oracle = j == self.oracle_idx
+        selected = [np.where(at_oracle, o, s)
+                    for o, s in zip(oracle, _numbers(z, hy_j, h_theta_j, bias_j))]
+        return record((resid_j, *selected), oracle)
+
+    def block(self, z: np.ndarray, first_index: int, work: np.ndarray) -> dict:
+        """Record columns of replicates first_index, ... with noise rows z (B x n);
+        work is the kernel's work_arrays flat arrays of at least B n floats each."""
         s2, n, j0 = self.sigma_sq, self.n, self.oracle_idx
-        # z, theta0 and y in the kernel's coordinates: z is the exact draws
+        # z in the kernel's coordinates: on the spectral kernel the exact draws
         # rotated, never y's rotation minus theta0's, which would lose z's
         # digits when |theta0| >> sigma.
         zc = z if self.basis is None else z @ self.basis
-        resid_sq, pick = self._select(self, self.theta_c + zc, zc)
+        resid_sq, pick = self._select(self, zc, work)
         j = np.argmin(resid_sq + 2.0 * s2 * self.trs, axis=1)  # first index on ties
 
         def centered(s, zhz, hz_sq, bias_resid):  # criteria.centered_variables, per row
@@ -321,7 +368,8 @@ class _Context:
             sure_min = resid_j + 2.0 * s2 * self.trs[j]  # the criterion that selected j
             loss = hz_sq - 2.0 * bias_hz + self.bias_sq[j]  # H_j y - theta0 = H_j z - b_j
             w_j, zlin_j = centered(j, zhz, hz_sq, bias_resid)
-            w_0, zlin_0 = centered(j0, *oracle)
+            zhz_0, hz_sq_0, _, bias_resid_0, _ = oracle
+            w_0, zlin_0 = centered(j0, zhz_0, hz_sq_0, bias_resid_0)
             lhs = (self.risks[j] - self.risks[j0]) / s2
             cols = {
                 "replicate_index": first_index + np.arange(len(z)),
@@ -341,11 +389,6 @@ class _Context:
                 cols["shell"] = self.shells[j]
             return cols
 
-        # pick calls record while the kernel's block arrays are live. Forming
-        # the columns after those were freed let glibc trim the heap at each
-        # block's end, and faulting it back in made a one-worker knn_n200 run
-        # 15 % slower (38 566 minor page faults for 12 000 replicates, against
-        # 284 this way).
         return pick(j, record)
 
 
@@ -357,6 +400,43 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+# (setter, getter) of numpy's bundled OpenBLAS, by the names its builds export
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None, said
+    once on stderr, where no known setter is found; then a run uses one worker.
+
+    The library is the one bundled with numpy's wheels (numpy.libs, or
+    numpy/.dylibs on macOS); loading it again returns the loaded copy. The
+    first lookup took 0.1 ms listing the two folders, 0.3 ms with a glob."""
+    package = os.path.dirname(np.__file__)
+    folders = (os.path.join(package, os.pardir, "numpy.libs"), os.path.join(package, ".dylibs"))
+    paths = [os.path.join(folder, name) for folder in folders if os.path.isdir(folder)
+             for name in sorted(os.listdir(folder)) if "openblas" in name]
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _BLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return get_threads, set_threads
+    print("sure-lab: no OpenBLAS thread-count setter found; running one worker",
+          file=sys.stderr)
+    return None
+
+
 def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> ReplicateRecords:
     """Replicates 0 .. n_reps-1 in blocks of ctx.block_len, reduced in index order."""
     starts = range(0, n_reps, ctx.block_len)
@@ -364,20 +444,37 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> Replic
     # interpreter lock on every row, and two workers in it at once drew 0.75x
     # the rows a second of one (161-row blocks, n = 200).
     drawing = threading.Lock()
+    # Each worker's draws and kernel arrays, made at its first block and reused
+    # by the rest, so a block allocates no B x n array.
+    local = threading.local()
 
     def run_block(lo):
         hi = min(lo + ctx.block_len, n_reps)
+        if not hasattr(local, "work"):
+            local.work = np.empty((1 + ctx.work_arrays, min(ctx.block_len, n_reps) * ctx.n))
+        z = local.work[0, :(hi - lo) * ctx.n].reshape(hi - lo, ctx.n)
         with drawing:
-            z = standard_normal_rows(master_seed, lo, hi, ctx.n)
+            standard_normal_rows(master_seed, lo, hi, ctx.n, z)
         z *= ctx.sigma
-        return ctx.block(z, lo)
+        return ctx.block(z, lo, local.work[1:])
 
     workers = min(n_threads, len(starts), _cpu_count())
-    if workers <= 1:
+    blas = _blas_threads() if workers > 1 else None
+    if blas is None:
         blocks = [run_block(lo) for lo in starts]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run_block, starts))
+        # One level of parallelism: BLAS runs one thread while the workers run.
+        get_threads, set_threads = blas
+        blas_threads = get_threads()
+        set_threads(1)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                blocks = list(pool.map(run_block, starts))
+        finally:
+            set_threads(blas_threads)
+    # Joined after the workspaces are freed, the columns reuse their memory;
+    # joined before, a one-worker run's second call grew the heap by about 1 MB.
+    del local
     return ReplicateRecords({name: np.concatenate([b[name] for b in blocks])
                              for name in blocks[0]}, ctx.family.labels)
 

@@ -42,7 +42,8 @@ from sure_lab.sequence_model import standard_normal_rows
 def one_row(family, model, z, index=0):
     """Statistics of the one replicate with standard-normal noise z, as {column: value}."""
     z = np.asarray(z, dtype=float)
-    cols = montecarlo._Context(family, model).block(model.sigma * z[None, :], index)
+    ctx = montecarlo._Context(family, model)
+    cols = ctx.block(model.sigma * z[None, :], index, np.empty((ctx.work_arrays, z.size)))
     return {name: col[0] for name, col in cols.items()}
 
 
@@ -174,8 +175,8 @@ def _inject(monkeypatch, column, error):
     """Make _Context.block add error(ctx, cols) to one record column."""
     block = montecarlo._Context.block
 
-    def faulty(ctx, z, first_index):
-        cols = block(ctx, z, first_index)
+    def faulty(ctx, *args):
+        cols = block(ctx, *args)
         cols[column] = cols[column] + error(ctx, cols)
         return cols
 
@@ -379,7 +380,7 @@ def _assert_sure_min_selected(family, model, records, master_seed):
         hi = min(lo + ctx.block_len, len(records))
         z = standard_normal_rows(master_seed, lo, hi, model.n) * model.sigma
         zc = z if ctx.basis is None else z @ ctx.basis
-        resid_sq, _ = ctx._select(ctx, ctx.theta_c + zc, zc)
+        resid_sq, _ = ctx._select(ctx, zc, np.empty((ctx.work_arrays, zc.size)))
         criterion = resid_sq + 2.0 * model.sigma_sq * ctx.trs
         np.testing.assert_array_equal(records.columns["sure_min"][lo:hi], criterion.min(axis=1))
 
@@ -487,16 +488,24 @@ def test_knn_kernel_matches_dense(n, d):
     assert oracle_rows > 0
 
 
-def test_knn_kernel_matches_dense_at_bench_shape():
-    """The knn_n200 bench family's shape: 200 stratified points on a line and
-    k = 1, 3, ..., 39, where a matrix product's SURE differs in the last digit
-    from the running-sum SURE that selected the row on most rows."""
+def _knn_bench_shape():
+    """The knn_n200 bench family's shape, 200 stratified points on a line and
+    k = 1, 3, ..., 39, with a poly_decay signal."""
     n = 200
     points = (np.arange(n) + np.random.default_rng(12).uniform(size=n)) / n
     family = SmootherFamily.of([knn_from_points(f"knn_k{k}", points, k) for k in range(1, 40, 2)])
     model = GaussianSequenceModel(theta0=make_theta0("poly_decay", n, alpha=1.0, scale=4.0),
                                   sigma=1.0)
-    assert _kernel(montecarlo._Context(family, model)) == "knn"
+    return family, model
+
+
+def test_knn_kernel_matches_dense_at_bench_shape():
+    """At the bench shape a matrix product's SURE differs in the last digit from
+    the running-sum SURE that selected the row on most rows; the run spans
+    several blocks, the last one partial."""
+    family, model = _knn_bench_shape()
+    ctx = montecarlo._Context(family, model)
+    assert _kernel(ctx) == "knn" and 1000 > 2 * ctx.block_len and 1000 % ctx.block_len
     _assert_knn_matches_dense(family, model, 1000, 2)
 
 
@@ -533,14 +542,30 @@ def test_spectral_block_fits_its_memory():
     model = GaussianSequenceModel(theta0=3.0 * np.sin(6.0 * x), sigma=1.5)
     ctx = montecarlo._Context(family, model)
     assert _kernel(ctx) == "spectral" and ctx.block_len >= 260
-    montecarlo._run(ctx, ctx.block_len, 5, 1)  # first-call allocations outside the trace
+    assert _one_block_peak(ctx) < 2.3 * 2**20
+
+
+def _one_block_peak(ctx):
+    """The tracemalloc peak of a one-block _run, after a first run has made
+    the first-call allocations (a k-NN member's matrix) outside the trace."""
+    montecarlo._run(ctx, ctx.block_len, 5, 1)
     tracemalloc.start()
     try:
         montecarlo._run(ctx, ctx.block_len, 5, 1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.3 * 2**20
+
+
+def test_knn_block_fits_its_memory():
+    """One k-NN block at the bench shape, drawn, scaled and reduced as a run does
+    it: every n-vector a row holds is in one of the worker's four arrays (the
+    draws, y, the running sums, one rank's values), so a block of at least
+    250 rows peaks under 2.3 MiB."""
+    family, model = _knn_bench_shape()
+    ctx = montecarlo._Context(family, model)
+    assert _kernel(ctx) == "knn" and ctx.block_len >= 250
+    assert _one_block_peak(ctx) < 2.3 * 2**20
 
 
 def test_context_is_freed_without_the_cycle_collector():
@@ -555,7 +580,7 @@ def test_context_is_freed_without_the_cycle_collector():
                        SmootherFamily.of([krr_from_gram("k", points @ points.T, 1.0)]),
                        SmootherFamily.of([from_matrix("i", np.eye(n))])):
             ctx = montecarlo._Context(family, model)
-            ctx.block(rng.standard_normal((3, n)), 0)
+            ctx.block(rng.standard_normal((3, n)), 0, np.empty((ctx.work_arrays, 3 * n)))
             ref = weakref.ref(ctx)
             del ctx
             assert ref() is None, family.labels
@@ -635,17 +660,23 @@ def test_outputs_byte_identical_across_threads(monkeypatch):
 
     model = GaussianSequenceModel(theta0=5.0 / np.arange(1, n + 1), sigma=1.0)
     n_reps = 1000
-    for make, kernel in ((lambda: projections, "dense"), (lambda: krr_grid, "spectral"),
-                         (lambda: knn_grid, "knn"), (fresh_knn_grid, "knn")):
-        ctx = montecarlo._Context(make(), model)
-        assert _kernel(ctx) == kernel
-        assert n_reps % ctx.block_len != 0 and n_reps > 2 * ctx.block_len
-        outputs = set()
-        for threads in (1, 2, 3):
-            summary, records = run_experiment(make(), model, n_reps, 77, n_threads=threads,
-                                              keep_records=True)
-            outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True), csv_text(records)))
-        assert len(outputs) == 1
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # workers swap often: a shared workspace would mix blocks
+    try:
+        for make, kernel in ((lambda: projections, "dense"), (lambda: krr_grid, "spectral"),
+                             (lambda: knn_grid, "knn"), (fresh_knn_grid, "knn")):
+            ctx = montecarlo._Context(make(), model)
+            assert _kernel(ctx) == kernel
+            assert n_reps % ctx.block_len != 0 and n_reps > 2 * ctx.block_len
+            outputs = set()
+            for threads in (1, 2, 3):
+                summary, records = run_experiment(make(), model, n_reps, 77, n_threads=threads,
+                                                  keep_records=True)
+                outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True),
+                             csv_text(records)))
+            assert len(outputs) == 1
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_workers_take_turns_drawing_noise(monkeypatch):
@@ -710,6 +741,50 @@ def test_worker_pool_bounded(monkeypatch, zero_id_family, model):
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
     run_experiment(zero_id_family, model, 10 * block, 1, n_threads=10**6)  # 1 CPU: no pool
     assert RecordingPool.sizes == [3, 4]
+
+
+def test_blas_runs_one_thread_while_workers_run(monkeypatch):
+    """A run with two workers pins BLAS to one thread and gives the count back
+    afterwards; a one-worker run leaves it alone."""
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)  # let 2 workers really run
+    get_threads, set_threads = montecarlo._blas_threads()
+    seen, draw = set(), montecarlo.standard_normal_rows
+
+    def recording_draw(*args):
+        seen.add(get_threads())
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "standard_normal_rows", recording_draw)
+    family, model = _knn_bench_shape()
+    before = get_threads()
+    set_threads(2)
+    try:
+        run_experiment(family, model, 1000, 4, n_threads=2)
+        assert seen == {1} and get_threads() == 2
+        seen.clear()
+        run_experiment(family, model, 1000, 4, n_threads=1)
+        assert seen == {2} and get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_no_blas_setter_runs_one_worker(monkeypatch, capsys, tmp_path, zero_id_family, model):
+    """Where numpy bundles no OpenBLAS, the lookup finds no setter, says so once,
+    and a run asked for three workers runs one."""
+    RecordingPool.sizes = []
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(montecarlo.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    block = montecarlo._Context(zero_id_family, model).block_len
+    montecarlo._blas_threads.cache_clear()
+    try:
+        assert montecarlo._blas_threads() is None
+        three, _ = run_experiment(zero_id_family, model, 3 * block, 1, n_threads=3)
+    finally:
+        montecarlo._blas_threads.cache_clear()
+    assert RecordingPool.sizes == []
+    assert capsys.readouterr().err.count("no OpenBLAS thread-count setter found") == 1
+    assert three == run_experiment(zero_id_family, model, 3 * block, 1)[0]
 
 
 def test_cpu_count_is_the_affinity_set(monkeypatch):
