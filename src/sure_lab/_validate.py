@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import mmap
 import re
 
 import numpy as np
@@ -46,16 +47,25 @@ def load_json(path):
     """The JSON document in the UTF-8 file `path`, equal to `json.load`'s of
     the file opened in text mode, with the same types: plain dicts and lists.
 
-    Each distinct long flat array of numbers (SHARED_ARRAY_CHARS) is decoded
-    once, and every place that repeats it holds that one list; every dict and
-    every other list is its own object. Text that is not UTF-8, invalid JSON
-    and nesting deeper than the decoder's recursion limit raise ConfigError
-    naming the path: with the byte position `bytes.decode` reports, and for
-    invalid JSON with the line and column `json` reports.
+    The file is mapped read-only and scanned in place; the map is closed
+    before this returns. A file that cannot be mapped (empty, /dev/null, a
+    FIFO or a pipe) is read instead. A file that another process truncates
+    while it is mapped ends the process with SIGBUS. Each distinct long flat
+    array of numbers (SHARED_ARRAY_CHARS) is decoded once, and every place
+    that repeats it holds that one list; every dict and every other list is
+    its own object. Text that is not UTF-8, invalid JSON and nesting deeper
+    than the decoder's recursion limit raise ConfigError naming the path:
+    with the byte position `bytes.decode` reports, and for invalid JSON with
+    the line and column `json` reports.
     """
     try:
         with open(path, "rb") as fh:
-            return _loads(fh.read())
+            try:
+                view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):  # empty (ValueError), or not a regular file
+                return _loads(fh.read())
+            with view:
+                return _loads(view)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -66,9 +76,10 @@ def load_json(path):
 
 
 def _loads(data):
-    """json.loads of the UTF-8 bytes `data` as text mode reads them (CR LF and
-    a lone CR are LF), decoding each distinct long flat numeric array once and
-    returning one list for all its places.
+    """json.loads of the UTF-8 bytes `data` (bytes, or a read-only map of a
+    file) as text mode reads them (CR LF and a lone CR are LF), decoding each
+    distinct long flat numeric array once and returning one list for all its
+    places.
 
     Each such array is replaced by the object {"\\u0000": its number} and the
     packed text is decoded with a hook that puts the array's list back. A
@@ -84,13 +95,17 @@ def _loads(data):
     inside one ends the string at the placeholder's quote, and the backslash
     after it fails the decode.
 
-    Only the bytes outside those arrays and one copy of each array are decoded
-    to text, and the bytes are dropped before a plain decode. No byte of a
-    UTF-8 multi-byte character is ASCII, so cutting the bytes at "[" and "]"
-    never splits one. A UnicodeDecodeError is the one decoding all of `data`
-    raises, so its position is the byte's in the file.
+    A map is scanned where it lies: the bytes copied out of it are the text
+    outside those arrays and one copy of each array, and only those are
+    decoded to text; a plain decode reads the map directly. Text with a CR
+    is copied once to replace it. No byte of a UTF-8 multi-byte character is
+    ASCII, so cutting the bytes at "[" and "]" never splits one. A
+    UnicodeDecodeError is the one decoding all of `data` raises, so its
+    position is the byte's in the file.
     """
-    text = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+    # find, not `in`, which a map answers byte by byte
+    text = (bytes(data).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if data.find(b"\r") >= 0 else data)
     arrays = {}  # distinct array bytes -> its number
     parts = []  # the packed text up to `done`
     pos = done = 0
@@ -98,7 +113,8 @@ def _loads(data):
     while match := _LONG_ARRAY_START.search(text, pos):
         start = match.start()
         array = seen.get(text[start:start + SHARED_ARRAY_CHARS])
-        if array is None or not text.startswith(array, start):
+        # find, not startswith, which a map lacks
+        if array is None or text.find(array, start, start + len(array)) != start:
             flat = _FLAT_ARRAY.match(text, start)
             if flat is None:  # nested, or an entry that is not a number
                 pos = start + 1
@@ -118,9 +134,9 @@ def _loads(data):
                         values[obj[_PLACEHOLDER]] if _PLACEHOLDER in obj else obj))
                 except ValueError:
                     pass
-        text = text.decode("utf-8")
+        text = str(text, "utf-8")
     except UnicodeDecodeError:
-        data.decode("utf-8")  # raises the error at its position in `data`
+        str(data, "utf-8")  # raises the error at its position in `data`
         raise
     data = flat = None  # json.loads gets the only copy of the document
     return json.loads(text)

@@ -132,6 +132,11 @@ class ReplicateRecords:
         return len(self.columns["replicate_index"])
 
 
+def _take(work, *shape):
+    """An array of `shape` over the first floats of the consecutive work arrays."""
+    return work.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
 def _rowdot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
@@ -155,9 +160,11 @@ class _Context:
     """Per-(family, model) arrays shared by every block of replicates.
 
     Three selection kernels, each in its own orthonormal coordinates: V^T x
-    on the spectral kernel, x itself on the other two. Given the block's draws
-    z in those coordinates (y = theta0 + z) and work, the kernel's
-    work_arrays flat arrays of at least B n floats each, a kernel returns
+    on the spectral kernel, x itself on the other two. block() gets the
+    draws and work, work_arrays flat arrays of at least B n floats each, from
+    its worker's workspace, which holds the block's large arrays. Given the
+    draws z in the kernel's coordinates (y = theta0 + z) and work (on the
+    spectral kernel, less the first array, which holds V^T z), a kernel returns
     ||y - H_s y||^2 for every row and member s, and pick. block() adds
     2 sigma^2 tr H_s and takes the argmin j; pick(j, record) returns
     record(selected, oracle), where selected holds, per row, the six inner
@@ -174,16 +181,20 @@ class _Context:
       once a block, and t = V^T theta0, where H_s is the filter f_s. With F
       the filters (member s is row s), every number is a column of
       (y∘y)((1-F)^2)^T, (u∘u)[F; F^2]^T or u[F∘t; (1-F)^2∘t; F(1-F)∘t]^T:
-      O(n^2 + n|S|) a replicate, one n x n product, and no H_j y is formed;
+      O(n^2 + n|S|) a replicate, one n x n product, and no H_j y is formed.
+      y∘y, then u∘u, is one array of work, and the three products' 6 |S|
+      columns fill the rest;
     - k-NN: a family of k-NN members on one neighbour ordering
       (family.neighbours) holds y as columns and keeps, for each point, the
       running sum C of its neighbours' values over the ranks r < k_max, so
       H_k y = C / k at rank k, where the oracle's numbers are taken:
       O(n k_max) a replicate. Each other selected member is applied to its
-      rows' columns of y, one product each. Every B x n array is one of
-      three in work;
+      rows' columns of y, one product each. y, the running sums and one
+      rank's values are the three arrays of work, which every other B x n
+      array of the block reuses;
     - dense: any other family applies every member with one product,
-      O(|S| n^2) a replicate, and picks the products.
+      O(|S| n^2) a replicate, and picks the products. y is the first array
+      of work and the products H_s y fill the rest.
     _numbers takes the five numbers of a member from H z = H y - H theta0.
     A row that selects the oracle reads the oracle's own numbers: its slack
     is exactly 0.
@@ -220,14 +231,16 @@ class _Context:
         # degenerate r_star disables the shell machinery
         self.shells = (criteria.shell_indices(self.risks, self.sigma_sq, self.r_star)
                        if self.r_star > 0 else None)
-        # The floats a row holds at the peak, and how many B x n arrays the
-        # kernel takes from its worker's workspace besides the draws.
+        # The floats a row holds at the peak, and how many B x n arrays block()
+        # takes from its worker's workspace besides the draws.
         self.work_arrays = 0
         if self.basis is not None:
-            # The draws, their rotation, y and one square of them, and the three
-            # products' 6 |S| columns: a 277-row block at n = 200, |S| = 24
-            # peaked at 1.85 MiB (tracemalloc), drawing included.
+            # The draws, their rotation, one square (y∘y, then u∘u) and the three
+            # products' 6 |S| columns, in ceil(6 |S| / n) arrays: at most
+            # row_floats a row. A 277-row block at n = 200, |S| = 24 peaked at
+            # 1.80 MiB (tracemalloc, drawing and the workspace included).
             row_floats = 4 * self.n + 6 * len(family)
+            self.work_arrays = 2 + -(-6 * len(family) // self.n)
             f, t = self.filters, self.theta_c
             self.resid_filters_sq = (1.0 - f) ** 2
             self.square_filters = np.concatenate([f, f * f])
@@ -251,9 +264,11 @@ class _Context:
         else:
             # member s is rows s*n .. s*n + n - 1
             self.h_flat = np.concatenate([m.h for m in members])
-            # The products H_s y of one replicate: the 65-row block at n = 200,
-            # |S| = 20 peaked at 2.80 MiB.
+            # The products H_s y of one replicate; the workspace also holds the
+            # draws and y. A 65-row block of 20 nested projections at n = 200
+            # peaked at 2.51 MiB (tracemalloc, drawing and the workspace included).
             row_floats = len(family) * self.n
+            self.work_arrays = 1 + len(family)
             self._select = _Context._dense
         self.trs = np.array([m.df for m in members])
         self.frob_sqs = np.array([m.frob_sq for m in members])
@@ -263,13 +278,20 @@ class _Context:
         """(||y - H_s y||^2 of every member s per row, pick) for the draws u = V^T z
         in the eigenbasis: pick takes every number from columns j and j0 of the
         three products."""
-        y = self.theta_c + u
-        resid_sq = (y * y) @ self.resid_filters_sq.T
+        b, s = len(u), len(self.trs)
+        scratch = _take(work[0], *u.shape)  # y∘y, then u∘u
+        products = _take(work[1:], 6 * b * s)
+        resid_sq = products[:b * s].reshape(b, s)
+        np.add(self.theta_c, u, out=scratch)
+        np.matmul(np.multiply(scratch, scratch, out=scratch), self.resid_filters_sq.T,
+                  out=resid_sq)
         # square[:, 0] is z.(H_s z), square[:, 1] ||H_s z||^2; linear[:, 0] is
         # (H_s theta0).z, linear[:, 1] b_s.(z - H_s z), linear[:, 2] (f_s(1-f_s)t).u
-        square = ((u * u) @ self.square_filters.T).reshape(len(u), 2, -1)
-        linear = (u @ self.linear_filters.T).reshape(len(u), 3, -1)
-        rows, j0 = np.arange(len(u)), self.oracle_idx
+        square = np.matmul(np.multiply(u, u, out=scratch), self.square_filters.T,
+                           out=products[b * s:3 * b * s].reshape(b, 2 * s)).reshape(b, 2, s)
+        linear = np.matmul(u, self.linear_filters.T,
+                           out=products[3 * b * s:].reshape(b, 3 * s)).reshape(b, 3, s)
+        rows, j0 = np.arange(b), self.oracle_idx
 
         def pick(j, record):
             return record((resid_sq[rows, j], *square[rows, :, j].T, *linear[rows, :, j].T),
@@ -282,7 +304,7 @@ class _Context:
         the three B x n arrays of work."""
         b, n = z.shape
         # yt[:, i] is row i's y, so a rank's neighbours of every point are a row gather
-        yt, total, part = (w[:n * b].reshape(n, b) for w in work)
+        yt, total, part = (_take(w, n, b) for w in work)
         np.add(self.theta0[:, None], z.T, out=yt)
         total.fill(0.0)
         resid_sq = np.empty((len(self.trs), b))  # member s is row s
@@ -310,7 +332,7 @@ class _Context:
                     grouped[lo:hi] = 0.0  # any finite value: these rows read the oracle's
                 else:
                     ys = np.take(yt, order[lo:hi], axis=1, mode="clip",
-                                 out=work[2][:n * (hi - lo)].reshape(n, hi - lo))
+                                 out=_take(work[2], n, hi - lo))
                     np.matmul(ys.T, self.family.members[s].h.T, out=grouped[lo:hi])
             # mode="clip" everywhere: the default mode writes a B x n copy of out first
             hy = np.take(grouped, np.argsort(order), axis=0, out=yt.reshape(b, n), mode="clip")
@@ -323,9 +345,12 @@ class _Context:
         return resid_sq.T, pick
 
     def _dense(self, z, work):
-        """As _spectral, from every member applied by one product."""
-        y = self.theta0 + z
-        hy = (y @ self.h_flat.T).reshape(len(y), -1, self.n)  # hy[b, s] = H_s y_b
+        """As _spectral, from every member applied by one product, y in work[0]
+        and the products in the rest."""
+        b, n = z.shape
+        y = np.add(self.theta0, z, out=_take(work[0], b, n))
+        hy = np.matmul(y, self.h_flat.T, out=_take(work[1:], b, len(self.trs) * n)
+                       ).reshape(b, -1, n)  # hy[b, s] = H_s y_b
         resid_sq = np.empty(hy.shape[:2])
         for s in range(hy.shape[1]):  # one (B, |S|, n) residual array was 1.4x slower
             resid = y - hy[:, s]
@@ -350,12 +375,15 @@ class _Context:
 
     def block(self, z: np.ndarray, first_index: int, work: np.ndarray) -> dict:
         """Record columns of replicates first_index, ... with noise rows z (B x n);
-        work is the kernel's work_arrays flat arrays of at least B n floats each."""
+        work is work_arrays flat arrays of at least B n floats each."""
         s2, n, j0 = self.sigma_sq, self.n, self.oracle_idx
         # z in the kernel's coordinates: on the spectral kernel the exact draws
         # rotated, never y's rotation minus theta0's, which would lose z's
         # digits when |theta0| >> sigma.
-        zc = z if self.basis is None else z @ self.basis
+        if self.basis is None:
+            zc = z
+        else:  # in the first work array; the kernel takes the rest
+            zc, work = np.matmul(z, self.basis, out=_take(work[0], *z.shape)), work[1:]
         resid_sq, pick = self._select(self, zc, work)
         j = np.argmin(resid_sq + 2.0 * s2 * self.trs, axis=1)  # first index on ties
 

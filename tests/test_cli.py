@@ -338,6 +338,18 @@ def test_family_info_from_config(tmp_path, capsys):
     assert out.count("\n") == 4  # header + 2 rows + h_op
 
 
+@pytest.mark.parametrize("command", ["simulate", "family-info"])
+@pytest.mark.parametrize("empty", ["file", os.devnull])
+def test_an_empty_config_exits_1(tmp_path, capsys, command, empty):
+    path = write_config(tmp_path, base_config()) if empty == "file" else empty
+    if empty == "file":
+        pathlib.Path(path).write_bytes(b"")
+    args = ["--out", str(tmp_path / "summary.json")] if command == "simulate" else []
+    assert main([command, "--config", path, *args]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid JSON at line 1, column 1: Expecting value\n")
+
+
 def test_family_info_round_trip(tmp_path, capsys):
     fam = SmootherFamily.of([
         from_matrix("zero", np.zeros((2, 2))),

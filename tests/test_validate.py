@@ -1,6 +1,11 @@
+import contextlib
 import io
 import json
 import math
+import mmap
+import os
+import tempfile
+import threading
 import tracemalloc
 import types
 
@@ -147,20 +152,39 @@ def _text_mode(data):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
 
 
+@contextlib.contextmanager
+def _mapped(data):
+    """A read-only map of a temporary file holding the nonempty bytes `data`."""
+    with tempfile.TemporaryFile() as fh:
+        fh.write(data)
+        fh.flush()
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            yield view
+
+
 def _check_loads(text):
-    """validate._loads of the UTF-8 bytes of `text` gives json.loads's value of
-    the text that text mode reads from them, or raises json's error with json's
-    message. Two containers are one object only when they are equal flat lists
-    of numbers; every dict and every other list is its own object."""
+    """validate._loads of the UTF-8 bytes of `text`, and of a read-only map of
+    a file holding them, gives json.loads's value of the text that text mode
+    reads from them, or raises json's error with json's message. Two
+    containers are one object only when they are equal flat lists of
+    numbers; every dict and every other list is its own object."""
     data = text.encode("utf-8")
     try:
         expected = json.loads(_text_mode(data))
     except ValueError as exc:
-        with pytest.raises(type(exc)) as info:
-            validate._loads(data)
-        assert str(info.value) == str(exc)
+        expected = exc
+    with _mapped(data) as view:
+        for source in (data, view):
+            _check_loads_of(source, expected)
+
+
+def _check_loads_of(source, expected):
+    if isinstance(expected, ValueError):
+        with pytest.raises(type(expected)) as info:
+            validate._loads(source)
+        assert str(info.value) == str(expected)
         return
-    got = validate._loads(data)
+    got = validate._loads(source)
     assert _same(got, expected)
     seen = set()
     for x in _containers(got):
@@ -378,6 +402,59 @@ def test_load_json_peak_memory_stays_near_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * path.stat().st_size
+
+
+def test_load_json_peak_memory_is_a_fraction_of_a_repeated_gram_file(tmp_path):
+    """A version-1 KRR grid of 24 members on one Gram (n = 100), over 4 MB: the
+    reader scans a map of the file, so it holds no copy of the file, only the
+    text outside the Gram, one copy of the Gram and their decoded values."""
+    gram = np.random.default_rng(5).standard_normal((100, 100)).reshape(-1).tolist()
+    members = [{"label": f"k{i}", "kind": "krr", "parameters": {"gram": gram, "lambda": 0.1 * i}}
+               for i in range(24)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"family": {"smoothers": members}}), encoding="utf-8")
+    assert path.stat().st_size >= 4_000_000
+    tracemalloc.start()
+    try:
+        doc = validate.load_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc["family"]["smoothers"][23]["parameters"]["gram"] == gram
+    assert peak < path.stat().st_size / 4
+
+
+def test_load_json_closes_its_map(tmp_path, monkeypatch):
+    maps = []
+    make = mmap.mmap
+
+    def mapping(*args, **kwargs):
+        maps.append(make(*args, **kwargs))
+        return maps[-1]
+
+    monkeypatch.setattr(mmap, "mmap", mapping)
+    path = tmp_path / "doc.json"
+    for text in ('{"a": %s, "b": [%s]}' % (_GRAM, _GRAM), '{"a": [1, 2}'):
+        path.write_text(text, encoding="utf-8")
+        with contextlib.suppress(validate.ConfigError):
+            validate.load_json(path)
+    assert len(maps) == 2 and all(view.closed for view in maps)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_load_json_reads_a_fifo_like_a_file(tmp_path):
+    """A FIFO cannot be mapped; its text is read, and decoded as a file's."""
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": %s, "b": [%s, "z\u00e9ro"]}' % (_GRAM, _GRAM), encoding="utf-8")
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        got = validate.load_json(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert _same(got, _text_mode_load(path)) and got["a"] is got["b"][0]
 
 
 def test_load_json_drops_the_bytes_before_a_plain_decode(tmp_path):
