@@ -206,38 +206,51 @@ def list_of(value, where, item, *args) -> list:
 
 
 def array(value, where, shape=None) -> np.ndarray:
-    """A JSON list of finite numbers, nested in any way with the size of `shape`, as
-    a float array of that shape. One numpy conversion reads the whole list and its
-    dtype decides, so strings, null and ragged nesting need no per-entry check;
-    true and false, which numpy reads as 1 and 0, are looked for among the
-    entries equal to 1 or 0 only."""
-    try:
-        a = np.asarray(value) if isinstance(value, list) else None
-    except ValueError:  # ragged nesting
-        a = None
-    if (a is None or a.dtype.kind not in "fiu" or not np.all(np.isfinite(a))
-            or _holds_boolean(value, a)):
+    """A list (or an array) of finite numbers, nested in any way with the size of
+    `shape`, as a float array of that shape; a number alone is not a list."""
+    a = _finite(value, where, "expected a list of finite numbers")
+    if a.ndim == 0:
         raise ConfigError(f"{where}: expected a list of finite numbers")
     if shape is not None and a.size != math.prod(shape):
         raise ConfigError(f"{where}: expected {math.prod(shape)} entries (shape {shape}), "
                           f"got {a.size}")
-    return a.astype(float, copy=False).reshape(a.shape if shape is None else shape)
+    return a.reshape(a.shape if shape is None else shape)
 
 
 def finite_matrix(value, where, square=True) -> np.ndarray:
-    """`value` as a 2-d float array of finite entries, square unless `square` is false."""
-    a = np.asarray(value, dtype=float)
+    """`value` as a 2-d float array of finite numbers, square unless `square` is false."""
+    a = _finite(value, where, "entries must be finite")
     if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
         kind = "square" if square else "2-d"
         raise ConfigError(f"{where}: expected a {kind} matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(f"{where}: entries must be finite")
     return a
 
 
+def _finite(value, where, message) -> np.ndarray:
+    """`value` as a float array when every entry is a finite number, else
+    ConfigError(f"{where}: {message}"): the one element rule of numeric inputs.
+
+    An object array is read as its list. One numpy conversion reads the rest
+    and its dtype decides, so strings, null and ragged nesting need no
+    per-entry check; true and false, which numpy reads as 1 and 0 among
+    numbers, are looked for among the entries equal to 1 or 0 only, and
+    only outside arrays, whose dtype keeps them apart."""
+    if isinstance(value, np.ndarray) and value.dtype == object:
+        value = value.tolist()
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = None
+    if (a is None or a.dtype.kind not in "fiu" or not np.all(np.isfinite(a))
+            or a.ndim and not isinstance(value, np.ndarray) and _holds_boolean(value, a)):
+        raise ConfigError(f"{where}: {message}")
+    return a.astype(float, copy=False)
+
+
 def _holds_boolean(value, a) -> bool:
-    """Whether the nested list `value` (as numpy reads it, `a`) holds true or false:
-    flattened, each entry equal to 0 or 1 is one lookup in C, and no other is."""
+    """Whether the nested list `value` (as numpy reads it, `a`, of at least one
+    dimension) holds true or false: flattened, each entry equal to 0 or 1 is
+    one lookup in C, and no other is."""
     for _ in range(a.ndim - 1):
         value = list(itertools.chain.from_iterable(value))
     zero_one = np.flatnonzero((a == 0) | (a == 1)).tolist()

@@ -77,7 +77,8 @@ def quadratic_form_sampler(a):
 
 def exact_quadratic_mgf(eigs, lam: float) -> float:
     """Exact MGF of sum_i d_i (z_i^2 - 1): prod_i e^{-lam d_i}/sqrt(1 - 2 lam d_i)."""
-    eigs = np.asarray(eigs, dtype=float)
+    eigs = validate.array(eigs, "eigs")
+    lam = validate.number(lam, "lam")
     shifted = 1.0 - 2.0 * lam * eigs
     if np.any(shifted <= 0):
         raise ValueError(f"MGF diverges at lambda = {lam} for eigenvalues {eigs}")
@@ -163,8 +164,9 @@ def verify_max_moment(n_vars: int, k: float, tau: float, n_samples: int,
     bound. Returns (empirical, bound, passed).
     """
     bound = max_moment_bound(n_vars, k, tau)
+    n_samples = validate.integer(n_samples, "n_samples", 2)  # a stderr needs two
     rng = derive_stream(master_seed, stream)
-    draws = tau * rng.standard_normal((int(n_samples), int(n_vars)))
+    draws = tau * rng.standard_normal((n_samples, int(n_vars)))
     maxima = np.max(np.abs(draws), axis=1) ** float(k)
     empirical = float(np.mean(maxima))
     stderr = float(np.std(maxima, ddof=1) / np.sqrt(maxima.size))

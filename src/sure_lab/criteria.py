@@ -78,10 +78,11 @@ def risk_from(bias, frob_sq: float, sigma_sq: float) -> float:
 
 def sure(smoother: Smoother, y, sigma: float) -> float:
     """SURE value ||y - Hy||^2 + 2 sigma^2 tr(H); note tr(H), not ||H||_F^2."""
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = validate.array(y, "y").reshape(-1)
+    sigma = validate.number(sigma, "sigma", validate.POSITIVE)
     _check_dim(smoother, y.size)
     resid = y - smoother.apply(y)
-    return float(resid @ resid) + 2.0 * float(sigma) ** 2 * smoother.df
+    return float(resid @ resid) + 2.0 * sigma**2 * smoother.df
 
 
 def _argmin_report(family: SmootherFamily, values, criterion: str) -> SelectionReport:
@@ -108,7 +109,7 @@ def centered_variables(smoother: Smoother, model: GaussianSequenceModel, z) -> C
     w    = z^T (2H - H^T H) z / sigma^2 + ||H||_F^2 - 2 tr(H)
     zlin = theta0^T (H - I)^T (I - H) z / sigma^2
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
+    z = validate.array(z, "z").reshape(-1)
     _check_dim(smoother, z.size)
     if z.size != model.n:
         raise ValueError(f"noise vector has length {z.size}, expected {model.n}")
@@ -126,7 +127,7 @@ def sure_identity_residual(smoother: Smoother, model: GaussianSequenceModel, z) 
     Checks SURE(s)/sigma^2 = R(s)/sigma^2 + ||z||^2/sigma^2 - w - 2 zlin,
     returning LHS - RHS (zero up to floating-point roundoff).
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
+    z = validate.array(z, "z").reshape(-1)
     s2 = model.sigma_sq
     lhs = sure(smoother, model.theta0 + z, model.sigma) / s2
     cv = centered_variables(smoother, model, z)

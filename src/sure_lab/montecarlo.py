@@ -5,8 +5,8 @@ is computed on a block's draws, SURE selects, and the statistics whose exact
 identities (edf decomposition, basic inequality, excess-optimism linkage)
 are checked on every draw come out as columns. There are three selection
 kernels; each gives, per row, every member's residual norm, which selects,
-and six inner products of the selected member (three of the oracle member),
-on which one function writes every statistic for all three. Families whose
+and five inner products of the selected member and of the oracle member, on
+which one function writes every statistic for all three. Families whose
 members share one eigenbasis (KRR members on one Gram matrix) work in that
 eigenbasis: the draws are rotated once, every member is a filter there, and
 every inner product is a column of one of three products of the block with
@@ -147,7 +147,7 @@ def _coldot(a, b):
 
 def _numbers(z, hz, h_theta, bias, dot=_rowdot):
     """(z.(H z), ||H z||^2, (H theta0).z, b.(z - H z), b.(H z)) per replicate, in
-    the order record reads them, for rows (or, with _coldot, columns) z and
+    the order block() reads them, for rows (or, with _coldot, columns) z and
     hz = H y, which is overwritten with H z and then z - H z; h_theta and
     bias = theta0 - H theta0 are per replicate or one for all."""
     hz -= h_theta
@@ -159,31 +159,31 @@ def _numbers(z, hz, h_theta, bias, dot=_rowdot):
 class _Context:
     """Per-(family, model) arrays shared by every block of replicates.
 
-    Three selection kernels, each in its own orthonormal coordinates: V^T x
-    on the spectral kernel, x itself on the other two. block() gets the
-    draws and work, work_arrays flat arrays of at least B n floats each, from
-    its worker's workspace, which holds the block's large arrays. Given the
-    draws z in the kernel's coordinates (y = theta0 + z) and work (on the
-    spectral kernel, less the first array, which holds V^T z), a kernel returns
-    ||y - H_s y||^2 for every row and member s, and pick. block() adds
-    2 sigma^2 tr H_s and takes the argmin j; pick(j, record) returns
-    record(selected, oracle), where selected holds, per row, the six inner
-    products of the member j selected in it
-        ||y - H_j y||^2 (the residual norm that selected j), z.(H_j z),
-        ||H_j z||^2, (H_j theta0).z, b_j.(z - H_j z), b_j.(H_j z),
-    with b_s = theta0 - H_s theta0, and oracle the last five for the oracle
-    member j0. record writes every statistic once on those numbers and the
-    constants ||b_s||^2, which an orthonormal V leaves unchanged: sure_min is
-    the selecting criterion, loss_selected is ||H_j z||^2 - 2 b_j.(H_j z) +
-    ||b_j||^2 and (H_j y).z is z.(H_j z) + (H_j theta0).z.
+    block() gets the draws z (B x n, y = theta0 + z) and work, work_arrays
+    flat arrays of at least B n floats each, from its worker's workspace,
+    which holds the block's large arrays. It hands both to one of three
+    selection kernels, which returns resid_sq, ||y - H_s y||^2 for every row
+    and member s, and pick. block() adds 2 sigma^2 tr H_s, takes the argmin j
+    and calls pick(j), which returns (resid_j, selected, oracle): resid_j is
+    resid_sq at j, and selected and oracle the five numbers
+        z.(H z), ||H z||^2, (H theta0).z, b.(z - H z), b.(H z)
+    per row of the member j selected in it and of the oracle member j0, with
+    b_s = theta0 - H_s theta0. A row that selects the oracle reads the
+    oracle's own numbers, so its slack is exactly 0; this rule and every
+    statistic are written once, in block(), on those numbers and the
+    constants ||b_s||^2: sure_min is the selecting criterion, loss_selected
+    is ||H_j z||^2 - 2 b_j.(H_j z) + ||b_j||^2 and (H_j y).z is z.(H_j z) +
+    (H_j theta0).z. The inner products may be taken in any orthonormal
+    coordinates, which leave them and ||b_s||^2 unchanged: V^T x on the
+    spectral kernel, x itself on the other two.
     - spectral: a family with a shared eigenbasis V = family.basis
       (H_s = V diag(f_s) V^T) works on u = V^T z, the exact draws rotated
-      once a block, and t = V^T theta0, where H_s is the filter f_s. With F
-      the filters (member s is row s), every number is a column of
-      (y∘y)((1-F)^2)^T, (u∘u)[F; F^2]^T or u[F∘t; (1-F)^2∘t; F(1-F)∘t]^T:
-      O(n^2 + n|S|) a replicate, one n x n product, and no H_j y is formed.
-      y∘y, then u∘u, is one array of work, and the three products' 6 |S|
-      columns fill the rest;
+      into the first array of work, and t = V^T theta0, where H_s is the
+      filter f_s. With F the filters (member s is row s), every number is a
+      column of (y∘y)((1-F)^2)^T, (u∘u)[F; F^2]^T or
+      u[F∘t; (1-F)^2∘t; F(1-F)∘t]^T: O(n^2 + n|S|) a replicate, one n x n
+      product, and no H_j y is formed. y∘y, then u∘u, is the second array of
+      work, and the three products' 6 |S| columns fill the rest;
     - k-NN: a family of k-NN members on one neighbour ordering
       (family.neighbours) holds y as columns and keeps, for each point, the
       running sum C of its neighbours' values over the ranks r < k_max, so
@@ -196,8 +196,6 @@ class _Context:
       O(|S| n^2) a replicate, and picks the products. y is the first array
       of work and the products H_s y fill the rest.
     _numbers takes the five numbers of a member from H z = H y - H theta0.
-    A row that selects the oracle reads the oracle's own numbers: its slack
-    is exactly 0.
     """
 
     def __init__(self, family: SmootherFamily, model: GaussianSequenceModel):
@@ -274,13 +272,16 @@ class _Context:
         self.frob_sqs = np.array([m.frob_sq for m in members])
         self.block_len = min(max(BLOCK_BYTES // (8 * row_floats), 1), 1024)
 
-    def _spectral(self, u, work):
-        """(||y - H_s y||^2 of every member s per row, pick) for the draws u = V^T z
-        in the eigenbasis: pick takes every number from columns j and j0 of the
-        three products."""
-        b, s = len(u), len(self.trs)
-        scratch = _take(work[0], *u.shape)  # y∘y, then u∘u
-        products = _take(work[1:], 6 * b * s)
+    def _spectral(self, z, work):
+        """(||y - H_s y||^2 of every member s per row, pick) from the draws rotated
+        to u = V^T z in the eigenbasis: pick takes every number from columns j
+        and j0 of the three products."""
+        b, s = len(z), len(self.trs)
+        # the exact draws rotated, never y's rotation minus theta0's, which would
+        # lose z's digits when |theta0| >> sigma
+        u = np.matmul(z, self.basis, out=_take(work[0], *z.shape))
+        scratch = _take(work[1], *u.shape)  # y∘y, then u∘u
+        products = _take(work[2:], 6 * b * s)
         resid_sq = products[:b * s].reshape(b, s)
         np.add(self.theta_c, u, out=scratch)
         np.matmul(np.multiply(scratch, scratch, out=scratch), self.resid_filters_sq.T,
@@ -293,9 +294,9 @@ class _Context:
                            out=products[3 * b * s:].reshape(b, 3 * s)).reshape(b, 3, s)
         rows, j0 = np.arange(b), self.oracle_idx
 
-        def pick(j, record):
-            return record((resid_sq[rows, j], *square[rows, :, j].T, *linear[rows, :, j].T),
-                          (*square[:, :, j0].T, *linear[:, :, j0].T))
+        def pick(j):
+            return (resid_sq[rows, j], (*square[rows, :, j].T, *linear[rows, :, j].T),
+                    (*square[:, :, j0].T, *linear[:, :, j0].T))
 
         return resid_sq, pick
 
@@ -322,7 +323,7 @@ class _Context:
                     resid_sq[s] = resid_sq[members[0]]
         rows = np.arange(b)
 
-        def pick(j, record):  # one product per other member; the oracle's rows read its numbers
+        def pick(j):  # one product per other member
             order = np.argsort(j, kind="stable")  # np.unique's first call imports numpy.ma
             cuts = [0, *(np.flatnonzero(np.diff(j[order])) + 1), b]
             grouped = total.reshape(b, n)  # H_j y of the rows in that order
@@ -336,11 +337,9 @@ class _Context:
                     np.matmul(ys.T, self.family.members[s].h.T, out=grouped[lo:hi])
             # mode="clip" everywhere: the default mode writes a B x n copy of out first
             hy = np.take(grouped, np.argsort(order), axis=0, out=yt.reshape(b, n), mode="clip")
-            return self._applied(z, j, resid_sq[j, rows], hy,
-                                 np.take(self.h_theta_c, j, axis=0, out=part.reshape(b, n),
-                                         mode="clip"),
-                                 np.take(self.bias_c, j, axis=0, out=grouped, mode="clip"),
-                                 oracle, record)
+            h_theta = np.take(self.h_theta_c, j, axis=0, out=part.reshape(b, n), mode="clip")
+            bias = np.take(self.bias_c, j, axis=0, out=grouped, mode="clip")
+            return resid_sq[j, rows], _numbers(z, hy, h_theta, bias), oracle
 
         return resid_sq.T, pick
 
@@ -357,67 +356,50 @@ class _Context:
             resid_sq[:, s] = _rowdot(resid, resid)
         rows, j0 = np.arange(len(z)), self.oracle_idx
 
-        def pick(j, record):
+        def pick(j):  # fancy indexing copies: _numbers overwrites H y
             oracle = _numbers(z, hy[rows, j0], self.h_theta_c[j0], self.bias_c[j0])
-            return self._applied(z, j, resid_sq[rows, j], hy[rows, j], self.h_theta_c[j],
-                                 self.bias_c[j], oracle, record)
+            return (resid_sq[rows, j],
+                    _numbers(z, hy[rows, j], self.h_theta_c[j], self.bias_c[j]), oracle)
 
         return resid_sq, pick
-
-    def _applied(self, z, j, resid_j, hy_j, h_theta_j, bias_j, oracle, record):
-        """pick(j, record) from ||y - H_j y||^2, H_j y (overwritten), H_j theta0 and
-        b_j per row, and the oracle member's numbers as _numbers gives them, which
-        the rows that select the oracle read: their slack is exactly 0."""
-        at_oracle = j == self.oracle_idx
-        selected = [np.where(at_oracle, o, s)
-                    for o, s in zip(oracle, _numbers(z, hy_j, h_theta_j, bias_j))]
-        return record((resid_j, *selected), oracle)
 
     def block(self, z: np.ndarray, first_index: int, work: np.ndarray) -> dict:
         """Record columns of replicates first_index, ... with noise rows z (B x n);
         work is work_arrays flat arrays of at least B n floats each."""
         s2, n, j0 = self.sigma_sq, self.n, self.oracle_idx
-        # z in the kernel's coordinates: on the spectral kernel the exact draws
-        # rotated, never y's rotation minus theta0's, which would lose z's
-        # digits when |theta0| >> sigma.
-        if self.basis is None:
-            zc = z
-        else:  # in the first work array; the kernel takes the rest
-            zc, work = np.matmul(z, self.basis, out=_take(work[0], *z.shape)), work[1:]
-        resid_sq, pick = self._select(self, zc, work)
+        resid_sq, pick = self._select(self, z, work)
         j = np.argmin(resid_sq + 2.0 * s2 * self.trs, axis=1)  # first index on ties
+        resid_j, selected, oracle = pick(j)
+        # a row that selects the oracle reads the oracle's own numbers: its slack is exactly 0
+        zhz, hz_sq, h_theta_z, bias_resid, bias_hz = (
+            np.where(j == j0, o, s) for o, s in zip(oracle, selected))
+        zhz_0, hz_sq_0, _, bias_resid_0, _ = oracle
 
         def centered(s, zhz, hz_sq, bias_resid):  # criteria.centered_variables, per row
             quad = 2.0 * zhz - hz_sq  # z^T (2H - H^T H) z
             return quad / s2 + self.frob_sqs[s] - 2.0 * self.trs[s], -bias_resid / s2
 
-        def record(selected, oracle):
-            resid_j, zhz, hz_sq, h_theta_z, bias_resid, bias_hz = selected
-            sure_min = resid_j + 2.0 * s2 * self.trs[j]  # the criterion that selected j
-            loss = hz_sq - 2.0 * bias_hz + self.bias_sq[j]  # H_j y - theta0 = H_j z - b_j
-            w_j, zlin_j = centered(j, zhz, hz_sq, bias_resid)
-            zhz_0, hz_sq_0, _, bias_resid_0, _ = oracle
-            w_0, zlin_0 = centered(j0, zhz_0, hz_sq_0, bias_resid_0)
-            lhs = (self.risks[j] - self.risks[j0]) / s2
-            cols = {
-                "replicate_index": first_index + np.arange(len(z)),
-                "selected": j,
-                "sure_min": sure_min,
-                "loss_selected": loss,
-                "edf_total": (zhz + h_theta_z) / s2 - self.trs[j],
-                "edf_quadratic": zhz / s2 - self.trs[j],
-                "edf_linear": h_theta_z / s2,
-                "exopt_stat": loss + n * s2 - sure_min,
-                # no member in these two: the draws' own coordinates
-                "noise_sq_gap": n * s2 - _rowdot(z, z),
-                "signal_cross": 2.0 * _rowdot(self.theta0, z),
-                "basic_inequality_slack": (w_j - w_0) + 2.0 * (zlin_j - zlin_0) - lhs,
-            }
-            if self.shells is not None:
-                cols["shell"] = self.shells[j]
-            return cols
-
-        return pick(j, record)
+        sure_min = resid_j + 2.0 * s2 * self.trs[j]  # the criterion that selected j
+        loss = hz_sq - 2.0 * bias_hz + self.bias_sq[j]  # H_j y - theta0 = H_j z - b_j
+        w_j, zlin_j = centered(j, zhz, hz_sq, bias_resid)
+        w_0, zlin_0 = centered(j0, zhz_0, hz_sq_0, bias_resid_0)
+        lhs = (self.risks[j] - self.risks[j0]) / s2
+        cols = {
+            "replicate_index": first_index + np.arange(len(z)),
+            "selected": j,
+            "sure_min": sure_min,
+            "loss_selected": loss,
+            "edf_total": (zhz + h_theta_z) / s2 - self.trs[j],
+            "edf_quadratic": zhz / s2 - self.trs[j],
+            "edf_linear": h_theta_z / s2,
+            "exopt_stat": loss + n * s2 - sure_min,
+            "noise_sq_gap": n * s2 - _rowdot(z, z),
+            "signal_cross": 2.0 * _rowdot(self.theta0, z),
+            "basic_inequality_slack": (w_j - w_0) + 2.0 * (zlin_j - zlin_0) - lhs,
+        }
+        if self.shells is not None:
+            cols["shell"] = self.shells[j]
+        return cols
 
 
 def _cpu_count() -> int:

@@ -29,8 +29,7 @@ class GaussianSequenceModel:
     sigma: float
 
     def __post_init__(self):
-        # as Python objects, so that the one list check sees booleans and strings
-        theta0 = validate.array(np.asarray(self.theta0, dtype=object).tolist(), "theta0")
+        theta0 = validate.array(self.theta0, "theta0").copy()  # frozen below; the caller's is not
         if theta0.ndim != 1 or theta0.size < 1:
             raise validate.ConfigError(f"theta0: expected a 1-d list of at least one number, "
                                        f"got shape {theta0.shape}")

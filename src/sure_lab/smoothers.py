@@ -227,7 +227,7 @@ def knn_from_points(label: str, points, k: int) -> Smoother:
 def _neighbour_order(points):
     """(read-only points as rows, read-only full neighbour ordering of each row) after
     the checks knn_from_points documents; column j of row i is its (j+1)-th neighbour."""
-    points = np.asarray(points, dtype=float)
+    points = validate.array(points, "points")
     points = validate.finite_matrix(points[:, None] if points.ndim == 1 else points, "points",
                                     square=False)
     diffs = points[:, None, :] - points[None, :, :]

@@ -531,3 +531,37 @@ def test_zero_identity_exact_edf():
         details.append(f"n={n}: edf {est['mean']:.4f} +- {est['stderr']:.4f} vs exact "
                        f"{exact:.4f} (z {z:+.2f})")
     _verdict("zero_identity_exact_edf", passed, "; ".join(details))
+
+
+def _nested_projection_edf(n: int) -> float:
+    """E[edf] of SURE tuning over the nested coordinate projections P_1..P_n at
+    theta0 = 0, sigma = 1: sum_{k=1}^{n-1} k^{k/2} e^{-k} / Gamma(k/2 + 1).
+
+    SURE(k) = ||y||^2 - sum_{i<=k} y_i^2 + 2k selects the argmax k^ of the
+    random walk S_k = sum_{i<=k} (z_i^2 - 2), and edf = S_k^ + k^. Spitzer's
+    identity E[max S] = sum_k E[S_k^+] / k and Sparre Andersen's theorem
+    E[k^] = sum_k P(S_k > 0) combine to sum_{k<n} [P(chi^2_{k+2} > 2k) -
+    P(chi^2_k > 2k)], which is the series by Q(a+1, x) - Q(a, x) =
+    x^a e^{-x} / Gamma(a+1).
+    """
+    return sum(math.exp(k / 2.0 * math.log(k) - k - math.lgamma(k / 2.0 + 1.0))
+               for k in range(1, n))
+
+
+def test_nested_projections_exact_edf():
+    """Tuning an ordered family is nearly free: the tuned edf of P_1..P_n at
+    theta0 = 0 rises to a finite limit, 1.62524, while the corrected bound grows
+    without limit (r* = 1). The terms decay like (2/e)^{k/2} / sqrt(pi k)."""
+    exact = {n: _nested_projection_edf(n) for n in (4, 8, 16)}
+    assert [round(exact[n], 4) for n in exact] == [0.8804, 1.3006, 1.5514]
+    assert round(_nested_projection_edf(200), 5) == 1.62524
+    details, passed = [], True
+    for n in exact:
+        family = SmootherFamily.of([coordinate_projection(n, m) for m in range(1, n + 1)])
+        summary, _ = run_experiment(family, _model(n, 1.0, "zero"), 20_000, SEED)
+        est = summary.estimates["edf_total"]
+        z = (est["mean"] - exact[n]) / est["stderr"]
+        passed &= abs(z) <= Z_BAND
+        details.append(f"n={n}: edf {est['mean']:.4f} +- {est['stderr']:.4f} vs exact "
+                       f"{exact[n]:.4f} (z {z:+.2f})")
+    _verdict("nested_projections_exact_edf", passed, "; ".join(details))

@@ -379,8 +379,7 @@ def _assert_sure_min_selected(family, model, records, master_seed):
     for lo in range(0, len(records), ctx.block_len):
         hi = min(lo + ctx.block_len, len(records))
         z = standard_normal_rows(master_seed, lo, hi, model.n) * model.sigma
-        zc = z if ctx.basis is None else z @ ctx.basis
-        resid_sq, _ = ctx._select(ctx, zc, np.empty((ctx.work_arrays, zc.size)))
+        resid_sq, _ = ctx._select(ctx, z, np.empty((ctx.work_arrays, z.size)))
         criterion = resid_sq + 2.0 * model.sigma_sq * ctx.trs
         np.testing.assert_array_equal(records.columns["sure_min"][lo:hi], criterion.min(axis=1))
 

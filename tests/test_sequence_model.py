@@ -61,6 +61,9 @@ def test_model_invariants():
     for theta0 in (["1", "2"], [True, False], [1.0, True], np.array([True, False])):
         with pytest.raises(ValueError, match="^theta0: expected a list of finite numbers"):
             GaussianSequenceModel(theta0=theta0, sigma=1.0)
+    theta0 = np.array([1.0, 2.0])  # frozen in the model's own copy
+    assert not GaussianSequenceModel(theta0=theta0, sigma=1.0).theta0.flags.writeable
+    assert theta0.flags.writeable
 
 
 def test_sample_moments():

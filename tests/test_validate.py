@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -15,8 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sure_lab import _validate as validate
-from sure_lab import concentration, criteria, smoothers
+from sure_lab import GaussianSequenceModel, concentration, criteria, smoothers
 from sure_lab.cli import ConfigError
+from sure_lab.smoothers import SmootherFamily
 
 
 def test_config_error_is_the_cli_name_and_a_value_error():
@@ -520,4 +522,52 @@ def test_matrix_consumers_name_the_parameter(param, bad):
 ])
 def test_library_bounds_reject_nan_and_fractions(call, param):
     with pytest.raises(ValueError, match=rf"^{param}: "):
+        call()
+
+
+def _matrix(entry):
+    return [[1.0, 0.0], [0.0, entry]]
+
+
+_MEMBER = smoothers.from_matrix("m", np.eye(2))
+_MODEL = GaussianSequenceModel(theta0=[0.0, 1.0], sigma=1.0)
+# (function, parameter, a call of the function whose one entry of that parameter,
+# or the parameter itself when it is a number, is the argument)
+_ENTRY_CONSUMERS = [
+    ("array", "w", lambda e: validate.array([1.0, e], "w")),
+    ("finite_matrix", "w", lambda e: validate.finite_matrix(_matrix(e), "w")),
+    ("operator_norm", "h", lambda e: smoothers.operator_norm(_matrix(e))),
+    ("from_matrix", "matrix", lambda e: smoothers.from_matrix("m", _matrix(e))),
+    ("projection_from_design", "design",
+     lambda e: smoothers.projection_from_design("m", _matrix(e), [0])),
+    ("krr_from_gram", "gram", lambda e: smoothers.krr_from_gram("m", _matrix(e), 1.0)),
+    ("knn_from_points", "points", lambda e: smoothers.knn_from_points("m", [0.0, 1.0, e], 2)),
+    ("quadratic_form_params", "a",
+     lambda e: concentration.quadratic_form_params(_matrix(e))),
+    ("quadratic_form_sampler", "a",
+     lambda e: concentration.quadratic_form_sampler(_matrix(e))),
+    ("GaussianSequenceModel", "theta0", lambda e: GaussianSequenceModel([0.0, e], 1.0)),
+    ("sure", "y", lambda e: criteria.sure(_MEMBER, [1.0, e], 1.0)),
+    ("sure", "sigma", lambda e: criteria.sure(_MEMBER, [1.0, 2.0], e)),
+    ("sure_select", "y",
+     lambda e: criteria.sure_select(SmootherFamily.of([_MEMBER]), [1.0, e], 1.0)),
+    ("sure_select", "sigma",
+     lambda e: criteria.sure_select(SmootherFamily.of([_MEMBER]), [1.0, 2.0], e)),
+    ("centered_variables", "z", lambda e: criteria.centered_variables(_MEMBER, _MODEL, [1.0, e])),
+    ("sure_identity_residual", "z",
+     lambda e: criteria.sure_identity_residual(_MEMBER, _MODEL, [1.0, e])),
+    ("exact_quadratic_mgf", "eigs", lambda e: concentration.exact_quadratic_mgf([1.0, e], 0.1)),
+    ("exact_quadratic_mgf", "lam", lambda e: concentration.exact_quadratic_mgf([1.0, 1.0], e)),
+    ("verify_max_moment", "n_samples", lambda e: concentration.verify_max_moment(10, 2, 1.0, e)),
+]
+
+
+@pytest.mark.parametrize("param,call", [
+    pytest.param(param, functools.partial(call, entry), id=f"{name}-{param}-{kind}")
+    for name, param, call in _ENTRY_CONSUMERS
+    for kind, entry in (("string", "1"), ("boolean", True), ("nan", math.nan))])
+def test_numeric_inputs_take_only_finite_numbers(param, call):
+    """One element rule: a string, a boolean or a NaN among the numbers (or as the
+    number) is a ConfigError naming the parameter, not a value read as a float."""
+    with pytest.raises(ConfigError, match=rf"^{param}: "):
         call()
