@@ -205,12 +205,14 @@ def list_of(value, where, item, *args) -> list:
     return [item(entry, f"{where}[{i}]", *args) for i, entry in enumerate(value)]
 
 
-def array(value, where, shape=None) -> np.ndarray:
+def array(value, where, shape=None, infinite=False) -> np.ndarray:
     """A list (or an array) of finite numbers, nested in any way with the size of
-    `shape`, as a float array of that shape; a number alone is not a list."""
-    a = _finite(value, where, "expected a list of finite numbers")
+    `shape`, as a float array of that shape; a number alone is not a list.
+    `infinite` also takes -inf and inf (a value that overflowed), never NaN."""
+    message = "expected a list of " + ("numbers, none NaN" if infinite else "finite numbers")
+    a = _finite(value, where, message, infinite)
     if a.ndim == 0:
-        raise ConfigError(f"{where}: expected a list of finite numbers")
+        raise ConfigError(f"{where}: {message}")
     if shape is not None and a.size != math.prod(shape):
         raise ConfigError(f"{where}: expected {math.prod(shape)} entries (shape {shape}), "
                           f"got {a.size}")
@@ -226,9 +228,10 @@ def finite_matrix(value, where, square=True) -> np.ndarray:
     return a
 
 
-def _finite(value, where, message) -> np.ndarray:
-    """`value` as a float array when every entry is a finite number, else
-    ConfigError(f"{where}: {message}"): the one element rule of numeric inputs.
+def _finite(value, where, message, infinite=False) -> np.ndarray:
+    """`value` as a float array when every entry is a finite number (or, with
+    `infinite`, any number but NaN), else ConfigError(f"{where}: {message}"):
+    the one element rule of numeric inputs.
 
     An object array is read as its list. One numpy conversion reads the rest
     and its dtype decides, so strings, null and ragged nesting need no
@@ -241,7 +244,8 @@ def _finite(value, where, message) -> np.ndarray:
         a = np.asarray(value)
     except ValueError:  # ragged nesting
         a = None
-    if (a is None or a.dtype.kind not in "fiu" or not np.all(np.isfinite(a))
+    if (a is None or a.dtype.kind not in "fiu"
+            or not np.all(~np.isnan(a) if infinite else np.isfinite(a))
             or a.ndim and not isinstance(value, np.ndarray) and _holds_boolean(value, a)):
         raise ConfigError(f"{where}: {message}")
     return a.astype(float, copy=False)

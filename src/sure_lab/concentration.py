@@ -111,15 +111,15 @@ def verify_mgf_bound(sampler, params: SubExpParams, lambda_grid, n_samples: int,
     slack = validate.number(slack, "slack", 0)
     if exact_eigs is None:
         n_samples = validate.integer(n_samples, "n_samples", 10**4)
+    lambda_grid = validate.array(lambda_grid, "lambda_grid").reshape(-1).tolist()
     for lam in lambda_grid:
-        params.check_domain(float(lam))
+        params.check_domain(lam)
 
     if exact_eigs is None:
         rng = derive_stream(master_seed, stream)
         draws = sampler(n_samples, rng)
     checks = []
     for lam in lambda_grid:
-        lam = float(lam)
         bound = params.mgf_bound(lam)
         if exact_eigs is not None:
             estimate = exact_quadratic_mgf(exact_eigs, lam)

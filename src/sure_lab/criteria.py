@@ -150,7 +150,7 @@ def shell_indices(risks, sigma_sq: float, r_star_value: float) -> np.ndarray:
     if r_star_value <= 0:
         raise DegenerateFamilyError(
             f"shell decomposition requires r_star > 0, got {r_star_value}")
-    risks = np.asarray(risks, dtype=float)
+    risks = validate.array(risks, "risks", infinite=True)  # an overflowed risk raises below
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         ratio = (risks - risks.min()) / (sigma_sq * r_star_value) + 1.0
     if not np.all(np.isfinite(ratio)):

@@ -12,8 +12,9 @@ eigenbasis: the draws are rotated once, every member is a filter there, and
 every inner product is a column of one of three products of the block with
 per-member filter tables. Families of k-NN members on one neighbour
 ordering get every SURE, and the oracle member's product, from running sums
-over that ordering, then apply only the other selected members, one matrix
-product each. Any other family applies every member with one matrix
+over that ordering, then apply only the other selected members, one product
+each with a 0/1 neighbour matrix grown rank by rank, so that no member's
+matrix is formed. Any other family applies every member with one matrix
 product. All three then select the same way. Block boundaries depend only
 on n_reps and the family, so results do not depend on the worker count;
 workers take turns drawing the noise.
@@ -159,9 +160,9 @@ def _numbers(z, hz, h_theta, bias, dot=_rowdot):
 class _Context:
     """Per-(family, model) arrays shared by every block of replicates.
 
-    block() gets the draws z (B x n, y = theta0 + z) and work, work_arrays
-    flat arrays of at least B n floats each, from its worker's workspace,
-    which holds the block's large arrays. It hands both to one of three
+    block() gets the draws z (B x n, y = theta0 + z) and work, the flat
+    arrays after the draws in its worker's workspace(), which holds the
+    block's large arrays. It hands both to one of three
     selection kernels, which returns resid_sq, ||y - H_s y||^2 for every row
     and member s, and pick. block() adds 2 sigma^2 tr H_s, takes the argmin j
     and calls pick(j), which returns (resid_j, selected, oracle): resid_j is
@@ -187,11 +188,16 @@ class _Context:
     - k-NN: a family of k-NN members on one neighbour ordering
       (family.neighbours) holds y as columns and keeps, for each point, the
       running sum C of its neighbours' values over the ranks r < k_max, so
-      H_k y = C / k at rank k, where the oracle's numbers are taken:
-      O(n k_max) a replicate. Each other selected member is applied to its
-      rows' columns of y, one product each. y, the running sums and one
-      rank's values are the three arrays of work, which every other B x n
-      array of the block reuses;
+      H_k y = C / k at rank k, where the oracle's numbers are taken, and
+      ||y - H_k y||^2 = ||C - k y||^2 / k^2: O(n k_max) a replicate. H_k
+      theta0 is the same running sum over theta0, divided by k. The other
+      selected members are applied in ascending k, each to its rows of y by
+      one product with A_k, the 0/1 matrix whose row i has ones on point i's
+      first k neighbours, then divided by k: A_k is zeroed once a block and
+      grown from the last member's by n ones a rank, so no member's matrix
+      is formed. y, the running sums and one rank's values are the three
+      arrays of work, which every other B x n array of the block reuses;
+      A_k fills them from the third on (see workspace);
     - dense: any other family applies every member with one product,
       O(|S| n^2) a replicate, and picks the products. y is the first array
       of work and the products H_s y fill the rest.
@@ -217,6 +223,15 @@ class _Context:
                 self.filters = np.stack([m.spectrum for m in members])
                 self.theta_c = self.theta0 @ self.basis
                 self.h_theta_c = self.theta_c * self.filters
+            elif family.neighbours is not None:
+                self.ks = np.array([m.params["k"] for m in members])
+                # ranks[r] is every point's (r+1)-th neighbour
+                self.ranks = np.ascontiguousarray(family.neighbours[:, :self.ks.max()].T)
+                # H_k theta0 = C / k from running sums over the ranks, the kernel's
+                # arithmetic for H_k y, so no member's matrix is formed
+                self.theta_c = self.theta0
+                self.h_theta_c = (np.cumsum(self.theta0[self.ranks], axis=0)[self.ks - 1]
+                                  / self.ks[:, None])
             else:
                 self.theta_c = self.theta0
                 self.h_theta_c = np.stack([m.apply(self.theta0) for m in members])
@@ -229,9 +244,10 @@ class _Context:
         # degenerate r_star disables the shell machinery
         self.shells = (criteria.shell_indices(self.risks, self.sigma_sq, self.r_star)
                        if self.r_star > 0 else None)
-        # The floats a row holds at the peak, and how many B x n arrays block()
-        # takes from its worker's workspace besides the draws.
-        self.work_arrays = 0
+        # The floats a row holds at the peak, how many B x n arrays block()
+        # takes from its worker's workspace besides the draws, and the floats
+        # those arrays hold together from the third on, whatever B (workspace).
+        self.work_arrays = self.matrix_floats = 0
         if self.basis is not None:
             # The draws, their rotation, one square (y∘y, then u∘u) and the three
             # products' 6 |S| columns, in ceil(6 |S| / n) arrays: at most
@@ -249,15 +265,15 @@ class _Context:
             # The draws and three arrays (y, the running sums, one rank's values,
             # which later hold the products), and every member's residual norm:
             # a 319-row block at n = 200, |S| = 20 peaked at 2.11 MiB (tracemalloc,
-            # drawing and the workspace included), 4.24 n-vectors a row.
+            # drawing and the workspace included), 4.24 n-vectors a row. The
+            # pick's n x n 0/1 matrix is the third array when B >= n.
             row_floats = 4 * self.n + len(family)
             self.work_arrays = 3
-            ks = [m.params["k"] for m in members]
-            self.k0 = ks[self.oracle_idx]
-            # ranks[r] is every point's (r+1)-th neighbour; at_rank[r] the members with k = r+1
-            self.ranks = np.ascontiguousarray(family.neighbours[:, :max(ks)].T)
-            self.at_rank = [[s for s, k in enumerate(ks) if k == r + 1]
-                            for r in range(max(ks))]
+            self.matrix_floats = self.n * self.n
+            self.k0 = self.ks[self.oracle_idx]
+            # at_rank[r] the members with k = r+1
+            self.at_rank = [np.flatnonzero(self.ks == r + 1).tolist()
+                            for r in range(len(self.ranks))]
             self._select = _Context._knn
         else:
             # member s is rows s*n .. s*n + n - 1
@@ -271,6 +287,15 @@ class _Context:
         self.trs = np.array([m.df for m in members])
         self.frob_sqs = np.array([m.frob_sq for m in members])
         self.block_len = min(max(BLOCK_BYTES // (8 * row_floats), 1), 1024)
+
+    def workspace(self, rows: int) -> np.ndarray:
+        """One worker's arrays for blocks of up to `rows` rows: the draws, then
+        work_arrays flat arrays of rows n floats, and more arrays where the ones
+        from the third on would hold fewer than matrix_floats (a k-NN block of
+        fewer than n rows), so that no block allocates its matrix."""
+        width = rows * self.n
+        arrays = max(self.work_arrays, 2 + -(-self.matrix_floats // width))
+        return np.empty((1 + arrays, width))
 
     def _spectral(self, z, work):
         """(||y - H_s y||^2 of every member s per row, pick) from the draws rotated
@@ -302,10 +327,10 @@ class _Context:
 
     def _knn(self, z, work):
         """As _spectral, from running sums over the shared neighbour ordering, in
-        the three B x n arrays of work."""
+        the B x n arrays of work."""
         b, n = z.shape
         # yt[:, i] is row i's y, so a rank's neighbours of every point are a row gather
-        yt, total, part = (_take(w, n, b) for w in work)
+        yt, total, part = (_take(w, n, b) for w in work[:3])
         np.add(self.theta0[:, None], z.T, out=yt)
         total.fill(0.0)
         resid_sq = np.empty((len(self.trs), b))  # member s is row s
@@ -316,25 +341,36 @@ class _Context:
                     oracle = _numbers(z.T, np.divide(total, r + 1, out=part),
                                       self.h_theta_c[self.oracle_idx, :, None],
                                       self.bias_c[self.oracle_idx, :, None], _coldot)
-                np.divide(total, r + 1, out=part)
-                part -= yt
+                # ||y - C/k||^2 = ||C - k y||^2 / k^2: a B x n product, not a division
+                np.multiply(yt, r + 1, out=part)
+                part -= total
                 np.einsum("ij,ij->j", part, part, out=resid_sq[members[0]])
+                resid_sq[members[0]] /= (r + 1) ** 2
                 for s in members[1:]:  # one k under several labels
                     resid_sq[s] = resid_sq[members[0]]
         rows = np.arange(b)
 
-        def pick(j):  # one product per other member
-            order = np.argsort(j, kind="stable")  # np.unique's first call imports numpy.ma
+        def pick(j):  # one product per other member, in ascending k
+            order = np.lexsort((j, self.ks[j]))  # np.unique's first call imports numpy.ma
             cuts = [0, *(np.flatnonzero(np.diff(j[order])) + 1), b]
-            grouped = total.reshape(b, n)  # H_j y of the rows in that order
+            # y of the rows in that order, the bits of yt, and then their H_j y
+            ys = np.take(z, order, axis=0, out=yt.reshape(b, n), mode="clip")
+            ys += self.theta0
+            grouped = total.reshape(b, n)
+            ones, filled = None, 0  # row i puts 1 on point i's first `filled` neighbours
             for lo, hi in zip(cuts, cuts[1:]):
                 s = j[order[lo]]
                 if s == self.oracle_idx:
                     grouped[lo:hi] = 0.0  # any finite value: these rows read the oracle's
-                else:
-                    ys = np.take(yt, order[lo:hi], axis=1, mode="clip",
-                                 out=_take(work[2], n, hi - lo))
-                    np.matmul(ys.T, self.family.members[s].h.T, out=grouped[lo:hi])
+                    continue
+                if ones is None:  # zeroed once a block, grown rank by rank
+                    ones = _take(work[2:], n, n)
+                    ones.fill(0.0)
+                k = self.ks[s]
+                ones[np.arange(n), self.ranks[filled:k]] = 1.0
+                filled = k
+                np.divide(np.matmul(ys[lo:hi], ones.T, out=grouped[lo:hi]), k,
+                          out=grouped[lo:hi])
             # mode="clip" everywhere: the default mode writes a B x n copy of out first
             hy = np.take(grouped, np.argsort(order), axis=0, out=yt.reshape(b, n), mode="clip")
             h_theta = np.take(self.h_theta_c, j, axis=0, out=part.reshape(b, n), mode="clip")
@@ -365,7 +401,8 @@ class _Context:
 
     def block(self, z: np.ndarray, first_index: int, work: np.ndarray) -> dict:
         """Record columns of replicates first_index, ... with noise rows z (B x n);
-        work is work_arrays flat arrays of at least B n floats each."""
+        work is the arrays of workspace(B) after the draws (the first work_arrays,
+        B n floats each, suffice unless the k-NN pick applies a member)."""
         s2, n, j0 = self.sigma_sq, self.n, self.oracle_idx
         resid_sq, pick = self._select(self, z, work)
         j = np.argmin(resid_sq + 2.0 * s2 * self.trs, axis=1)  # first index on ties
@@ -461,7 +498,7 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> Replic
     def run_block(lo):
         hi = min(lo + ctx.block_len, n_reps)
         if not hasattr(local, "work"):
-            local.work = np.empty((1 + ctx.work_arrays, min(ctx.block_len, n_reps) * ctx.n))
+            local.work = ctx.workspace(min(ctx.block_len, n_reps))
         z = local.work[0, :(hi - lo) * ctx.n].reshape(hi - lo, ctx.n)
         with drawing:
             standard_normal_rows(master_seed, lo, hi, ctx.n, z)

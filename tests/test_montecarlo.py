@@ -29,6 +29,7 @@ from sure_lab import (
     records_to_csv,
     risk,
     run_experiment,
+    smoothers,
     sure,
     sure_select,
     sure_unbiasedness_check,
@@ -546,7 +547,8 @@ def test_spectral_block_fits_its_memory():
 
 def _one_block_peak(ctx):
     """The tracemalloc peak of a one-block _run, after a first run has made
-    the first-call allocations (a k-NN member's matrix) outside the trace."""
+    the first-call allocations (numpy's and the interpreter's caches) outside
+    the trace."""
     montecarlo._run(ctx, ctx.block_len, 5, 1)
     tracemalloc.start()
     try:
@@ -565,6 +567,66 @@ def test_knn_block_fits_its_memory():
     ctx = montecarlo._Context(family, model)
     assert _kernel(ctx) == "knn" and ctx.block_len >= 250
     assert _one_block_peak(ctx) < 2.3 * 2**20
+
+
+def test_knn_engine_forms_no_member_matrix(monkeypatch, tmp_path):
+    """The k-NN path takes H_s theta0 and every selected member's product from
+    the neighbour ordering: at 1 and 2 workers, and in `sure-lab simulate`, no
+    member gains its matrix `h` and smoothers._knn_matrix is never called,
+    though SURE selects members other than the oracle."""
+    calls = []
+    knn_matrix = smoothers._knn_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return knn_matrix(*args)
+
+    family, model = _knn_bench_shape()
+    monkeypatch.setattr(smoothers, "_knn_matrix", counting)  # after the build's opnorms
+    for workers in (1, 2):
+        summary, _ = run_experiment(family, model, 1000, 2, n_threads=workers)
+        assert sum(count > 0 for count in summary.selection_histogram.values()) > 2
+    assert not calls and not [m.label for m in family if "h" in vars(m)]
+
+    engine, families = montecarlo.run_experiment, []
+
+    def run(family, *args, **kwargs):  # counts from the engine's start on
+        families.append(family)
+        calls.clear()
+        return engine(family, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_experiment", run)
+    points = [[float(i)] for i in np.random.default_rng(4).permutation(30)]
+    cfg = tmp_path / "knn.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 2,
+        "model": {"n": 30, "sigma": 1.0, "theta0": {"kind": "poly_decay", "alpha": 1.0,
+                                                     "scale": 4.0}},
+        "family": {"smoothers": [{"label": f"k{k}", "kind": "knn",
+                                  "parameters": {"points": points, "k": k}}
+                                 for k in (1, 2, 3, 5, 8, 13)]},
+        "n_reps": 400, "master_seed": 3}))
+    out = tmp_path / "summary.json"
+    assert main(["simulate", "--config", str(cfg), "--threads", "2", "--out", str(out)]) == 0
+    histogram = json.loads(out.read_text())["summary"]["selection_histogram"]
+    assert sum(count > 0 for count in histogram.values()) > 2
+    (family,) = families
+    assert not calls and not [m.label for m in family if "h" in vars(m)]
+
+
+def test_knn_kernel_matches_dense_in_blocks_shorter_than_n(monkeypatch):
+    """Blocks of fewer than n rows: the pick's 0/1 matrix does not fit in one
+    work array, so each worker's workspace holds more, made with the rest."""
+    rng = np.random.default_rng(29)
+    n = 20
+    family = _knn_family(rng, n, [1, 2, 4, 7, 12, n], 2)
+    model = GaussianSequenceModel(theta0=rng.normal(scale=1.0, size=n), sigma=1.0)
+    monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 3 * 8 * (4 * n + len(family)))
+    ctx = montecarlo._Context(family, model)
+    assert _kernel(ctx) == "knn" and ctx.block_len == 3
+    assert ctx.workspace(ctx.block_len).shape == (1 + 2 + -(-n // 3), 3 * n)
+    oracle_rows = _assert_knn_matches_dense(family, model, 301, 8)
+    assert 0 < oracle_rows < 2 * 301  # over both runs: other members are applied too
 
 
 def test_context_is_freed_without_the_cycle_collector():

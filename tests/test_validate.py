@@ -559,6 +559,10 @@ _ENTRY_CONSUMERS = [
     ("exact_quadratic_mgf", "eigs", lambda e: concentration.exact_quadratic_mgf([1.0, e], 0.1)),
     ("exact_quadratic_mgf", "lam", lambda e: concentration.exact_quadratic_mgf([1.0, 1.0], e)),
     ("verify_max_moment", "n_samples", lambda e: concentration.verify_max_moment(10, 2, 1.0, e)),
+    ("verify_mgf_bound", "lambda_grid",
+     lambda e: concentration.verify_mgf_bound(None, concentration.SubExpParams(1.0, 0.0),
+                                              [0.1, e], 10**4, exact_eigs=[0.1])),
+    ("shell_indices", "risks", lambda e: criteria.shell_indices([1.0, e], 1.0, 1.0)),
 ]
 
 
