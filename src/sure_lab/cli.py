@@ -151,7 +151,7 @@ def _bound_table(summary, cfg):
 
 
 def cmd_simulate(args) -> int:
-    threads = validate.integer(args.threads, "--threads", 1)
+    threads = None if args.threads is None else validate.integer(args.threads, "--threads", 1)
     seed = None if args.seed is None else validate.seed(args.seed, "--seed")
     cfg = _parse_experiment_config(_load_json(args.config))
     if seed is not None:
@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment")
     sim.add_argument("--config", required=True)
     sim.add_argument("--seed", type=int, default=None, help="override config master_seed")
-    sim.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
+    sim.add_argument("--threads", type=int, default=None,
+                     help="worker threads (default: every CPU this process may run on)")
     sim.add_argument("--records", default=None, help="write per-replicate CSV here")
     sim.add_argument("--out", default=None, help="summary output path (default stdout)")
     sim.add_argument("--format", choices=("json", "csv"), default="json")

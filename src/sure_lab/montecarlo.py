@@ -16,8 +16,9 @@ over that ordering, then apply only the other selected members, one product
 each with a 0/1 neighbour matrix grown rank by rank, so that no member's
 matrix is formed. Any other family applies every member with one matrix
 product. All three then select the same way. Block boundaries depend only
-on n_reps and the family, so results do not depend on the worker count;
-workers take turns drawing the noise.
+on n_reps and the family, and numpy's OpenBLAS runs one thread for every run,
+so a product rounds the same way at any n and results do not depend on the
+worker count; workers take turns drawing the noise.
 """
 
 from __future__ import annotations
@@ -458,8 +459,9 @@ _BLAS_THREAD_FUNCTIONS = (
 
 @functools.cache
 def _blas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None, said
-    once on stderr, where no known setter is found; then a run uses one worker.
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, which every
+    run sets to 1 and restores afterwards, or None, said once on stderr, where
+    no known setter is found; then a run uses one worker and leaves BLAS as it is.
 
     The library is the one bundled with numpy's wheels (numpy.libs, or
     numpy/.dylibs on macOS); loading it again returns the loaded copy. The
@@ -505,23 +507,18 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> Replic
         z *= ctx.sigma
         return ctx.block(z, lo, local.work[1:])
 
-    workers = min(n_threads, len(starts), _cpu_count())
-    blas = _blas_threads() if workers > 1 else None
-    if blas is None:
-        blocks = [run_block(lo) for lo in starts]
-    else:
-        # One level of parallelism: BLAS runs one thread while the workers run.
-        get_threads, set_threads = blas
-        blas_threads = get_threads()
-        set_threads(1)
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                blocks = list(pool.map(run_block, starts))
-        finally:
-            set_threads(blas_threads)
-    # Joined after the workspaces are freed, the columns reuse their memory;
-    # joined before, a one-worker run's second call grew the heap by about 1 MB.
-    del local
+    blas = _blas_threads()
+    workers = min(n_threads, len(starts), _cpu_count()) if blas else 1
+    # One level of parallelism, and one rounding at any worker count: BLAS runs
+    # one thread for every run. Without a setter, one worker and BLAS as it is.
+    get_threads, set_threads = blas or (lambda: None, lambda count: None)
+    blas_threads = get_threads()
+    set_threads(1)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(run_block, starts))
+    finally:
+        set_threads(blas_threads)
     return ReplicateRecords({name: np.concatenate([b[name] for b in blocks])
                              for name in blocks[0]}, ctx.family.labels)
 
@@ -578,18 +575,19 @@ def _summarize(ctx: _Context, records: ReplicateRecords) -> MonteCarloSummary:
 
 
 def run_experiment(family: SmootherFamily, model: GaussianSequenceModel,
-                   n_reps: int, master_seed: int, n_threads: int = 1,
+                   n_reps: int, master_seed: int, n_threads: int | None = 1,
                    keep_records: bool = False):
     """Run n_reps seeded replicates and reduce them in index order.
 
-    Replicate i always draws derive_stream(master_seed, i)'s noise, and block
-    boundaries depend only on n_reps and the family's shape, so results are
-    independent of n_threads and of scheduling. At most min(n_threads,
-    blocks, CPUs this process may run on) worker threads run. Returns
-    (summary, records); records is None unless keep_records is set.
+    Replicate i always draws derive_stream(master_seed, i)'s noise, block
+    boundaries depend only on n_reps and the family's shape, and BLAS runs one
+    thread for every run, so results are byte-identical at any n_threads and
+    any n, whatever the scheduling. At most min(n_threads, blocks, CPUs this
+    process may run on) worker threads run; n_threads=None means every such
+    CPU. Returns (summary, records); records is None unless keep_records is set.
     """
     n_reps = validate.integer(n_reps, "n_reps", 1)
-    n_threads = validate.integer(n_threads, "n_threads", 1)
+    n_threads = _cpu_count() if n_threads is None else validate.integer(n_threads, "n_threads", 1)
     ctx = _Context(family, model)
     records = _run(ctx, n_reps, master_seed, n_threads)
     return _summarize(ctx, records), (records if keep_records else None)

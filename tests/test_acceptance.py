@@ -565,3 +565,38 @@ def test_nested_projections_exact_edf():
         details.append(f"n={n}: edf {est['mean']:.4f} +- {est['stderr']:.4f} vs exact "
                        f"{exact[n]:.4f} (z {z:+.2f})")
     _verdict("nested_projections_exact_edf", passed, "; ".join(details))
+
+
+def _all_subsets_edf(theta0, t: float = math.sqrt(2.0)) -> float:
+    """E[edf] of SURE tuning over all 2^n diagonal 0/1 masks at sigma = 1:
+    sum_i t (phi(t - theta_i) + phi(t + theta_i)), t = sqrt(2).
+
+    SURE(D) = sum_{i not in D} y_i^2 + 2 |D| keeps coordinate i iff y_i^2 > 2,
+    hard thresholding at t, and Stein's lemma on y_i 1{|y_i| > t} gives each
+    coordinate's term (Donoho & Johnstone, JASA 1995)."""
+    def phi(x):
+        return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
+
+    return sum(t * (phi(t - th) + phi(t + th)) for th in theta0)
+
+
+def test_all_subsets_exact_edf():
+    """Tuning an unordered menu pays: over all 2^n coordinate subsets at
+    theta0 = linspace(0, 3, n), the tuned edf is the hard-thresholding series,
+    exactly, within Z_BAND of the Monte Carlo mean."""
+    theta0 = {n: np.linspace(0.0, 3.0, n) for n in (4, 8)}
+    exact = {n: _all_subsets_edf(theta0[n].tolist()) for n in theta0}
+    assert [round(exact[n], 4) for n in exact] == [1.6009, 3.3924]
+    details, passed = [], True
+    for n in exact:
+        family = SmootherFamily.of(
+            [from_matrix(f"{mask:0{n}b}", np.diag([(mask >> i) & 1 for i in range(n)]))
+             for mask in range(2 ** n)])
+        model = GaussianSequenceModel(theta0=theta0[n], sigma=1.0)
+        summary, _ = run_experiment(family, model, 20_000, SEED)
+        est = summary.estimates["edf_total"]
+        z = (est["mean"] - exact[n]) / est["stderr"]
+        passed &= abs(z) <= Z_BAND
+        details.append(f"n={n}: edf {est['mean']:.4f} +- {est['stderr']:.4f} vs exact "
+                       f"{exact[n]:.4f} (z {z:+.2f})")
+    _verdict("all_subsets_exact_edf", passed, "; ".join(details))

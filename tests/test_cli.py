@@ -67,12 +67,12 @@ def test_simulate_basic(tmp_path):
 def test_simulate_deterministic_across_runs_and_threads(tmp_path):
     cfg_path = write_config(tmp_path, base_config())
     outs = []
-    for threads, name in [("1", "s1.json"), ("1", "s2.json"), ("8", "s8.json")]:
+    for threads, name in [(["--threads", "1"], "s1.json"), (["--threads", "1"], "s2.json"),
+                          (["--threads", "8"], "s8.json"), ([], "default.json")]:
         out = tmp_path / name
-        assert main(["simulate", "--config", cfg_path, "--threads", threads,
-                     "--out", str(out)]) == 0
+        assert main(["simulate", "--config", cfg_path, *threads, "--out", str(out)]) == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
@@ -151,9 +151,9 @@ def test_simulate_checks_seed_before_config(tmp_path, capsys):
     assert "--seed" in err and "missing.json" not in err
 
 
-def test_simulate_runs_one_worker_by_default():
+def test_simulate_runs_every_cpu_by_default():
     args = cli.build_parser().parse_args(["simulate", "--config", "c.json"])
-    assert args.threads == 1
+    assert args.threads is None
 
 
 def test_help_exits_0(capsys):

@@ -740,6 +740,45 @@ def test_outputs_byte_identical_across_threads(monkeypatch):
         sys.setswitchinterval(switch)
 
 
+def test_outputs_byte_identical_across_threads_at_large_n():
+    """At n where OpenBLAS splits a product over its threads (BLAS set to 2
+    here), one worker and two write the same summary and records on every
+    kernel: BLAS runs one thread for every run. Workers are bounded by the
+    CPUs, so on a 1-CPU host both runs have one worker and this cannot fail."""
+    n = 1000
+    points = np.random.default_rng(31).standard_normal((n, 2))
+    knn_grid = family_from_doc({"schema_version": 1, "n": n, "smoothers": [
+        {"label": f"knn{k}", "kind": "knn", "parameters": {"points": points.tolist(), "k": k}}
+        for k in range(1, 21)]})
+    x = np.linspace(0.0, 1.0, n)
+    gram = (np.exp(-0.5 * ((x[:, None] - x[None, :]) / 0.05) ** 2) + 1e-8 * np.eye(n)).tolist()
+    krr_grid = family_from_doc({"schema_version": 1, "n": n, "smoothers": [
+        {"label": f"k{i}", "kind": "krr", "parameters": {"gram": gram, "lambda": float(lam)}}
+        for i, lam in enumerate(np.logspace(-3, 1, 8))]})
+    rng = np.random.default_rng(32)
+    explicit = SmootherFamily.of([from_matrix(f"m{i}", rng.standard_normal((500, 500)) / 500)
+                                  for i in range(5)])
+    get_threads, set_threads = montecarlo._blas_threads()
+    before = get_threads()
+    set_threads(2)
+    try:
+        for family, n_reps, kernel in ((knn_grid, 600, "knn"), (krr_grid, 300, "spectral"),
+                                       (explicit, 300, "dense")):
+            model = GaussianSequenceModel(
+                theta0=make_theta0("poly_decay", family.n, alpha=1.0, scale=4.0), sigma=1.0)
+            assert _kernel(montecarlo._Context(family, model)) == kernel
+            outputs = set()
+            for threads in (1, 2):
+                summary, records = run_experiment(family, model, n_reps, 5, n_threads=threads,
+                                                  keep_records=True)
+                outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True),
+                             csv_text(records)))
+            assert len(outputs) == 1, kernel
+            assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
 def test_workers_take_turns_drawing_noise(monkeypatch):
     """The per-row noise loop admits one worker at a time; each entry waits a
     little, so two workers let in together would overlap."""
@@ -798,15 +837,28 @@ def test_worker_pool_bounded(monkeypatch, zero_id_family, model):
     block = montecarlo._Context(zero_id_family, model).block_len
     run_experiment(zero_id_family, model, 3 * block, 1, n_threads=10**6)  # 3 blocks
     run_experiment(zero_id_family, model, 10 * block, 1, n_threads=10**6)  # 4 CPUs
-    run_experiment(zero_id_family, model, block, 1, n_threads=10**6)  # 1 block: no pool
+    run_experiment(zero_id_family, model, block, 1, n_threads=10**6)  # 1 block: 1 worker
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
-    run_experiment(zero_id_family, model, 10 * block, 1, n_threads=10**6)  # 1 CPU: no pool
-    assert RecordingPool.sizes == [3, 4]
+    run_experiment(zero_id_family, model, 10 * block, 1, n_threads=10**6)  # 1 CPU: 1 worker
+    assert RecordingPool.sizes == [3, 4, 1, 1]
 
 
-def test_blas_runs_one_thread_while_workers_run(monkeypatch):
-    """A run with two workers pins BLAS to one thread and gives the count back
-    afterwards; a one-worker run leaves it alone."""
+def test_n_threads_none_runs_every_cpu(monkeypatch, zero_id_family, model):
+    """n_threads=None drops the caller's cap; a given value is still checked."""
+    RecordingPool.sizes = []
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
+    block = montecarlo._Context(zero_id_family, model).block_len
+    run_experiment(zero_id_family, model, 10 * block, 1, n_threads=None)
+    assert RecordingPool.sizes == [4]
+    for bad in (0, True, 1.5):
+        with pytest.raises(ValueError, match="n_threads"):
+            run_experiment(zero_id_family, model, block, 1, n_threads=bad)
+
+
+def test_blas_runs_one_thread_for_every_run(monkeypatch):
+    """Every run, with two workers or one, pins BLAS to one thread and gives the
+    count back afterwards, also when a block raises."""
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)  # let 2 workers really run
     get_threads, set_threads = montecarlo._blas_threads()
     seen, draw = set(), montecarlo.standard_normal_rows
@@ -824,7 +876,17 @@ def test_blas_runs_one_thread_while_workers_run(monkeypatch):
         assert seen == {1} and get_threads() == 2
         seen.clear()
         run_experiment(family, model, 1000, 4, n_threads=1)
-        assert seen == {2} and get_threads() == 2
+        assert seen == {1} and get_threads() == 2
+
+        def failing_draw(*args):
+            seen.add(get_threads())
+            raise MemoryError
+
+        seen.clear()
+        monkeypatch.setattr(montecarlo, "standard_normal_rows", failing_draw)
+        with pytest.raises(MemoryError):
+            run_experiment(family, model, 1000, 4, n_threads=1)
+        assert seen == {1} and get_threads() == 2
     finally:
         set_threads(before)
 
@@ -841,11 +903,12 @@ def test_no_blas_setter_runs_one_worker(monkeypatch, capsys, tmp_path, zero_id_f
     try:
         assert montecarlo._blas_threads() is None
         three, _ = run_experiment(zero_id_family, model, 3 * block, 1, n_threads=3)
+        one, _ = run_experiment(zero_id_family, model, 3 * block, 1)
     finally:
         montecarlo._blas_threads.cache_clear()
-    assert RecordingPool.sizes == []
+    assert RecordingPool.sizes == [1, 1]
     assert capsys.readouterr().err.count("no OpenBLAS thread-count setter found") == 1
-    assert three == run_experiment(zero_id_family, model, 3 * block, 1)[0]
+    assert three == one
 
 
 def test_cpu_count_is_the_affinity_set(monkeypatch):
