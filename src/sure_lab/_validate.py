@@ -31,14 +31,23 @@ class ConfigError(ValueError):
     """An input holds an invalid value; the message names where."""
 
 
-# load_json decodes a flat array of numbers whose text has at least this many
-# bytes once per distinct text: a version-1 KRR grid repeats its Gram matrix
-# in every member. Shorter arrays cost less to decode than to look up.
+# load_json decodes an array of numbers whose text has at least this many
+# bytes once per distinct text: a version-1 KRR grid repeats its Gram matrix,
+# and a k-NN family its points, in every member. Shorter arrays cost less to
+# decode than to look up.
 SHARED_ARRAY_CHARS = 1024
 _NUMBER_CHARS = rb"[-+.0-9eE \t\n\r,]"  # of JSON numbers, commas and JSON whitespace
-# The "[" of a candidate: SHARED_ARRAY_CHARS - 2 _NUMBER_CHARS follow it.
-_LONG_ARRAY_START = re.compile(rb"\[(?=%s{%d})" % (_NUMBER_CHARS, SHARED_ARRAY_CHARS - 2))
+_ROWS_CHARS = rb"[-+.0-9eE \t\n\r,\[\]]"  # the same and the brackets of rows
+_WHITESPACE = rb"[ \t\n\r]*"
+# The "[" of a candidate: a flat one is followed by SHARED_ARRAY_CHARS - 2
+# _NUMBER_CHARS, a nested one (group "nested") by "[" and as many _ROWS_CHARS.
+_LONG_ARRAY_START = re.compile(rb"\[(?=%s{%d}|(?P<nested>%s\[)%s{%d})" % (
+    _NUMBER_CHARS, SHARED_ARRAY_CHARS - 2, _WHITESPACE, _ROWS_CHARS, SHARED_ARRAY_CHARS - 2))
 _FLAT_ARRAY = re.compile(rb"\[%s*\]" % _NUMBER_CHARS)
+# An array of flat rows of numbers, each row shorter than SHARED_ARRAY_CHARS.
+_ROW = rb"\[%s{0,%d}\]" % (_NUMBER_CHARS, SHARED_ARRAY_CHARS - 3)
+_NESTED_ARRAY = re.compile(rb"\[%s%s(?:%s,%s%s)*%s\]" % (
+    _WHITESPACE, _ROW, _WHITESPACE, _WHITESPACE, _ROW, _WHITESPACE))
 # The one key of the object that stands for a shared array in the packed text.
 _PLACEHOLDER = "\x00"
 
@@ -50,10 +59,11 @@ def load_json(path):
     The file is mapped read-only and scanned in place; the map is closed
     before this returns. A file that cannot be mapped (empty, /dev/null, a
     FIFO or a pipe) is read instead. A file that another process truncates
-    while it is mapped ends the process with SIGBUS. Each distinct long flat
-    array of numbers (SHARED_ARRAY_CHARS) is decoded once, and every place
-    that repeats it holds that one list; every dict and every other list is
-    its own object. Text that is not UTF-8, invalid JSON and nesting deeper
+    while it is mapped ends the process with SIGBUS. Each distinct long
+    (SHARED_ARRAY_CHARS) flat array of numbers, and each distinct long array
+    of short flat rows of numbers, is decoded once, and every place that
+    repeats it holds that one list; every dict and every other list is its
+    own object. Text that is not UTF-8, invalid JSON and nesting deeper
     than the decoder's recursion limit raise ConfigError naming the path:
     with the byte position `bytes.decode` reports, and for invalid JSON with
     the line and column `json` reports.
@@ -78,15 +88,19 @@ def load_json(path):
 def _loads(data):
     """json.loads of the UTF-8 bytes `data` (bytes, or a read-only map of a
     file) as text mode reads them (CR LF and a lone CR are LF), decoding each
-    distinct long flat numeric array once and returning one list for all its
-    places.
+    distinct long flat numeric array, and each distinct long array of flat
+    numeric rows shorter than SHARED_ARRAY_CHARS, once and returning one list
+    for all its places.
 
     Each such array is replaced by the object {"\\u0000": its number} and the
     packed text is decoded with a hook that puts the array's list back. A
     candidate "[" is an array when one anchored match reads numbers up to its
-    "]"; a nested one stops at its inner "[". A candidate that starts with
-    the array replaced last among those sharing its first SHARED_ARRAY_CHARS
-    bytes is that array (a flat array holds one "]", its last byte), so a
+    "]", or, for a candidate followed by "[", reads rows of numbers up to its
+    "]"; a flat match stops at an inner "[", a nested one at a longer row or a
+    deeper "[", and the rows of an array of long rows are candidates of their
+    own. A candidate that starts with the array replaced last among those
+    sharing its first SHARED_ARRAY_CHARS bytes is that array (the bytes of a
+    flat array or of an array of flat rows fix where its brackets close), so a
     repeated array, also one that alternates with others, is recognized in
     place: past its first bytes it is neither matched, copied nor hashed
     again. When the text outside the arrays already spells that key, nothing
@@ -115,11 +129,12 @@ def _loads(data):
         array = seen.get(text[start:start + SHARED_ARRAY_CHARS])
         # find, not startswith, which a map lacks
         if array is None or text.find(array, start, start + len(array)) != start:
-            flat = _FLAT_ARRAY.match(text, start)
-            if flat is None:  # nested, or an entry that is not a number
+            found = (_NESTED_ARRAY if match["nested"] else _FLAT_ARRAY).match(text, start)
+            # None: nested deeper, a row too long, or an entry that is not a number
+            if found is None or found.end() - start < SHARED_ARRAY_CHARS:
                 pos = start + 1
                 continue
-            array = flat[0]
+            array = found[0]
             seen[array[:SHARED_ARRAY_CHARS]] = array
         parts += text[done:start], b'{"\\u0000":%d}' % arrays.setdefault(array, len(arrays))
         pos = done = start + len(array)
@@ -138,7 +153,7 @@ def _loads(data):
     except UnicodeDecodeError:
         str(data, "utf-8")  # raises the error at its position in `data`
         raise
-    data = flat = None  # json.loads gets the only copy of the document
+    data = found = None  # json.loads gets the only copy of the document
     return json.loads(text)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -345,25 +346,29 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--records", default=None, help="write per-replicate CSV here")
     sim.add_argument("--out", default=None, help="summary output path (default stdout)")
     sim.add_argument("--format", choices=("json", "csv"), default="json")
-    sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify-lemmas", help="run the concentration lemma battery")
     ver.add_argument("--config", default=None)
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--out", default=None)
-    ver.set_defaults(func=cmd_verify_lemmas)
 
     info = sub.add_parser("family-info", help="print per-smoother statistics")
     info.add_argument("--family", default=None, help="serialized family JSON")
     info.add_argument("--config", default=None, help="experiment config JSON")
-    info.set_defaults(func=cmd_family_info)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once a process: parsing leaves it as it was."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up by name at each call, so a replaced cmd_* function runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     # ConfigError included; OSError from files; MemoryError from sizes too large to hold
     except (ValueError, OSError, MemoryError) as exc:
         reason = (f"out of memory ({str(exc) or 'allocation failed'})"

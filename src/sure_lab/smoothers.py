@@ -90,7 +90,7 @@ class Smoother:
         if self.basis is not None:
             h = (self.basis * self.spectrum) @ self.basis.T
         else:
-            h = _knn_matrix(self.neighbours, self.params["k"])
+            h = _knn_matrix(self.neighbours, self.params["k"], 1.0 / self.params["k"])
         h.setflags(write=False)
         return h
 
@@ -240,21 +240,27 @@ def _neighbour_order(points):
 
 def _knn(label, neighbour_order, k) -> Smoother:
     """k-NN member for one k from a _neighbour_order, which members may share;
-    it keeps the ordering only (see Smoother.h). Its operator norm comes from
-    its matrix, formed here and dropped."""
+    it keeps the ordering only (see Smoother.h).
+
+    Its operator norm is (1/k) sqrt(lambda_max(A^T A)) of the 0/1 neighbour
+    matrix A = k H, formed here and dropped: bit for bit operator_norm(H),
+    whose scale max|H| is 1/k and whose G = H / (1/k) is exactly A. A^T A
+    holds integer counts up to n, exact in float64."""
     points, order = neighbour_order
     n = order.shape[0]
     k = validate.integer(k, "k", 1, n)
+    a = _knn_matrix(order, k, 1.0)
     return Smoother(label=str(label), df=n / k, frob_sq=n / k,
-                    opnorm=operator_norm(_knn_matrix(order, k)), kind="knn",
-                    params={"points": points, "k": k}, dense=None, basis=None,
+                    opnorm=(1.0 / k) * float(np.sqrt(np.linalg.eigvalsh(a.T @ a)[-1])),
+                    kind="knn", params={"points": points, "k": k}, dense=None, basis=None,
                     spectrum=None, neighbours=order)
 
 
-def _knn_matrix(order, k) -> np.ndarray:
-    """The n x n matrix whose row i puts 1/k on the points order[i, :k]."""
+def _knn_matrix(order, k, weight) -> np.ndarray:
+    """The n x n matrix whose row i puts `weight` on the points order[i, :k]:
+    H for weight 1/k, the 0/1 neighbour matrix for 1."""
     h = np.zeros(order.shape)
-    np.put_along_axis(h, order[:, :k], 1.0 / k, axis=1)
+    np.put_along_axis(h, order[:, :k], weight, axis=1)
     return h
 
 

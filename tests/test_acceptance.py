@@ -33,6 +33,7 @@ from sure_lab import (
     verify_max_moment,
     verify_mgf_bound,
 )
+from sure_lab import _exact
 from sure_lab.cli import main as cli_main
 
 SEED = 20240817
@@ -442,28 +443,6 @@ def test_cli_determinism(tmp_path):
 Z_BAND = 4.0
 
 
-def _exact_singleton_edf(n: int, steps: int = 6000, s_max: float = 12.0) -> float:
-    """E[edf] of SURE tuning over the n singletons e_i e_i^T at theta0 = 0, sigma = 1.
-
-    SURE(i) = ||y||^2 - y_i^2 + 2 selects argmax_i y_i^2, so E[edf] =
-    E[max_i z_i^2] - 1 = int_0^inf (1 - erf(sqrt(t/2))^n) dt - 1, here by
-    Simpson's rule in s = sqrt(t) (smooth integrand; the tail past s_max is
-    below 1e-30).
-    """
-    h = s_max / steps
-
-    def f(s):
-        return 2.0 * s * (1.0 - math.erf(s / math.sqrt(2.0)) ** n)
-
-    total = f(0.0) + f(s_max) + sum((4.0 if i % 2 else 2.0) * f(i * h) for i in range(1, steps))
-    return total * h / 3.0 - 1.0
-
-
-def _chi2_sf_even(m: int, x: float) -> float:
-    """P(chi^2_m > x) for even m: e^{-x/2} sum_{i < m/2} (x/2)^i / i!."""
-    return math.exp(-x / 2.0) * sum((x / 2.0) ** i / math.factorial(i) for i in range(m // 2))
-
-
 def test_erratum_witness(tmp_path):
     """The erratum corrects the excess-degrees-of-freedom bound of Tibshirani &
     Rosset (JASA 2019) for SURE-tuned linear estimators; `bounds.edf.bound` is
@@ -490,7 +469,7 @@ def test_erratum_witness(tmp_path):
         doc = json.loads(out.read_text())
         edf = doc["bounds"]["edf"]
         assert doc["summary"]["r_star"] == 1.0 and edf["h_op_effective"] == 1.0
-        exact[n] = _exact_singleton_edf(n)
+        exact[n] = _exact.singleton_edf(n)
         estimate[n], stderr[n], bound[n] = edf["estimate"], edf["stderr"], edf["bound"]
         assert edf["ratio"] == estimate[n] / bound[n]
 
@@ -518,14 +497,15 @@ def test_erratum_witness(tmp_path):
 def test_zero_identity_exact_edf():
     """{0, I} at theta0 = 0: SURE selects I iff ||y||^2 > 2 n sigma^2, where the
     edf is ||z||^2 / sigma^2 - n, so E[edf] = n [P(chi^2_{n+2} > 2n) - P(chi^2_n > 2n)]."""
-    assert math.isclose(2 * (_chi2_sf_even(4, 4.0) - _chi2_sf_even(2, 4.0)), 4.0 * math.exp(-2.0))
+    assert math.isclose(2 * (_exact.chi2_sf_even(4, 4.0) - _exact.chi2_sf_even(2, 4.0)),
+                        4.0 * math.exp(-2.0))
     details, passed = [], True
     for n in (2, 4, 8):
         family = SmootherFamily.of([from_matrix("zero", np.zeros((n, n))),
                                     from_matrix("identity", np.eye(n))])
         summary, _ = run_experiment(family, _model(n, 1.0, "zero"), 10**5, SEED)
         est = summary.estimates["edf_total"]
-        exact = n * (_chi2_sf_even(n + 2, 2.0 * n) - _chi2_sf_even(n, 2.0 * n))
+        exact = n * (_exact.chi2_sf_even(n + 2, 2.0 * n) - _exact.chi2_sf_even(n, 2.0 * n))
         z = (est["mean"] - exact) / est["stderr"]
         passed &= abs(z) <= Z_BAND
         details.append(f"n={n}: edf {est['mean']:.4f} +- {est['stderr']:.4f} vs exact "
@@ -533,51 +513,29 @@ def test_zero_identity_exact_edf():
     _verdict("zero_identity_exact_edf", passed, "; ".join(details))
 
 
-def _nested_projection_edf(n: int) -> float:
-    """E[edf] of SURE tuning over the nested coordinate projections P_1..P_n at
-    theta0 = 0, sigma = 1: sum_{k=1}^{n-1} k^{k/2} e^{-k} / Gamma(k/2 + 1).
-
-    SURE(k) = ||y||^2 - sum_{i<=k} y_i^2 + 2k selects the argmax k^ of the
-    random walk S_k = sum_{i<=k} (z_i^2 - 2), and edf = S_k^ + k^. Spitzer's
-    identity E[max S] = sum_k E[S_k^+] / k and Sparre Andersen's theorem
-    E[k^] = sum_k P(S_k > 0) combine to sum_{k<n} [P(chi^2_{k+2} > 2k) -
-    P(chi^2_k > 2k)], which is the series by Q(a+1, x) - Q(a, x) =
-    x^a e^{-x} / Gamma(a+1).
-    """
-    return sum(math.exp(k / 2.0 * math.log(k) - k - math.lgamma(k / 2.0 + 1.0))
-               for k in range(1, n))
-
-
 def test_nested_projections_exact_edf():
     """Tuning an ordered family is nearly free: the tuned edf of P_1..P_n at
     theta0 = 0 rises to a finite limit, 1.62524, while the corrected bound grows
-    without limit (r* = 1). The terms decay like (2/e)^{k/2} / sqrt(pi k)."""
-    exact = {n: _nested_projection_edf(n) for n in (4, 8, 16)}
-    assert [round(exact[n], 4) for n in exact] == [0.8804, 1.3006, 1.5514]
-    assert round(_nested_projection_edf(200), 5) == 1.62524
+    without limit (r* = 1). The terms decay like (2/e)^{k/2} / sqrt(pi k).
+    Adding P_0 = 0 extends the series to k = n, with the same limit."""
+    cases = {(n, False): value for n, value in ((4, 0.8804), (8, 1.3006), (16, 1.5514))}
+    cases |= {(n, True): value for n, value in ((4, 1.0269), (16, 1.5634), (64, 1.6252))}
+    exact = {case: _exact.nested_projection_edf(*case) for case in cases}
+    assert {case: round(value, 4) for case, value in exact.items()} == cases
+    assert round(_exact.nested_projection_edf(200), 5) == 1.62524
     details, passed = [], True
-    for n in exact:
-        family = SmootherFamily.of([coordinate_projection(n, m) for m in range(1, n + 1)])
-        summary, _ = run_experiment(family, _model(n, 1.0, "zero"), 20_000, SEED)
+    for n, with_zero in exact:
+        members = [coordinate_projection(n, m) for m in range(1, n + 1)]
+        if with_zero:
+            members.insert(0, from_matrix("proj0", np.zeros((n, n))))
+        summary, _ = run_experiment(SmootherFamily.of(members), _model(n, 1.0, "zero"), 20_000,
+                                    SEED)
         est = summary.estimates["edf_total"]
-        z = (est["mean"] - exact[n]) / est["stderr"]
+        z = (est["mean"] - exact[n, with_zero]) / est["stderr"]
         passed &= abs(z) <= Z_BAND
-        details.append(f"n={n}: edf {est['mean']:.4f} +- {est['stderr']:.4f} vs exact "
-                       f"{exact[n]:.4f} (z {z:+.2f})")
+        details.append(f"P_{int(not with_zero)}..P_{n}: edf {est['mean']:.4f} +- "
+                       f"{est['stderr']:.4f} vs exact {exact[n, with_zero]:.4f} (z {z:+.2f})")
     _verdict("nested_projections_exact_edf", passed, "; ".join(details))
-
-
-def _all_subsets_edf(theta0, t: float = math.sqrt(2.0)) -> float:
-    """E[edf] of SURE tuning over all 2^n diagonal 0/1 masks at sigma = 1:
-    sum_i t (phi(t - theta_i) + phi(t + theta_i)), t = sqrt(2).
-
-    SURE(D) = sum_{i not in D} y_i^2 + 2 |D| keeps coordinate i iff y_i^2 > 2,
-    hard thresholding at t, and Stein's lemma on y_i 1{|y_i| > t} gives each
-    coordinate's term (Donoho & Johnstone, JASA 1995)."""
-    def phi(x):
-        return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-
-    return sum(t * (phi(t - th) + phi(t + th)) for th in theta0)
 
 
 def test_all_subsets_exact_edf():
@@ -585,7 +543,7 @@ def test_all_subsets_exact_edf():
     theta0 = linspace(0, 3, n), the tuned edf is the hard-thresholding series,
     exactly, within Z_BAND of the Monte Carlo mean."""
     theta0 = {n: np.linspace(0.0, 3.0, n) for n in (4, 8)}
-    exact = {n: _all_subsets_edf(theta0[n].tolist()) for n in theta0}
+    exact = {n: _exact.all_subsets_edf(theta0[n].tolist()) for n in theta0}
     assert [round(exact[n], 4) for n in exact] == [1.6009, 3.3924]
     details, passed = [], True
     for n in exact:
@@ -600,3 +558,69 @@ def test_all_subsets_exact_edf():
         details.append(f"n={n}: edf {est['mean']:.4f} +- {est['stderr']:.4f} vs exact "
                        f"{exact[n]:.4f} (z {z:+.2f})")
     _verdict("all_subsets_exact_edf", passed, "; ".join(details))
+
+
+def test_singletons_exact_edf_at_any_theta0():
+    """Singletons e_i e_i^T at theta0 = linspace(0, 3, n): SURE selects
+    argmax_i |y_i|, and the tuned edf is a sum of one-dimensional integrals,
+    exactly, within Z_BAND of the Monte Carlo mean. At theta0 = 0 the integrals
+    are the erratum witness's E[max_i z_i^2] - 1."""
+    for n in (4, 8):
+        assert abs(_exact.singletons_edf(np.zeros(n)) - _exact.singleton_edf(n)) <= 1e-9
+    theta0 = {n: np.linspace(0.0, 3.0, n) for n in (4, 8)}
+    exact = {n: _exact.singletons_edf(theta0[n]) for n in theta0}
+    assert [round(exact[n], 4) for n in exact] == [1.4387, 2.9903]
+    details, passed = [], True
+    for n in exact:
+        model = GaussianSequenceModel(theta0=theta0[n], sigma=1.0)
+        family = SmootherFamily.of([projection_from_design(f"e{i}", np.eye(n), [i])
+                                    for i in range(n)])
+        summary, _ = run_experiment(family, model, 40_000, SEED)
+        est = summary.estimates["edf_total"]
+        z = (est["mean"] - exact[n]) / est["stderr"]
+        passed &= abs(z) <= Z_BAND
+        details.append(f"n={n}: edf {est['mean']:.4f} +- {est['stderr']:.4f} vs exact "
+                       f"{exact[n]:.4f} (z {z:+.2f})")
+    _verdict("singletons_exact_edf_at_any_theta0", passed, "; ".join(details))
+
+
+def test_block_witness_exact_edf():
+    """Both terms of the corrected bound are needed (Tibshirani & Rosset, JASA
+    2019, as the erratum corrects it). The family is the projections onto m
+    disjoint coordinate blocks of size r, at theta0 = 0 and sigma = 1, so r* = r,
+    h_op = 1 and |S| = m, and E[edf] = E[max of m i.i.d. chi^2_r] - r, exactly.
+
+    At fixed r* the tuned edf outgrows sqrt(r* log|S|) along m, and at fixed
+    |S| it grows along r*, which the h_op log|S| term alone does not. The
+    exact edf / `edf_bound` passes 1 (1.131 at (r, m) = (16, 8), 1.508 at
+    (64, 256)): any universal constant in front of the bound is at least that
+    large. This is a lower bound on the constant, not a verdict on
+    `bounds.edf.ratio`."""
+    cells = {(4, 8): 4.7212, (16, 8): 8.8723, (16, 2): 3.1421}
+    exact = {cell: _exact.block_edf(*cell) for cell in cells}
+    assert {cell: round(value, 4) for cell, value in exact.items()} == cells
+    along_m = [_exact.block_edf(4, m) / math.sqrt(4 * math.log(m)) for m in (4, 16, 256)]
+    assert [round(g, 2) for g in along_m] == [1.31, 1.91, 2.70]
+    along_r = [_exact.block_edf(r, 16) for r in (1, 4, 16, 64)]
+    assert all(a < b for a, b in zip(along_r, along_r[1:]))
+    constant = {cell: _exact.block_edf(*cell) / edf_bound(cell[0], cell[1], 1.0)
+                for cell in ((16, 8), (64, 256))}
+    assert round(constant[16, 8], 3) == 1.131 and constant[64, 256] >= 1.5
+    details, passed = [], True
+    for (r, m), value in exact.items():
+        n = r * m
+        family = SmootherFamily.of([projection_from_design(f"b{b}", np.eye(n),
+                                                           list(range(b * r, (b + 1) * r)))
+                                    for b in range(m)])
+        summary, _ = run_experiment(family, _model(n, 1.0, "zero"), 40_000, SEED)
+        assert summary.r_star == r and summary.h_op == 1.0
+        est = summary.estimates["edf_total"]
+        z = (est["mean"] - value) / est["stderr"]
+        passed &= abs(z) <= Z_BAND
+        details.append(f"(r, m) = ({r}, {m}): edf {est['mean']:.4f} +- {est['stderr']:.4f} "
+                       f"vs exact {value:.4f} (z {z:+.2f})")
+    _verdict("block_witness_exact_edf", passed,
+             "; ".join(details) + "; exact edf/sqrt(r log m) at r = 4: "
+             + " -> ".join(f"{g:.2f}" for g in along_m)
+             + f"; exact edf/bound {constant[16, 8]:.3f} at (16, 8), "
+               f"{constant[64, 256]:.3f} at (64, 256)")

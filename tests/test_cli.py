@@ -156,6 +156,23 @@ def test_simulate_runs_every_cpu_by_default():
     assert args.threads is None
 
 
+def test_main_builds_its_parser_once_and_runs_the_current_command(tmp_path, monkeypatch,
+                                                                   capsys):
+    """Later calls reuse the parser, also after a usage error, and run the
+    cmd_* function the module holds at the call."""
+    cfg_path = write_config(tmp_path, base_config())
+    assert main(["family-info", "--config", cfg_path]) == 0
+    assert main(["family-info", "--bogus"]) == 1
+    built, ran = [], []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+    monkeypatch.setattr(cli, "cmd_family_info", lambda args: ran.append(args.config) or 0)
+    assert main(["family-info", "--config", cfg_path]) == 0
+    assert ran == [cfg_path] and not built
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "s.json")]) == 0
+    assert json.loads((tmp_path / "s.json").read_text())["master_seed"] == 42
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--help"])

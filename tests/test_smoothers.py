@@ -761,6 +761,30 @@ def test_knn_members_share_one_points_and_ordering(monkeypatch):
         family_from_doc(_knn_doc(6, [a, np.reshape(a, (12, 1)).tolist()], [1, 1]))
 
 
+def test_saved_knn_family_converts_its_points_once(tmp_path, monkeypatch):
+    """A saved family of the knn_n200 bench's shape (20 members on 200 points
+    of a line, written as rows [[x], ...]): the reader gives every member one
+    points list, which is converted once, and each member is the one
+    knn_from_points builds alone."""
+    n = 200
+    points = ((np.arange(n) + np.random.default_rng(25).uniform(size=n)) / n)[:, None]
+    ks = range(1, 40, 2)
+    path = tmp_path / "family.json"
+    save_family(SmootherFamily.of([knn_from_points(f"k{k}", points, k) for k in ks]), path)
+    doc = smoothers.validate.load_json(path)
+    assert len({id(spec["parameters"]["points"]) for spec in doc["smoothers"]}) == 1
+    converted = []
+    array = smoothers.validate.array
+    monkeypatch.setattr(smoothers.validate, "array", lambda value, *args: converted.append(
+        type(value)) or array(value, *args))
+    family = family_from_doc(doc)
+    assert converted.count(list) == 1 and family.neighbours is not None
+    for m, k in zip(family.members, ks):
+        alone = knn_from_points(m.label, points, k)
+        assert m.neighbours.tobytes() == alone.neighbours.tobytes()
+        assert (m.df, m.frob_sq, m.opnorm) == (alone.df, alone.frob_sq, alone.opnorm)
+
+
 def test_family_neighbours_is_the_one_shared_ordering():
     a = np.random.default_rng(15).standard_normal((6, 2))
     one_set = family_from_doc(_knn_doc(6, [a.tolist()] * 3, [2, 6, 1]))

@@ -286,6 +286,40 @@ def test_loads_matches_each_distinct_array_once(monkeypatch):
     assert doc[0] is doc[2] is doc[4] and doc[1] is doc[3] is doc[5] and doc[0] is not doc[1]
 
 
+def test_loads_decodes_a_repeated_nested_array_once(monkeypatch):
+    """Members that repeat one long array of short rows, as a k-NN family
+    repeats its points [[x], ...], get one list object in every place."""
+    points = json.dumps([[i / 7] for i in range(100)])
+    assert len(points) >= validate.SHARED_ARRAY_CHARS
+    text = '{"smoothers": [%s]}' % ", ".join(
+        '{"k": %d, "points": %s}' % (k, points) for k in (1, 3, 5))
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+    doc = validate._loads(text.encode("utf-8"))
+    assert _same(doc, loads(text))
+    first, *others = (member["points"] for member in doc["smoothers"])
+    assert all(other is first for other in others)
+    assert decoded[0] == points and len(decoded) == 2  # the array, then the packed text
+
+
+def test_loads_shares_long_rows_and_long_nested_arrays_only():
+    """An array of long rows shares its rows one by one, and a short array of
+    rows, or one with a long row among short ones, is not shared whole."""
+    rows = [json.dumps([i / k for i in range(100)]) for k in (7, 11)]
+    long_rows = "[%s]" % ", ".join(rows)
+    short = json.dumps([[0.5], [1.5]])
+    mixed = "[[0.5], %s, [1.5]]" % rows[0]
+    text = '{"a": %s, "b": %s, "c": %s, "d": %s, "e": %s, "f": %s}' % (
+        long_rows, long_rows, short, short, mixed, mixed)
+    doc = validate._loads(text.encode("utf-8"))
+    assert _same(doc, json.loads(text))
+    assert doc["a"] is not doc["b"] and doc["a"][1] is doc["b"][1]
+    assert doc["a"][0] is doc["b"][0] is doc["e"][1] is doc["f"][1]
+    assert doc["c"] is not doc["d"] and doc["e"] is not doc["f"]
+    assert doc["e"][0] is not doc["f"][0]
+
+
 @pytest.mark.parametrize("text, line, column, msg", [
     ('{\n  "a": [1, 2,]\n}', 2, 14, "Expecting value"),
     ('{"a": %s,\n "b": %s,\n "c": tru}' % ((json.dumps([0.5] * 300),) * 2), 3, 7,
