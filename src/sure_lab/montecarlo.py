@@ -134,11 +134,6 @@ class ReplicateRecords:
         return len(self.columns["replicate_index"])
 
 
-def _take(work, *shape):
-    """An array of `shape` over the first floats of the consecutive work arrays."""
-    return work.reshape(-1)[:math.prod(shape)].reshape(shape)
-
-
 def _rowdot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
@@ -161,13 +156,12 @@ def _numbers(z, hz, h_theta, bias, dot=_rowdot):
 class _Context:
     """Per-(family, model) arrays shared by every block of replicates.
 
-    block() gets the draws z (B x n, y = theta0 + z) and work, the flat
-    arrays after the draws in its worker's workspace(), which holds the
-    block's large arrays. It hands both to one of three
-    selection kernels, which returns resid_sq, ||y - H_s y||^2 for every row
-    and member s, and pick. block() adds 2 sigma^2 tr H_s, takes the argmin j
-    and calls pick(j), which returns (resid_j, selected, oracle): resid_j is
-    resid_sq at j, and selected and oracle the five numbers
+    block() gets the draws z (B x n, y = theta0 + z) and hands them to one of
+    three selection kernels, which makes the block's arrays and returns
+    resid_sq, ||y - H_s y||^2 for every row and member s, and pick. block()
+    adds 2 sigma^2 tr H_s, takes the argmin j and calls pick(j), which
+    returns (resid_j, selected, oracle): resid_j is resid_sq at j, and
+    selected and oracle the five numbers
         z.(H z), ||H z||^2, (H theta0).z, b.(z - H z), b.(H z)
     per row of the member j selected in it and of the oracle member j0, with
     b_s = theta0 - H_s theta0. A row that selects the oracle reads the
@@ -179,13 +173,12 @@ class _Context:
     coordinates, which leave them and ||b_s||^2 unchanged: V^T x on the
     spectral kernel, x itself on the other two.
     - spectral: a family with a shared eigenbasis V = family.basis
-      (H_s = V diag(f_s) V^T) works on u = V^T z, the exact draws rotated
-      into the first array of work, and t = V^T theta0, where H_s is the
-      filter f_s. With F the filters (member s is row s), every number is a
-      column of (y∘y)((1-F)^2)^T, (u∘u)[F; F^2]^T or
-      u[F∘t; (1-F)^2∘t; F(1-F)∘t]^T: O(n^2 + n|S|) a replicate, one n x n
-      product, and no H_j y is formed. y∘y, then u∘u, is the second array of
-      work, and the three products' 6 |S| columns fill the rest;
+      (H_s = V diag(f_s) V^T) works on u = V^T z, the exact draws rotated,
+      and t = V^T theta0, where H_s is the filter f_s. With F the filters
+      (member s is row s), every number is a column of (y∘y)((1-F)^2)^T,
+      (u∘u)[F; F^2]^T or u[F∘t; (1-F)^2∘t; F(1-F)∘t]^T: O(n^2 + n|S|) a
+      replicate, one n x n product, and no H_j y is formed. y∘y, then u∘u,
+      is one array;
     - k-NN: a family of k-NN members on one neighbour ordering
       (family.neighbours) holds y as columns and keeps, for each point, the
       running sum C of its neighbours' values over the ranks r < k_max, so
@@ -196,12 +189,11 @@ class _Context:
       one product with A_k, the 0/1 matrix whose row i has ones on point i's
       first k neighbours, then divided by k: A_k is zeroed once a block and
       grown from the last member's by n ones a rank, so no member's matrix
-      is formed. y, the running sums and one rank's values are the three
-      arrays of work, which every other B x n array of the block reuses;
-      A_k fills them from the third on (see workspace);
+      is formed. y, the running sums and one rank's values are three B x n
+      arrays, which every other B x n array of the block reuses; A_k is
+      grown over the third, made n x n where B < n;
     - dense: any other family applies every member with one product,
-      O(|S| n^2) a replicate, and picks the products. y is the first array
-      of work and the products H_s y fill the rest.
+      O(|S| n^2) a replicate, and picks the products.
     _numbers takes the five numbers of a member from H z = H y - H theta0.
     """
 
@@ -245,17 +237,12 @@ class _Context:
         # degenerate r_star disables the shell machinery
         self.shells = (criteria.shell_indices(self.risks, self.sigma_sq, self.r_star)
                        if self.r_star > 0 else None)
-        # The floats a row holds at the peak, how many B x n arrays block()
-        # takes from its worker's workspace besides the draws, and the floats
-        # those arrays hold together from the third on, whatever B (workspace).
-        self.work_arrays = self.matrix_floats = 0
+        # row_floats: the floats a row holds at the peak
         if self.basis is not None:
             # The draws, their rotation, one square (y∘y, then u∘u) and the three
-            # products' 6 |S| columns, in ceil(6 |S| / n) arrays: at most
-            # row_floats a row. A 277-row block at n = 200, |S| = 24 peaked at
-            # 1.80 MiB (tracemalloc, drawing and the workspace included).
+            # products' 6 |S| columns. A 277-row block at n = 200, |S| = 24
+            # peaked at 1.59 MiB (tracemalloc, drawing included).
             row_floats = 4 * self.n + 6 * len(family)
-            self.work_arrays = 2 + -(-6 * len(family) // self.n)
             f, t = self.filters, self.theta_c
             self.resid_filters_sq = (1.0 - f) ** 2
             self.square_filters = np.concatenate([f, f * f])
@@ -265,12 +252,10 @@ class _Context:
         elif family.neighbours is not None:
             # The draws and three arrays (y, the running sums, one rank's values,
             # which later hold the products), and every member's residual norm:
-            # a 319-row block at n = 200, |S| = 20 peaked at 2.11 MiB (tracemalloc,
-            # drawing and the workspace included), 4.24 n-vectors a row. The
-            # pick's n x n 0/1 matrix is the third array when B >= n.
+            # a 319-row block at n = 200, |S| = 20 peaked at 2.12 MiB
+            # (tracemalloc, drawing included), 4.24 n-vectors a row. The pick's
+            # n x n 0/1 matrix is grown over the third array.
             row_floats = 4 * self.n + len(family)
-            self.work_arrays = 3
-            self.matrix_floats = self.n * self.n
             self.k0 = self.ks[self.oracle_idx]
             # at_rank[r] the members with k = r+1
             self.at_rank = [np.flatnonzero(self.ks == r + 1).tolist()
@@ -279,45 +264,29 @@ class _Context:
         else:
             # member s is rows s*n .. s*n + n - 1
             self.h_flat = np.concatenate([m.h for m in members])
-            # The products H_s y of one replicate; the workspace also holds the
-            # draws and y. A 65-row block of 20 nested projections at n = 200
-            # peaked at 2.51 MiB (tracemalloc, drawing and the workspace included).
+            # The products H_s y of one replicate, beside the draws and y. A
+            # 65-row block of 20 nested projections at n = 200 peaked at
+            # 2.46 MiB (tracemalloc, drawing included).
             row_floats = len(family) * self.n
-            self.work_arrays = 1 + len(family)
             self._select = _Context._dense
         self.trs = np.array([m.df for m in members])
         self.frob_sqs = np.array([m.frob_sq for m in members])
         self.block_len = min(max(BLOCK_BYTES // (8 * row_floats), 1), 1024)
 
-    def workspace(self, rows: int) -> np.ndarray:
-        """One worker's arrays for blocks of up to `rows` rows: the draws, then
-        work_arrays flat arrays of rows n floats, and more arrays where the ones
-        from the third on would hold fewer than matrix_floats (a k-NN block of
-        fewer than n rows), so that no block allocates its matrix."""
-        width = rows * self.n
-        arrays = max(self.work_arrays, 2 + -(-self.matrix_floats // width))
-        return np.empty((1 + arrays, width))
-
-    def _spectral(self, z, work):
+    def _spectral(self, z):
         """(||y - H_s y||^2 of every member s per row, pick) from the draws rotated
         to u = V^T z in the eigenbasis: pick takes every number from columns j
         and j0 of the three products."""
         b, s = len(z), len(self.trs)
         # the exact draws rotated, never y's rotation minus theta0's, which would
         # lose z's digits when |theta0| >> sigma
-        u = np.matmul(z, self.basis, out=_take(work[0], *z.shape))
-        scratch = _take(work[1], *u.shape)  # y∘y, then u∘u
-        products = _take(work[2:], 6 * b * s)
-        resid_sq = products[:b * s].reshape(b, s)
-        np.add(self.theta_c, u, out=scratch)
-        np.matmul(np.multiply(scratch, scratch, out=scratch), self.resid_filters_sq.T,
-                  out=resid_sq)
+        u = z @ self.basis
+        scratch = self.theta_c + u  # y∘y, then u∘u
+        resid_sq = np.multiply(scratch, scratch, out=scratch) @ self.resid_filters_sq.T
         # square[:, 0] is z.(H_s z), square[:, 1] ||H_s z||^2; linear[:, 0] is
         # (H_s theta0).z, linear[:, 1] b_s.(z - H_s z), linear[:, 2] (f_s(1-f_s)t).u
-        square = np.matmul(np.multiply(u, u, out=scratch), self.square_filters.T,
-                           out=products[b * s:3 * b * s].reshape(b, 2 * s)).reshape(b, 2, s)
-        linear = np.matmul(u, self.linear_filters.T,
-                           out=products[3 * b * s:].reshape(b, 3 * s)).reshape(b, 3, s)
+        square = (np.multiply(u, u, out=scratch) @ self.square_filters.T).reshape(b, 2, s)
+        linear = (u @ self.linear_filters.T).reshape(b, 3, s)
         rows, j0 = np.arange(b), self.oracle_idx
 
         def pick(j):
@@ -326,12 +295,15 @@ class _Context:
 
         return resid_sq, pick
 
-    def _knn(self, z, work):
+    def _knn(self, z):
         """As _spectral, from running sums over the shared neighbour ordering, in
-        the B x n arrays of work."""
+        three B x n arrays."""
         b, n = z.shape
         # yt[:, i] is row i's y, so a rank's neighbours of every point are a row gather
-        yt, total, part = (_take(w, n, b) for w in work[:3])
+        yt, total = np.empty((2, n, b))
+        # one rank's values, then the pick's n x n 0/1 matrix: n^2 floats where B < n
+        room = np.empty(n * max(n, b))
+        part = room[:n * b].reshape(n, b)
         np.add(self.theta0[:, None], z.T, out=yt)
         total.fill(0.0)
         resid_sq = np.empty((len(self.trs), b))  # member s is row s
@@ -365,7 +337,7 @@ class _Context:
                     grouped[lo:hi] = 0.0  # any finite value: these rows read the oracle's
                     continue
                 if ones is None:  # zeroed once a block, grown rank by rank
-                    ones = _take(work[2:], n, n)
+                    ones = room[:n * n].reshape(n, n)
                     ones.fill(0.0)
                 k = self.ks[s]
                 ones[np.arange(n), self.ranks[filled:k]] = 1.0
@@ -380,13 +352,11 @@ class _Context:
 
         return resid_sq.T, pick
 
-    def _dense(self, z, work):
-        """As _spectral, from every member applied by one product, y in work[0]
-        and the products in the rest."""
+    def _dense(self, z):
+        """As _spectral, from every member applied by one product."""
         b, n = z.shape
-        y = np.add(self.theta0, z, out=_take(work[0], b, n))
-        hy = np.matmul(y, self.h_flat.T, out=_take(work[1:], b, len(self.trs) * n)
-                       ).reshape(b, -1, n)  # hy[b, s] = H_s y_b
+        y = self.theta0 + z
+        hy = (y @ self.h_flat.T).reshape(b, -1, n)  # hy[b, s] = H_s y_b
         resid_sq = np.empty(hy.shape[:2])
         for s in range(hy.shape[1]):  # one (B, |S|, n) residual array was 1.4x slower
             resid = y - hy[:, s]
@@ -400,12 +370,10 @@ class _Context:
 
         return resid_sq, pick
 
-    def block(self, z: np.ndarray, first_index: int, work: np.ndarray) -> dict:
-        """Record columns of replicates first_index, ... with noise rows z (B x n);
-        work is the arrays of workspace(B) after the draws (the first work_arrays,
-        B n floats each, suffice unless the k-NN pick applies a member)."""
+    def block(self, z: np.ndarray, first_index: int) -> dict:
+        """Record columns of replicates first_index, ... with noise rows z (B x n)."""
         s2, n, j0 = self.sigma_sq, self.n, self.oracle_idx
-        resid_sq, pick = self._select(self, z, work)
+        resid_sq, pick = self._select(self, z)
         j = np.argmin(resid_sq + 2.0 * s2 * self.trs, axis=1)  # first index on ties
         resid_j, selected, oracle = pick(j)
         # a row that selects the oracle reads the oracle's own numbers: its slack is exactly 0
@@ -493,19 +461,13 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> Replic
     # interpreter lock on every row, and two workers in it at once drew 0.75x
     # the rows a second of one (161-row blocks, n = 200).
     drawing = threading.Lock()
-    # Each worker's draws and kernel arrays, made at its first block and reused
-    # by the rest, so a block allocates no B x n array.
-    local = threading.local()
 
     def run_block(lo):
         hi = min(lo + ctx.block_len, n_reps)
-        if not hasattr(local, "work"):
-            local.work = ctx.workspace(min(ctx.block_len, n_reps))
-        z = local.work[0, :(hi - lo) * ctx.n].reshape(hi - lo, ctx.n)
         with drawing:
-            standard_normal_rows(master_seed, lo, hi, ctx.n, z)
+            z = standard_normal_rows(master_seed, lo, hi, ctx.n)
         z *= ctx.sigma
-        return ctx.block(z, lo, local.work[1:])
+        return ctx.block(z, lo)
 
     blas = _blas_threads()
     workers = min(n_threads, len(starts), _cpu_count()) if blas else 1
@@ -530,17 +492,26 @@ def _holds(residual, *terms) -> np.ndarray:
     return np.abs(residual) <= IDENTITY_TOL * sum(map(np.abs, terms))
 
 
+def _estimate(values) -> dict:
+    """The mean of a record column and its standard error, None from a single
+    replicate. Where a finite column's sum or sum of squares overflows, both
+    come from the column scaled by 2^-e, with 2^e above its largest |value|:
+    the scaling is exact and both are at most that value, so they are finite."""
+    def moments(x):
+        return np.mean(x), (np.std(x, ddof=1) / np.sqrt(len(x)) if len(x) > 1 else 0.0)
+
+    with np.errstate(over="ignore"):
+        mean, stderr = moments(values)
+        if not np.isfinite([mean, stderr]).all() and np.isfinite(values).all():
+            e = math.frexp(np.abs(values).max())[1]
+            mean, stderr = np.ldexp(moments(np.ldexp(values, -e)), e)
+    return {"mean": float(mean), "stderr": float(stderr) if len(values) > 1 else None}
+
+
 def _summarize(ctx: _Context, records: ReplicateRecords) -> MonteCarloSummary:
     cols = records.columns
     n_reps = len(records)
-    estimates = {}
-    for name, column in ESTIMATE_COLUMNS.items():
-        values = cols[column]
-        estimates[name] = {
-            "mean": float(np.mean(values)),
-            # None: no standard error from a single replicate
-            "stderr": float(np.std(values, ddof=1) / np.sqrt(n_reps)) if n_reps > 1 else None,
-        }
+    estimates = {name: _estimate(cols[column]) for name, column in ESTIMATE_COLUMNS.items()}
     counts = np.bincount(cols["selected"], minlength=len(ctx.family))
     shell_histogram = None
     if "shell" in cols:

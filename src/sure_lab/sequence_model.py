@@ -104,10 +104,9 @@ def derive_stream(master_seed: int, replicate_index: int) -> np.random.Generator
     return np.random.Generator(_philox(master_seed, replicate_index))
 
 
-def standard_normal_rows(master_seed: int, start: int, stop: int, n: int,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normal rows for replicates start..stop-1, shape (stop - start, n),
-    written into `out` when given (a C-contiguous float array of that shape).
+def standard_normal_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Standard normal rows for replicates start..stop-1, as a new array of shape
+    (stop - start, n).
 
     Row k is bit-identical to derive_stream(master_seed, start + k)
     .standard_normal(n). One Philox generator serves the whole range: before
@@ -122,8 +121,7 @@ def standard_normal_rows(master_seed: int, start: int, stop: int, n: int,
     counter = [0] * 4
     state.update(state={"counter": counter, "key": state["state"]["key"].tolist()},
                  buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
-    if out is None:
-        out = np.empty((max(0, stop - start), n))
+    out = np.empty((max(0, stop - start), n))
     for row, index in enumerate(range(start, stop)):
         counter[1:] = (index & _MASK64, (index >> 64) & _MASK64, index >> 128)
         bitgen.state = state

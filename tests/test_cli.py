@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -284,17 +285,32 @@ def test_simulate_zero_oracle_risk_has_no_edf_bound(tmp_path):
                  [{"label": "a", "kind": "explicit",
                    "parameters": {"matrix": [1e300, 0.0, 0.0, 1.0]}}], 0,
                  id="frobenius-norm-overflows"),
+    pytest.param("simulate", {"kind": "constant", "value": 1e200},
+                 [{"label": "a", "kind": "identity"},
+                  {"label": "b", "kind": "explicit",
+                   "parameters": {"matrix": [0.5, 0.5, 0.5, 0.5]}}], 0,
+                 id="stderr-overflows"),
 ])
 def test_statistics_beyond_the_float_range_warn_nothing(tmp_path, capsys, command, theta0,
                                                         members, code):
-    """A risk or ||H||_F^2 beyond the float range is inf, and no RuntimeWarning
-    escapes (the suite turns warnings into errors)."""
+    """A risk or ||H||_F^2 beyond the float range is inf, an estimate whose
+    column's squares overflow is still finite, and no RuntimeWarning escapes
+    (the suite turns warnings into errors)."""
     cfg_path = write_config(tmp_path, base_config(
         n_reps=10, model={"n": 2, "sigma": 1.0, "theta0": theta0},
         family={"smoothers": members}))
     assert main([command, "--config", cfg_path]) == code
     captured = capsys.readouterr()
-    if command == "simulate":
+    if command == "simulate" and code == 0:
+        assert captured.err == ""
+
+        def not_json(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(captured.out, parse_constant=not_json)
+        stderrs = [e["stderr"] for e in doc["summary"]["estimates"].values()]
+        assert all(math.isfinite(stderr) for stderr in stderrs + [doc["bounds"]["edf"]["stderr"]])
+    elif command == "simulate":
         assert captured.err.startswith("error: shell ratios are not finite")
     else:
         assert captured.out.split("\n")[1].split() == ["a", "1e+300", "inf", "1e+300", "-"]

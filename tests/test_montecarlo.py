@@ -44,7 +44,7 @@ def one_row(family, model, z, index=0):
     """Statistics of the one replicate with standard-normal noise z, as {column: value}."""
     z = np.asarray(z, dtype=float)
     ctx = montecarlo._Context(family, model)
-    cols = ctx.block(model.sigma * z[None, :], index, np.empty((ctx.work_arrays, z.size)))
+    cols = ctx.block(model.sigma * z[None, :], index)
     return {name: col[0] for name, col in cols.items()}
 
 
@@ -380,7 +380,7 @@ def _assert_sure_min_selected(family, model, records, master_seed):
     for lo in range(0, len(records), ctx.block_len):
         hi = min(lo + ctx.block_len, len(records))
         z = standard_normal_rows(master_seed, lo, hi, model.n) * model.sigma
-        resid_sq, _ = ctx._select(ctx, z, np.empty((ctx.work_arrays, z.size)))
+        resid_sq, _ = ctx._select(ctx, z)
         criterion = resid_sq + 2.0 * model.sigma_sq * ctx.trs
         np.testing.assert_array_equal(records.columns["sure_min"][lo:hi], criterion.min(axis=1))
 
@@ -560,13 +560,28 @@ def _one_block_peak(ctx):
 
 def test_knn_block_fits_its_memory():
     """One k-NN block at the bench shape, drawn, scaled and reduced as a run does
-    it: every n-vector a row holds is in one of the worker's four arrays (the
+    it: every n-vector a row holds is in one of the block's four arrays (the
     draws, y, the running sums, one rank's values), so a block of at least
     250 rows peaks under 2.3 MiB."""
     family, model = _knn_bench_shape()
     ctx = montecarlo._Context(family, model)
     assert _kernel(ctx) == "knn" and ctx.block_len >= 250
     assert _one_block_peak(ctx) < 2.3 * 2**20
+
+
+def test_dense_block_fits_its_memory():
+    """One dense block of 20 nested projections of a random 200 x 20 design,
+    drawn, scaled and reduced as a run does it: the products H_s y, |S| n
+    floats a row, fill the block, so 65 rows peak under 2.6 MiB."""
+    n = 200
+    design = np.random.default_rng(3).standard_normal((n, 20))
+    family = SmootherFamily.of([projection_from_design(f"p{m}", design, list(range(m)))
+                                for m in range(1, 21)])
+    model = GaussianSequenceModel(theta0=make_theta0("poly_decay", n, alpha=1.0, scale=4.0),
+                                  sigma=1.0)
+    ctx = montecarlo._Context(family, model)
+    assert _kernel(ctx) == "dense" and ctx.block_len == 65
+    assert _one_block_peak(ctx) < 2.6 * 2**20
 
 
 def test_knn_engine_forms_no_member_matrix(monkeypatch, tmp_path):
@@ -615,8 +630,8 @@ def test_knn_engine_forms_no_member_matrix(monkeypatch, tmp_path):
 
 
 def test_knn_kernel_matches_dense_in_blocks_shorter_than_n(monkeypatch):
-    """Blocks of fewer than n rows: the pick's 0/1 matrix does not fit in one
-    work array, so each worker's workspace holds more, made with the rest."""
+    """Blocks of fewer than n rows: the pick's 0/1 matrix does not fit in a
+    B x n array, so the block makes the array it grows in n x n."""
     rng = np.random.default_rng(29)
     n = 20
     family = _knn_family(rng, n, [1, 2, 4, 7, 12, n], 2)
@@ -624,7 +639,6 @@ def test_knn_kernel_matches_dense_in_blocks_shorter_than_n(monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 3 * 8 * (4 * n + len(family)))
     ctx = montecarlo._Context(family, model)
     assert _kernel(ctx) == "knn" and ctx.block_len == 3
-    assert ctx.workspace(ctx.block_len).shape == (1 + 2 + -(-n // 3), 3 * n)
     oracle_rows = _assert_knn_matches_dense(family, model, 301, 8)
     assert 0 < oracle_rows < 2 * 301  # over both runs: other members are applied too
 
@@ -641,7 +655,7 @@ def test_context_is_freed_without_the_cycle_collector():
                        SmootherFamily.of([krr_from_gram("k", points @ points.T, 1.0)]),
                        SmootherFamily.of([from_matrix("i", np.eye(n))])):
             ctx = montecarlo._Context(family, model)
-            ctx.block(rng.standard_normal((3, n)), 0, np.empty((ctx.work_arrays, 3 * n)))
+            ctx.block(rng.standard_normal((3, n)), 0)
             ref = weakref.ref(ctx)
             del ctx
             assert ref() is None, family.labels
@@ -722,7 +736,7 @@ def test_outputs_byte_identical_across_threads(monkeypatch):
     model = GaussianSequenceModel(theta0=5.0 / np.arange(1, n + 1), sigma=1.0)
     n_reps = 1000
     switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # workers swap often: a shared workspace would mix blocks
+    sys.setswitchinterval(1e-5)  # workers swap often: blocks must not mix
     try:
         for make, kernel in ((lambda: projections, "dense"), (lambda: krr_grid, "spectral"),
                              (lambda: knn_grid, "knn"), (fresh_knn_grid, "knn")):
