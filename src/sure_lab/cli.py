@@ -96,9 +96,6 @@ def _flatten(doc, prefix=""):
     if isinstance(doc, dict):
         for key in sorted(doc):
             rows.extend(_flatten(doc[key], f"{prefix}{key}."))
-    elif isinstance(doc, list):
-        for i, item in enumerate(doc):
-            rows.extend(_flatten(item, f"{prefix}{i}."))
     else:
         value = "" if doc is None else (repr(float(doc)) if isinstance(doc, float) else str(doc))
         rows.append(f"{montecarlo.csv_field(prefix[:-1])},{value}")

@@ -12,10 +12,10 @@ eigenbasis: the draws are rotated once, every member is a filter there, and
 every inner product is a column of one of three products of the block with
 per-member filter tables. Families of k-NN members on one neighbour
 ordering get every SURE, and the oracle member's product, from running sums
-over that ordering, then apply only the other selected members, one product
-each with a 0/1 neighbour matrix grown rank by rank, so that no member's
-matrix is formed. Any other family applies every member with one matrix
-product. All three then select the same way. Block boundaries depend only
+over that ordering, then sort the rows by k and apply one product per k that
+a non-oracle row selects, with a 0/1 neighbour matrix grown rank by rank, so
+that no member's matrix is formed. Any other family applies every member
+with one matrix product. All three then select the same way. Block boundaries depend only
 on n_reps and the family, and numpy's OpenBLAS runs one thread for every run,
 so a product rounds the same way at any n and results do not depend on the
 worker count; workers take turns drawing the noise.
@@ -157,21 +157,20 @@ class _Context:
     """Per-(family, model) arrays shared by every block of replicates.
 
     block() gets the draws z (B x n, y = theta0 + z) and hands them to one of
-    three selection kernels, which makes the block's arrays and returns
-    resid_sq, ||y - H_s y||^2 for every row and member s, and pick. block()
-    adds 2 sigma^2 tr H_s, takes the argmin j and calls pick(j), which
-    returns (resid_j, selected, oracle): resid_j is resid_sq at j, and
-    selected and oracle the five numbers
+    three selection kernels, which makes the block's arrays and returns two
+    parts: resid_sq, ||y - H_s y||^2 for every row and member s, and pick.
+    block() adds 2 sigma^2 tr H_s to it in place; that criterion gives the
+    argmin j and sure_min, its value at j. pick(j) returns (selected,
+    oracle), the five numbers
         z.(H z), ||H z||^2, (H theta0).z, b.(z - H z), b.(H z)
     per row of the member j selected in it and of the oracle member j0, with
     b_s = theta0 - H_s theta0. A row that selects the oracle reads the
     oracle's own numbers, so its slack is exactly 0; this rule and every
     statistic are written once, in block(), on those numbers and the
-    constants ||b_s||^2: sure_min is the selecting criterion, loss_selected
-    is ||H_j z||^2 - 2 b_j.(H_j z) + ||b_j||^2 and (H_j y).z is z.(H_j z) +
-    (H_j theta0).z. The inner products may be taken in any orthonormal
-    coordinates, which leave them and ||b_s||^2 unchanged: V^T x on the
-    spectral kernel, x itself on the other two.
+    constants ||b_s||^2: loss_selected is ||H_j z||^2 - 2 b_j.(H_j z) +
+    ||b_j||^2 and (H_j y).z is z.(H_j z) + (H_j theta0).z. The inner
+    products may be taken in any orthonormal coordinates, which leave them
+    and ||b_s||^2 unchanged: V^T x on the spectral kernel, x on the others.
     - spectral: a family with a shared eigenbasis V = family.basis
       (H_s = V diag(f_s) V^T) works on u = V^T z, the exact draws rotated,
       and t = V^T theta0, where H_s is the filter f_s. With F the filters
@@ -184,14 +183,14 @@ class _Context:
       running sum C of its neighbours' values over the ranks r < k_max, so
       H_k y = C / k at rank k, where the oracle's numbers are taken, and
       ||y - H_k y||^2 = ||C - k y||^2 / k^2: O(n k_max) a replicate. H_k
-      theta0 is the same running sum over theta0, divided by k. The other
-      selected members are applied in ascending k, each to its rows of y by
-      one product with A_k, the 0/1 matrix whose row i has ones on point i's
-      first k neighbours, then divided by k: A_k is zeroed once a block and
-      grown from the last member's by n ones a rank, so no member's matrix
-      is formed. y, the running sums and one rank's values are three B x n
-      arrays, which every other B x n array of the block reuses; A_k is
-      grown over the third, made n x n where B < n;
+      theta0 is the same running sum over theta0, divided by k. pick sorts
+      the rows by k and applies one product per k that a non-oracle row
+      selects, in ascending k: that k's rows of y times A_k, the 0/1 matrix
+      whose row i has ones on point i's first k neighbours, then divided by
+      k. A_k is zeroed once a block and grown by n ones a rank, so no
+      member's matrix is formed. y, the running sums and one rank's values
+      are three B x n arrays, which every other B x n array of the block
+      reuses; A_k is grown over the third, made n x n where B < n;
     - dense: any other family applies every member with one product,
       O(|S| n^2) a replicate, and picks the products.
     _numbers takes the five numbers of a member from H z = H y - H theta0.
@@ -208,26 +207,53 @@ class _Context:
         self.theta0 = model.theta0
         members = family.members
         self.basis = family.basis  # None off the spectral kernel
-        # theta0 and every member's H_s theta0, once, in the kernel's coordinates
-        # (one rotation for a shared basis). An overflow gives an inf risk, which
-        # stops the run below (shell_indices raises) before anything else uses them.
+        # Each kernel's theta0 and H_s theta0 in its coordinates (one rotation for a
+        # shared basis), its tables and row_floats, the floats a row holds at the peak.
+        # An overflow gives an inf risk, which stops the run below (shell_indices
+        # raises) before anything else uses them.
         with np.errstate(over="ignore", invalid="ignore"):
             if self.basis is not None:
-                self.filters = np.stack([m.spectrum for m in members])
-                self.theta_c = self.theta0 @ self.basis
-                self.h_theta_c = self.theta_c * self.filters
+                f = np.stack([m.spectrum for m in members])
+                t = self.theta_c = self.theta0 @ self.basis
+                self.h_theta_c = t * f
+                self.resid_filters_sq = (1.0 - f) ** 2
+                self.square_filters = np.concatenate([f, f * f])
+                self.linear_filters = np.concatenate([self.h_theta_c, self.resid_filters_sq * t,
+                                                      f * (1.0 - f) * t])
+                # The draws, their rotation, one square (y∘y, then u∘u) and the
+                # three products' 6 |S| columns. A 277-row block at n = 200,
+                # |S| = 24 peaked at 1.59 MiB (tracemalloc, drawing included).
+                row_floats = 4 * self.n + 6 * len(family)
+                self._select = _Context._spectral  # unbound: a bound method would be a cycle
             elif family.neighbours is not None:
                 self.ks = np.array([m.params["k"] for m in members])
-                # ranks[r] is every point's (r+1)-th neighbour
+                # ranks[r] is every point's (r+1)-th neighbour, at_rank[r] the
+                # members with k = r+1
                 self.ranks = np.ascontiguousarray(family.neighbours[:, :self.ks.max()].T)
+                self.at_rank = [np.flatnonzero(self.ks == r + 1).tolist()
+                                for r in range(len(self.ranks))]
                 # H_k theta0 = C / k from running sums over the ranks, the kernel's
                 # arithmetic for H_k y, so no member's matrix is formed
                 self.theta_c = self.theta0
                 self.h_theta_c = (np.cumsum(self.theta0[self.ranks], axis=0)[self.ks - 1]
                                   / self.ks[:, None])
+                # The draws and three arrays (y, the running sums, one rank's values,
+                # which later hold the products), and every member's residual norm:
+                # a 319-row block at n = 200, |S| = 20 peaked at 2.09 MiB (tracemalloc,
+                # drawing included), 4.3 n-vectors a row. The pick's n x n 0/1
+                # matrix is grown over the third array.
+                row_floats = 4 * self.n + len(family)
+                self._select = _Context._knn
             else:
                 self.theta_c = self.theta0
                 self.h_theta_c = np.stack([m.apply(self.theta0) for m in members])
+                # member s is rows s*n .. s*n + n - 1
+                self.h_flat = np.concatenate([m.h for m in members])
+                # The products H_s y of one replicate, beside the draws and y. A
+                # 65-row block of 20 nested projections at n = 200 peaked at
+                # 2.46 MiB (tracemalloc, drawing included).
+                row_floats = len(family) * self.n
+                self._select = _Context._dense
             self.bias_c = self.theta_c - self.h_theta_c
             self.bias_sq = _rowdot(self.bias_c, self.bias_c)
         self.risks = np.array([criteria.risk_from(bias, m.frob_sq, self.sigma_sq)
@@ -237,38 +263,6 @@ class _Context:
         # degenerate r_star disables the shell machinery
         self.shells = (criteria.shell_indices(self.risks, self.sigma_sq, self.r_star)
                        if self.r_star > 0 else None)
-        # row_floats: the floats a row holds at the peak
-        if self.basis is not None:
-            # The draws, their rotation, one square (y∘y, then u∘u) and the three
-            # products' 6 |S| columns. A 277-row block at n = 200, |S| = 24
-            # peaked at 1.59 MiB (tracemalloc, drawing included).
-            row_floats = 4 * self.n + 6 * len(family)
-            f, t = self.filters, self.theta_c
-            self.resid_filters_sq = (1.0 - f) ** 2
-            self.square_filters = np.concatenate([f, f * f])
-            self.linear_filters = np.concatenate([self.h_theta_c, self.resid_filters_sq * t,
-                                                  f * (1.0 - f) * t])
-            self._select = _Context._spectral  # unbound: a bound method would be a cycle
-        elif family.neighbours is not None:
-            # The draws and three arrays (y, the running sums, one rank's values,
-            # which later hold the products), and every member's residual norm:
-            # a 319-row block at n = 200, |S| = 20 peaked at 2.12 MiB
-            # (tracemalloc, drawing included), 4.24 n-vectors a row. The pick's
-            # n x n 0/1 matrix is grown over the third array.
-            row_floats = 4 * self.n + len(family)
-            self.k0 = self.ks[self.oracle_idx]
-            # at_rank[r] the members with k = r+1
-            self.at_rank = [np.flatnonzero(self.ks == r + 1).tolist()
-                            for r in range(len(self.ranks))]
-            self._select = _Context._knn
-        else:
-            # member s is rows s*n .. s*n + n - 1
-            self.h_flat = np.concatenate([m.h for m in members])
-            # The products H_s y of one replicate, beside the draws and y. A
-            # 65-row block of 20 nested projections at n = 200 peaked at
-            # 2.46 MiB (tracemalloc, drawing included).
-            row_floats = len(family) * self.n
-            self._select = _Context._dense
         self.trs = np.array([m.df for m in members])
         self.frob_sqs = np.array([m.frob_sq for m in members])
         self.block_len = min(max(BLOCK_BYTES // (8 * row_floats), 1), 1024)
@@ -290,7 +284,7 @@ class _Context:
         rows, j0 = np.arange(b), self.oracle_idx
 
         def pick(j):
-            return (resid_sq[rows, j], (*square[rows, :, j].T, *linear[rows, :, j].T),
+            return ((*square[rows, :, j].T, *linear[rows, :, j].T),
                     (*square[:, :, j0].T, *linear[:, :, j0].T))
 
         return resid_sq, pick
@@ -299,6 +293,7 @@ class _Context:
         """As _spectral, from running sums over the shared neighbour ordering, in
         three B x n arrays."""
         b, n = z.shape
+        j0, k0 = self.oracle_idx, self.ks[self.oracle_idx]
         # yt[:, i] is row i's y, so a rank's neighbours of every point are a row gather
         yt, total = np.empty((2, n, b))
         # one rank's values, then the pick's n x n 0/1 matrix: n^2 floats where B < n
@@ -310,10 +305,10 @@ class _Context:
         for r, (neighbours, members) in enumerate(zip(self.ranks, self.at_rank)):
             total += np.take(yt, neighbours, axis=0, out=part, mode="clip")  # indices are valid
             if members:
-                if r + 1 == self.k0:  # the oracle's numbers from its product C / k0
+                if r + 1 == k0:  # the oracle's numbers from its product C / k0
                     oracle = _numbers(z.T, np.divide(total, r + 1, out=part),
-                                      self.h_theta_c[self.oracle_idx, :, None],
-                                      self.bias_c[self.oracle_idx, :, None], _coldot)
+                                      self.h_theta_c[j0, :, None], self.bias_c[j0, :, None],
+                                      _coldot)
                 # ||y - C/k||^2 = ||C - k y||^2 / k^2: a B x n product, not a division
                 np.multiply(yt, r + 1, out=part)
                 part -= total
@@ -321,34 +316,31 @@ class _Context:
                 resid_sq[members[0]] /= (r + 1) ** 2
                 for s in members[1:]:  # one k under several labels
                     resid_sq[s] = resid_sq[members[0]]
-        rows = np.arange(b)
 
-        def pick(j):  # one product per other member, in ascending k
-            order = np.lexsort((j, self.ks[j]))  # np.unique's first call imports numpy.ma
-            cuts = [0, *(np.flatnonzero(np.diff(j[order])) + 1), b]
+        def pick(j):  # rows sorted by k, one product per k that a non-oracle row selects
+            # The oracle's rows read its numbers: they sort first, as k = 0. A label
+            # repeating k0 is never selected, as argmin ties go to the first index.
+            k = np.where(j == j0, 0, self.ks[j])
+            order = np.argsort(k, kind="stable")
+            ends = np.searchsorted(k, np.arange(k.max() + 1), side="right", sorter=order)
             # y of the rows in that order, the bits of yt, and then their H_j y
             ys = np.take(z, order, axis=0, out=yt.reshape(b, n), mode="clip")
             ys += self.theta0
             grouped = total.reshape(b, n)
-            ones, filled = None, 0  # row i puts 1 on point i's first `filled` neighbours
-            for lo, hi in zip(cuts, cuts[1:]):
-                s = j[order[lo]]
-                if s == self.oracle_idx:
-                    grouped[lo:hi] = 0.0  # any finite value: these rows read the oracle's
-                    continue
-                if ones is None:  # zeroed once a block, grown rank by rank
-                    ones = room[:n * n].reshape(n, n)
-                    ones.fill(0.0)
-                k = self.ks[s]
-                ones[np.arange(n), self.ranks[filled:k]] = 1.0
-                filled = k
-                np.divide(np.matmul(ys[lo:hi], ones.T, out=grouped[lo:hi]), k,
-                          out=grouped[lo:hi])
+            grouped[:ends[0]] = 0.0  # any finite value: these rows read the oracle's
+            ones = room[:n * n].reshape(n, n)  # row i puts 1 on point i's first r+1 neighbours
+            ones.fill(0.0)
+            points = np.arange(n)
+            for r, (lo, hi) in enumerate(zip(ends, ends[1:])):
+                ones[points, self.ranks[r]] = 1.0
+                if lo < hi:
+                    np.divide(np.matmul(ys[lo:hi], ones.T, out=grouped[lo:hi]), r + 1,
+                              out=grouped[lo:hi])
             # mode="clip" everywhere: the default mode writes a B x n copy of out first
             hy = np.take(grouped, np.argsort(order), axis=0, out=yt.reshape(b, n), mode="clip")
             h_theta = np.take(self.h_theta_c, j, axis=0, out=part.reshape(b, n), mode="clip")
             bias = np.take(self.bias_c, j, axis=0, out=grouped, mode="clip")
-            return resid_sq[j, rows], _numbers(z, hy, h_theta, bias), oracle
+            return _numbers(z, hy, h_theta, bias), oracle
 
         return resid_sq.T, pick
 
@@ -365,17 +357,19 @@ class _Context:
 
         def pick(j):  # fancy indexing copies: _numbers overwrites H y
             oracle = _numbers(z, hy[rows, j0], self.h_theta_c[j0], self.bias_c[j0])
-            return (resid_sq[rows, j],
-                    _numbers(z, hy[rows, j], self.h_theta_c[j], self.bias_c[j]), oracle)
+            return _numbers(z, hy[rows, j], self.h_theta_c[j], self.bias_c[j]), oracle
 
         return resid_sq, pick
 
     def block(self, z: np.ndarray, first_index: int) -> dict:
         """Record columns of replicates first_index, ... with noise rows z (B x n)."""
         s2, n, j0 = self.sigma_sq, self.n, self.oracle_idx
-        resid_sq, pick = self._select(self, z)
-        j = np.argmin(resid_sq + 2.0 * s2 * self.trs, axis=1)  # first index on ties
-        resid_j, selected, oracle = pick(j)
+        rows = np.arange(len(z))
+        criterion, pick = self._select(self, z)
+        criterion += 2.0 * s2 * self.trs  # in place: ||y - H_s y||^2 + 2 sigma^2 tr H_s
+        j = np.argmin(criterion, axis=1)  # first index on ties
+        sure_min = criterion[rows, j]  # the criterion that selected j
+        selected, oracle = pick(j)
         # a row that selects the oracle reads the oracle's own numbers: its slack is exactly 0
         zhz, hz_sq, h_theta_z, bias_resid, bias_hz = (
             np.where(j == j0, o, s) for o, s in zip(oracle, selected))
@@ -385,13 +379,12 @@ class _Context:
             quad = 2.0 * zhz - hz_sq  # z^T (2H - H^T H) z
             return quad / s2 + self.frob_sqs[s] - 2.0 * self.trs[s], -bias_resid / s2
 
-        sure_min = resid_j + 2.0 * s2 * self.trs[j]  # the criterion that selected j
         loss = hz_sq - 2.0 * bias_hz + self.bias_sq[j]  # H_j y - theta0 = H_j z - b_j
         w_j, zlin_j = centered(j, zhz, hz_sq, bias_resid)
         w_0, zlin_0 = centered(j0, zhz_0, hz_sq_0, bias_resid_0)
         lhs = (self.risks[j] - self.risks[j0]) / s2
         cols = {
-            "replicate_index": first_index + np.arange(len(z)),
+            "replicate_index": first_index + rows,
             "selected": j,
             "sure_min": sure_min,
             "loss_selected": loss,
@@ -455,7 +448,8 @@ def _blas_threads():
 
 
 def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> ReplicateRecords:
-    """Replicates 0 .. n_reps-1 in blocks of ctx.block_len, reduced in index order."""
+    """Replicates 0 .. n_reps-1 in blocks of ctx.block_len, reduced in index
+    order; a record column with an entry beyond the float range raises."""
     starts = range(0, n_reps, ctx.block_len)
     # One worker at a time draws: the per-row loop gives up and retakes the
     # interpreter lock on every row, and two workers in it at once drew 0.75x
@@ -467,7 +461,8 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> Replic
         with drawing:
             z = standard_normal_rows(master_seed, lo, hi, ctx.n)
         z *= ctx.sigma
-        return ctx.block(z, lo)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            return ctx.block(z, lo)
 
     blas = _blas_threads()
     workers = min(n_threads, len(starts), _cpu_count()) if blas else 1
@@ -481,8 +476,11 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> Replic
             blocks = list(pool.map(run_block, starts))
     finally:
         set_threads(blas_threads)
-    return ReplicateRecords({name: np.concatenate([b[name] for b in blocks])
-                             for name in blocks[0]}, ctx.family.labels)
+    columns = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    for name, column in columns.items():
+        if not np.isfinite(column).all():
+            raise ValueError(f"record column {name} is not finite: it overflows the float range")
+    return ReplicateRecords(columns, ctx.family.labels)
 
 
 def _holds(residual, *terms) -> np.ndarray:

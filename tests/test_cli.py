@@ -273,35 +273,49 @@ def test_simulate_zero_oracle_risk_has_no_edf_bound(tmp_path):
     assert doc["bounds"]["edf"]["bound"] is None and doc["bounds"]["edf"]["ratio"] is None
 
 
-@pytest.mark.parametrize("command,theta0,members,code", [
+@pytest.mark.parametrize("command,theta0,members,code,error", [
     pytest.param("simulate", {"kind": "constant", "value": 1e200},
                  [{"label": "a", "kind": "zero"}, {"label": "b", "kind": "identity"}], 1,
-                 id="risk-overflows"),
+                 "shell ratios are not finite", id="risk-overflows"),
     pytest.param("simulate", {"kind": "constant", "value": 1e10},
                  [{"label": "a", "kind": "explicit",
                    "parameters": {"matrix": [1e300, -1e300, 0.0, 1.0]}}], 1,
-                 id="h-theta0-overflows"),
+                 "shell ratios are not finite", id="h-theta0-overflows"),
     pytest.param("family-info", {"kind": "constant", "value": 1.0},
                  [{"label": "a", "kind": "explicit",
-                   "parameters": {"matrix": [1e300, 0.0, 0.0, 1.0]}}], 0,
+                   "parameters": {"matrix": [1e300, 0.0, 0.0, 1.0]}}], 0, None,
                  id="frobenius-norm-overflows"),
     pytest.param("simulate", {"kind": "constant", "value": 1e200},
                  [{"label": "a", "kind": "identity"},
                   {"label": "b", "kind": "explicit",
-                   "parameters": {"matrix": [0.5, 0.5, 0.5, 0.5]}}], 0,
+                   "parameters": {"matrix": [0.5, 0.5, 0.5, 0.5]}}], 0, None,
                  id="stderr-overflows"),
+    pytest.param("simulate", {"kind": "constant", "value": 1.7e308},
+                 [{"label": "a", "kind": "identity"},
+                  {"label": "b", "kind": "explicit",
+                   "parameters": {"matrix": [0.5, 0.5, 0.5, 0.5]}}], 1,
+                 "record column edf_total is not finite", id="record-columns-overflow"),
+    pytest.param("simulate", {"kind": "constant", "value": 1e307},
+                 [{"label": "a", "kind": "identity"},
+                  {"label": "b", "kind": "explicit",
+                   "parameters": {"matrix": [0.5, 0.5, 0.5, 0.5]}}], 0, None,
+                 id="record-columns-near-overflow"),
 ])
 def test_statistics_beyond_the_float_range_warn_nothing(tmp_path, capsys, command, theta0,
-                                                        members, code):
+                                                        members, code, error):
     """A risk or ||H||_F^2 beyond the float range is inf, an estimate whose
-    column's squares overflow is still finite, and no RuntimeWarning escapes
-    (the suite turns warnings into errors)."""
+    column's squares overflow is still finite, a risk or a record column
+    beyond the float range exits 1 with one error line and nothing on stdout,
+    and no RuntimeWarning escapes (the suite turns warnings into errors)."""
     cfg_path = write_config(tmp_path, base_config(
         n_reps=10, model={"n": 2, "sigma": 1.0, "theta0": theta0},
         family={"smoothers": members}))
     assert main([command, "--config", cfg_path]) == code
     captured = capsys.readouterr()
-    if command == "simulate" and code == 0:
+    if error is not None:
+        assert captured.out == "" and captured.err.startswith(f"error: {error}")
+        assert captured.err.count("\n") == 1
+    elif command == "simulate":
         assert captured.err == ""
 
         def not_json(constant):
@@ -310,8 +324,6 @@ def test_statistics_beyond_the_float_range_warn_nothing(tmp_path, capsys, comman
         doc = json.loads(captured.out, parse_constant=not_json)
         stderrs = [e["stderr"] for e in doc["summary"]["estimates"].values()]
         assert all(math.isfinite(stderr) for stderr in stderrs + [doc["bounds"]["edf"]["stderr"]])
-    elif command == "simulate":
-        assert captured.err.startswith("error: shell ratios are not finite")
     else:
         assert captured.out.split("\n")[1].split() == ["a", "1e+300", "inf", "1e+300", "-"]
 
