@@ -49,7 +49,7 @@ from .concentration import (
     exact_quadratic_mgf,
     max_moment_bound,
     quadratic_form_params,
-    quadratic_form_sampler,
+    quadratic_form_spectrum,
     verify_max_moment,
     verify_mgf_bound,
 )

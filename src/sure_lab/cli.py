@@ -99,10 +99,29 @@ def _flatten(doc, prefix=""):
     return rows
 
 
+def _check_paths(outputs, inputs):
+    """ConfigError when an output names the file of an input or of another
+    output. Paths are compared resolved; "-" is stdout, which one output may take."""
+    taken = {os.path.realpath(path): role for role, path in inputs.items() if path is not None}
+    for role, path in outputs.items():
+        key = path if path == "-" else os.path.realpath(path)
+        if key in taken:
+            raise ConfigError(f"the {role} is the same file as the {taken[key]}: "
+                              f"{'stdout' if path == '-' else path}")
+        taken[key] = role
+
+
+class _Stdout:
+    """The text file for "-": stdout, with what its encoding cannot hold escaped."""
+
+    def write(self, text):
+        sys.stdout.write(_for_stdout(text))
+
+
 def _open_output(path, stack):
     """stdout for None or "-", else `path` opened for writing until `stack` closes."""
     if path is None or path == "-":
-        return sys.stdout
+        return _Stdout()
     return stack.enter_context(open(path, "w", encoding="utf-8"))
 
 
@@ -113,12 +132,11 @@ def _for_stdout(text):
 
 
 def _write_report(doc, fh, fmt):
-    """Write the report to `fh`; on stdout, what its encoding cannot hold is escaped."""
     if fmt == "csv":
         text = "key,value\n" + "\n".join(_flatten(doc)) + "\n"
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    fh.write(_for_stdout(text) if fh is sys.stdout else text)
+    fh.write(text)
 
 
 def _bound_table(summary, cfg):
@@ -148,21 +166,21 @@ def _bound_table(summary, cfg):
 def cmd_simulate(args) -> int:
     threads = None if args.threads is None else validate.integer(args.threads, "--threads", 1)
     seed = None if args.seed is None else validate.seed(args.seed, "--seed")
-    cfg = _parse_experiment_config(_load_json(args.config))
+    config = _load_json(args.config)
+    cfg = _parse_experiment_config(config)
     if seed is not None:
         cfg["master_seed"] = seed
     outputs = cfg["outputs"]
     out_path = args.out or outputs.get("summary")
     records_path = args.records or outputs.get("records")
-    if records_path and out_path not in (None, "-") and (
-            os.path.realpath(out_path) == os.path.realpath(records_path)):
-        raise ConfigError(f"summary and records outputs are the same file: {records_path}")
+    _check_paths({"summary output": "-" if out_path is None else out_path} | (
+        {"records output": records_path} if records_path else {}),
+        {"config": args.config, "family document": config["family"].get("path")})
     # Outputs are opened before the run: a path that cannot be written costs
     # no replicate, and a run that fails leaves the opened files empty.
     with contextlib.ExitStack() as stack:
         out = _open_output(out_path, stack)
-        records_fh = (stack.enter_context(open(records_path, "w", encoding="utf-8"))
-                      if records_path else None)
+        records_fh = _open_output(records_path, stack) if records_path else None
         summary, records = montecarlo.run_experiment(
             cfg["family"], cfg["model"], cfg["n_reps"], cfg["master_seed"],
             n_threads=threads, keep_records=records_fh is not None)
@@ -236,6 +254,8 @@ def cmd_verify_lemmas(args) -> int:
     cfg = _parse_lemma_config(doc)
     if args.seed is not None:
         cfg["master_seed"] = validate.seed(args.seed, "--seed")
+    _check_paths({"report output": "-" if args.out is None else args.out},
+                 {"config": args.config})
     with contextlib.ExitStack() as stack:
         out = _open_output(args.out, stack)  # before the battery, as simulate does
         report, code = _lemma_battery(cfg)
@@ -269,27 +289,22 @@ def _lemma_battery(cfg):
 
     qd = cfg["quadratic"]
 
-    def lambda_grid(params):  # fractions of the domain edge 1/b, both signs, and 0
-        grid = [f / params.b for f in qd["lambda_fractions"]]
-        return grid + [-g for g in grid] + [0.0]
+    def forms():  # (matrix, report section, tag, Monte Carlo arguments), in report order
+        yield np.eye(2), "quadratic_exact", {"matrix": "identity_2"}, {}  # exact chi-square
+        rng = derive_stream(seed, 0)
+        for m_idx in range(qd["n_matrices"]):
+            yield (rng.standard_normal((qd["dim"], qd["dim"])), "quadratic_mc",
+                   {"matrix_index": m_idx},
+                   {"n_samples": qd["n_samples"], "master_seed": seed, "stream": next(streams)})
 
-    rng = derive_stream(seed, 0)
-    # exact chi-square oracle on the identity quadratic form
-    params = concentration.quadratic_form_params(np.eye(2))
-    for check in concentration.verify_mgf_bound(
-            None, params, lambda_grid(params), qd["n_samples"],
-            slack=qd["slack"], exact_eigs=np.ones(2)):
-        all_pass &= check.passed
-        report["quadratic_exact"].append(vars(check) | {"matrix": "identity_2"})
-    for m_idx in range(qd["n_matrices"]):
-        a = rng.standard_normal((qd["dim"], qd["dim"]))
-        params = concentration.quadratic_form_params(a)
-        checks = concentration.verify_mgf_bound(
-            concentration.quadratic_form_sampler(a), params, lambda_grid(params),
-            qd["n_samples"], master_seed=seed, slack=qd["slack"], stream=next(streams))
-        for check in checks:
+    for a, section, tag, mc in forms():
+        eigs = concentration.quadratic_form_spectrum(a)
+        b = concentration.SubExpParams.from_spectrum(eigs).b
+        grid = [f / b for f in qd["lambda_fractions"]]  # of the domain edge 1/b; ± and 0 below
+        for check in concentration.verify_mgf_bound(
+                eigs, grid + [-g for g in grid] + [0.0], slack=qd["slack"], **mc):
             all_pass &= check.passed
-            report["quadratic_mc"].append(vars(check) | {"matrix_index": m_idx})
+            report[section].append(vars(check) | tag)
 
     report["all_pass"] = bool(all_pass)
     return report, EXIT_OK if all_pass else EXIT_CHECK_FAILED

@@ -1,10 +1,11 @@
 """Numerical verification of sub-exponential MGF bounds and maxima moments.
 
-Gaussian quadratic forms z^T A z (z standard normal) are sub-exponential with
-parameters computable from A; this module evaluates those parameters, checks
-the MGF bound on a lambda grid (preferring the exact chi-square-product oracle
-over raw Monte Carlo when A is available in diagonalized form), and evaluates
-the moment bounds for maxima of sub-Gaussian variables.
+A Gaussian quadratic form z^T A z (z standard normal) is, once centered, the
+weighted chi-square sum sum_i d_i (z_i^2 - 1) over the spectrum d of
+(A + A^T)/2, so the spectrum is the one input of the MGF layer: it gives the
+sub-exponential parameters, the exact chi-square-product MGF and the Monte
+Carlo draws. The module also evaluates the moment bounds for maxima of
+sub-Gaussian variables.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .sequence_model import derive_stream
 
 __all__ = [
     "SubExpParams",
+    "quadratic_form_spectrum",
     "quadratic_form_params",
-    "quadratic_form_sampler",
     "exact_quadratic_mgf",
     "MgfCheck",
     "verify_mgf_bound",
@@ -40,6 +41,13 @@ class SubExpParams:
         validate.number(self.tau_sq, "tau_sq", 0)
         validate.number(self.b, "b", 0)
 
+    @classmethod
+    def from_spectrum(cls, eigs) -> SubExpParams:
+        """(tau^2, b) = (4 sum d^2, 4 max|d|) of sum_i d_i (z_i^2 - 1); for the
+        spectrum d of (A + A^T)/2 these are tr((A + A^T)^2) and 2 ||A + A^T||_op."""
+        d = validate.array(eigs, "eigs").reshape(-1)
+        return cls(tau_sq=4.0 * float(d @ d), b=4.0 * float(np.max(np.abs(d), initial=0.0)))
+
     def mgf_bound(self, lam: float) -> float:
         """exp(lam^2 tau_sq / 2), valid for |lam| <= 1/b."""
         self.check_domain(lam)
@@ -51,28 +59,16 @@ class SubExpParams:
                 f"lambda {lam} outside sub-exponential domain |lambda| <= {1.0 / self.b}")
 
 
-def _symmetric_part_spectrum(a) -> np.ndarray:
-    """The eigenvalues of (A + A^T)/2, of which z^T A z is a weighted chi-square sum."""
+def quadratic_form_spectrum(a) -> np.ndarray:
+    """The eigenvalues d of (A + A^T)/2: z^T A z - tr(A) has the law of
+    sum_i d_i (z_i^2 - 1), z ~ N(0, I), so d is all the MGF layer takes."""
     a = validate.finite_matrix(a, "a")
     return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
 def quadratic_form_params(a) -> SubExpParams:
-    """Sub-exponential (tau^2, b) of z^T A z, z ~ N(0, I), from the eigenvalues d of
-    (A + A^T)/2: 4 sum d^2 = tr((A + A^T)^2) and 4 max|d| = 2 ||A + A^T||_op."""
-    d = _symmetric_part_spectrum(a)
-    return SubExpParams(tau_sq=4.0 * float(d @ d), b=4.0 * float(np.max(np.abs(d), initial=0.0)))
-
-
-def quadratic_form_sampler(a):
-    """Sampler for the centered quadratic form X = z^T A z - tr(A)."""
-    eigs = _symmetric_part_spectrum(a)
-
-    def draw(n_samples: int, rng: np.random.Generator) -> np.ndarray:
-        z_sq = rng.standard_normal((int(n_samples), eigs.size)) ** 2
-        return (z_sq - 1.0) @ eigs
-
-    return draw
+    """Sub-exponential (tau^2, b) of z^T A z, z ~ N(0, I), from its spectrum."""
+    return SubExpParams.from_spectrum(quadratic_form_spectrum(a))
 
 
 def exact_quadratic_mgf(eigs, lam: float) -> float:
@@ -97,47 +93,41 @@ class MgfCheck:
     method: str  # "mc" or "exact"
 
 
-def verify_mgf_bound(sampler, params: SubExpParams, lambda_grid, n_samples: int,
-                     master_seed: int = 0, slack: float = 0.0,
-                     exact_eigs=None, stream: int = 0) -> list[MgfCheck]:
-    """Check E[e^{lam X}] <= exp(lam^2 tau^2 / 2) on a lambda grid.
+def verify_mgf_bound(eigs, lambda_grid, n_samples=None, master_seed: int = 0,
+                     slack: float = 0.0, stream: int = 0) -> list[MgfCheck]:
+    """Check E[e^{lam X}] <= exp(lam^2 tau^2 / 2) on a lambda grid, for
+    X = sum_i d_i (z_i^2 - 1) with d = eigs and (tau^2, b) from the same d.
 
-    A point passes when estimate <= bound * (1 + slack) + 4 * stderr. When
-    exact_eigs is given (diagonalized quadratic form), the closed-form
-    chi-square product replaces sampling and stderr is zero. Lambdas outside
+    Without n_samples the estimate is the exact chi-square product and its
+    stderr is zero; with n_samples it is the mean of e^{lam X} over that many
+    draws (z^2 - 1) @ eigs from derive_stream(master_seed, stream). A point
+    passes when estimate <= bound * (1 + slack) + 4 * stderr. Lambdas outside
     |lam| <= 1/b raise; grids should stay below the boundary (0.95/b).
-    Samples come from derive_stream(master_seed, stream).
     """
+    eigs = validate.array(eigs, "eigs").reshape(-1)
+    params = SubExpParams.from_spectrum(eigs)
     slack = validate.number(slack, "slack", 0)
-    if exact_eigs is None:
-        n_samples = validate.integer(n_samples, "n_samples", 10**4)
     lambda_grid = validate.array(lambda_grid, "lambda_grid").reshape(-1).tolist()
     for lam in lambda_grid:
         params.check_domain(lam)
 
-    if exact_eigs is None:
-        rng = derive_stream(master_seed, stream)
-        draws = sampler(n_samples, rng)
+    if n_samples is not None:
+        n_samples = validate.integer(n_samples, "n_samples", 10**4)
+        z_sq = derive_stream(master_seed, stream).standard_normal((n_samples, eigs.size)) ** 2
+        draws = (z_sq - 1.0) @ eigs
     checks = []
     for lam in lambda_grid:
         bound = params.mgf_bound(lam)
-        if exact_eigs is not None:
-            estimate = exact_quadratic_mgf(exact_eigs, lam)
-            stderr = 0.0
-            method = "exact"
+        if n_samples is None:
+            estimate, stderr, method = exact_quadratic_mgf(eigs, lam), 0.0, "exact"
         else:
             values = np.exp(lam * draws)
             estimate = float(np.mean(values))
             stderr = float(np.std(values, ddof=1) / np.sqrt(n_samples))
             method = "mc"
-        checks.append(MgfCheck(
-            lam=lam,
-            estimate=estimate,
-            stderr=stderr,
-            bound=bound,
-            passed=estimate <= bound * (1.0 + slack) + 4.0 * stderr,
-            method=method,
-        ))
+        checks.append(MgfCheck(lam=lam, estimate=estimate, stderr=stderr, bound=bound,
+                               passed=estimate <= bound * (1.0 + slack) + 4.0 * stderr,
+                               method=method))
     return checks
 
 

@@ -23,7 +23,7 @@ from sure_lab import (
     make_theta0,
     projection_from_design,
     quadratic_form_params,
-    quadratic_form_sampler,
+    quadratic_form_spectrum,
     risk,
     run_experiment,
     shell_indices,
@@ -324,12 +324,9 @@ def test_mgf_battery():
     for a in exact_cases:
         first = quadratic_form_params(a)
         lam_max = 0.9 / first.b
-        eigs = np.linalg.eigvalsh(0.5 * (a + a.T))
         exact_checks += verify_mgf_bound(
-            None, first, [-lam_max, -0.4 * lam_max, 0.4 * lam_max, lam_max],
-            n_samples=0, exact_eigs=eigs)
-    i2_check = verify_mgf_bound(None, quadratic_form_params(np.eye(2)),
-                                [0.1], n_samples=0, exact_eigs=[1.0, 1.0])[0]
+            quadratic_form_spectrum(a), [-lam_max, -0.4 * lam_max, 0.4 * lam_max, lam_max])
+    i2_check = verify_mgf_bound([1.0, 1.0], [0.1])[0]
     assert i2_check.estimate == pytest.approx(1.023414, abs=1e-6)
     assert i2_check.bound == pytest.approx(1.040811, abs=1e-6)
 
@@ -343,7 +340,7 @@ def test_mgf_battery():
         first = quadratic_form_params(a)
         lam_max = 0.9 / first.b
         mc_checks += verify_mgf_bound(
-            quadratic_form_sampler(a), first,
+            quadratic_form_spectrum(a),
             [-lam_max, -0.5 * lam_max, 0.1 * lam_max, 0.5 * lam_max, lam_max],
             n_samples=5 * 10**4, master_seed=SEED + i)
     all_checks = exact_checks + [i2_check] + mc_checks

@@ -674,6 +674,66 @@ def test_simulate_same_summary_and_records_path(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--records", "outputs.summary", "outputs.records"])
+@pytest.mark.parametrize("target", ["config", "family"])
+def test_simulate_output_naming_an_input_exits_1(tmp_path, capsys, monkeypatch, flag, target):
+    """An output path that names the config, or the family document its
+    family.path names, exits 1 before any output is opened: both inputs keep
+    their bytes."""
+    monkeypatch.setattr(montecarlo, "run_experiment", _run_experiment_not_called)
+    family = tmp_path / "family.json"
+    save_family(SmootherFamily.of([from_matrix("a", np.eye(2))]), str(family))
+    cfg_path = tmp_path / "config.json"
+    target_path = str(cfg_path if target == "config" else family)
+    if flag.startswith("--"):
+        cfg, argv = base_config(family={"path": str(family)}), [flag, target_path]
+    else:
+        cfg, argv = base_config(family={"path": str(family)},
+                                outputs={flag.split(".")[1]: target_path}), []
+    cfg_path.write_text(json.dumps(cfg))
+    before = cfg_path.read_bytes(), family.read_bytes()
+    assert main(["simulate", "--config", str(cfg_path), *argv]) == 1
+    captured = capsys.readouterr()
+    assert f"is the same file as the {target}" in captured.err and captured.out == ""
+    assert (cfg_path.read_bytes(), family.read_bytes()) == before
+
+
+def test_verify_lemmas_report_naming_its_config_exits_1(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, {"maxima": {"n_samples": 100}}, "lemmas.json")
+    before = pathlib.Path(cfg_path).read_bytes()
+    alias = str(tmp_path / ".." / tmp_path.name / "lemmas.json")
+    assert main(["verify-lemmas", "--config", cfg_path, "--out", alias]) == 1
+    assert "the report output is the same file as the config" in capsys.readouterr().err
+    assert pathlib.Path(cfg_path).read_bytes() == before
+
+
+def test_simulate_records_dash_is_stdout(tmp_path, capsys, monkeypatch):
+    """--records - writes the records CSV to stdout when the summary goes to a
+    file, the same bytes a records file gets, and no file named -."""
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, base_config(n_reps=20))
+    assert main(["simulate", "--config", cfg_path, "--out", "s1.json", "--records", "r.csv"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg_path, "--out", "s2.json", "--records", "-"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "r.csv").read_text()
+    assert (tmp_path / "s1.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("summary", [None, "-"])
+def test_simulate_summary_and_records_both_on_stdout_exit_1(tmp_path, capsys, monkeypatch,
+                                                           summary):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(montecarlo, "run_experiment", _run_experiment_not_called)
+    cfg_path = write_config(tmp_path, base_config(outputs={"summary": summary}))
+    assert main(["simulate", "--config", cfg_path, "--records", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the records output is the same file as the summary "
+                            "output: stdout\n")
+    assert not (tmp_path / "-").exists()
+
+
 @pytest.mark.parametrize("message", [
     pytest.param("Unable to allocate 8.00 EiB", id="numpy-message"),
     pytest.param("", id="no-message"),
@@ -740,6 +800,26 @@ def test_verify_lemmas_cases_draw_distinct_streams(tmp_path, monkeypatch):
     assert main(["verify-lemmas", "--config", cfg_path, "--out", out]) in (0, 2)
     assert len(opened) == 1 + n_cases + 2  # the matrices, each maxima case, each matrix's MC
     assert len(set(opened)) == len(opened)
+
+
+@pytest.mark.parametrize("n_matrices", [0, 3])
+def test_verify_lemmas_takes_one_eigendecomposition_a_form(tmp_path, monkeypatch, n_matrices):
+    """The identity form and each random matrix are each diagonalized once: the
+    spectrum gives both the parameters (tau^2, b) and the MGF estimate."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    cfg = {"maxima": {"n_samples": 100, "n_vars": [1], "k": [1], "tau": [1.0]},
+           "quadratic": {"n_samples": 10_000, "n_matrices": n_matrices, "dim": 3}}
+    out = str(tmp_path / "report.json")
+    assert main(["verify-lemmas", "--config", write_config(tmp_path, cfg, "lemmas.json"),
+                 "--out", out]) in (0, 2)
+    assert calls == [(2, 2)] + [(3, 3)] * n_matrices
 
 
 @pytest.mark.parametrize("section,update,needle", [

@@ -8,7 +8,7 @@ from sure_lab import (
     exact_quadratic_mgf,
     max_moment_bound,
     quadratic_form_params,
-    quadratic_form_sampler,
+    quadratic_form_spectrum,
     verify_max_moment,
     verify_mgf_bound,
 )
@@ -64,15 +64,12 @@ def test_exact_mgf_divergence():
 
 
 def test_verify_mgf_domain_enforcement():
-    params = SubExpParams(tau_sq=8.0, b=4.0)
-    with pytest.raises(ValueError):
-        verify_mgf_bound(None, params, [0.3], 10**4, exact_eigs=np.ones(2))
+    with pytest.raises(ValueError):  # b = 4 from the spectrum [1, 1]
+        verify_mgf_bound(np.ones(2), [0.3])
 
 
 def test_verify_mgf_exact_path():
-    params = quadratic_form_params(np.eye(2))
-    checks = verify_mgf_bound(None, params, [0.1, 0.0, -0.1], 10**4,
-                              exact_eigs=np.ones(2))
+    checks = verify_mgf_bound(quadratic_form_spectrum(np.eye(2)), [0.1, 0.0, -0.1])
     assert all(c.passed for c in checks)
     lam0 = next(c for c in checks if c.lam == 0.0)
     assert lam0.estimate == 1.0 and lam0.bound == 1.0
@@ -82,8 +79,7 @@ def test_verify_mgf_mc_matches_exact_for_diagonal():
     a = np.diag([1.5, -0.5, 0.25])
     params = quadratic_form_params(a)
     grid = [0.5 / params.b, -0.5 / params.b]
-    mc = verify_mgf_bound(quadratic_form_sampler(a), params, grid, 2 * 10**5,
-                          master_seed=5)
+    mc = verify_mgf_bound(quadratic_form_spectrum(a), grid, 2 * 10**5, master_seed=5)
     for check in mc:
         exact = exact_quadratic_mgf(np.diag(a), check.lam)
         assert abs(check.estimate - exact) <= 4.0 * check.stderr
@@ -95,17 +91,16 @@ def test_verify_mgf_random_matrices_grid():
         a = rng.standard_normal((4, 4))
         params = quadratic_form_params(a)
         grid = [f / params.b for f in (0.9, 0.5, 0.1, -0.1, -0.5, -0.9)] + [0.0]
-        checks = verify_mgf_bound(quadratic_form_sampler(a), params, grid, 10**5,
+        checks = verify_mgf_bound(quadratic_form_spectrum(a), grid, 10**5,
                                   master_seed=101, slack=0.0)
         assert all(c.passed for c in checks)
 
 
 def test_verify_mgf_validation():
-    params = SubExpParams(tau_sq=1.0, b=0.0)
     with pytest.raises(ValueError):
-        verify_mgf_bound(lambda n, rng: np.zeros(n), params, [0.1], 100)  # too few samples
+        verify_mgf_bound([0.0], [0.1], 100)  # too few samples
     with pytest.raises(ValueError):
-        verify_mgf_bound(None, params, [0.1], 10**4, slack=-1.0, exact_eigs=[1.0])
+        verify_mgf_bound([1.0], [0.1], slack=-1.0)
 
 
 def test_max_moment_bound_examples():

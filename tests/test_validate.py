@@ -544,9 +544,8 @@ def test_matrix_consumers_name_the_parameter(param, bad):
     pytest.param(lambda: concentration.SubExpParams(math.nan, 0.0), "tau_sq",
                  id="SubExpParams-nan-tau_sq"),
     pytest.param(lambda: concentration.SubExpParams(1.0, math.nan), "b", id="SubExpParams-nan-b"),
-    pytest.param(lambda: concentration.verify_mgf_bound(
-        None, concentration.SubExpParams(1.0, 0.0), [0.1], 10**4, slack=math.nan,
-        exact_eigs=[1.0]), "slack", id="verify_mgf_bound-nan-slack"),
+    pytest.param(lambda: concentration.verify_mgf_bound([0.1], [0.1], slack=math.nan),
+                 "slack", id="verify_mgf_bound-nan-slack"),
     pytest.param(lambda: concentration.max_moment_bound(10, 2, math.nan), "tau",
                  id="max_moment_bound-nan-tau"),
     pytest.param(lambda: smoothers.knn_from_points("m", np.arange(3.0), 2.7), "k",
@@ -578,8 +577,8 @@ _ENTRY_CONSUMERS = [
     ("knn_from_points", "points", lambda e: smoothers.knn_from_points("m", [0.0, 1.0, e], 2)),
     ("quadratic_form_params", "a",
      lambda e: concentration.quadratic_form_params(_matrix(e))),
-    ("quadratic_form_sampler", "a",
-     lambda e: concentration.quadratic_form_sampler(_matrix(e))),
+    ("quadratic_form_spectrum", "a",
+     lambda e: concentration.quadratic_form_spectrum(_matrix(e))),
     ("GaussianSequenceModel", "theta0", lambda e: GaussianSequenceModel([0.0, e], 1.0)),
     ("sure", "y", lambda e: criteria.sure(_MEMBER, [1.0, e], 1.0)),
     ("sure", "sigma", lambda e: criteria.sure(_MEMBER, [1.0, 2.0], e)),
@@ -593,9 +592,9 @@ _ENTRY_CONSUMERS = [
     ("exact_quadratic_mgf", "eigs", lambda e: concentration.exact_quadratic_mgf([1.0, e], 0.1)),
     ("exact_quadratic_mgf", "lam", lambda e: concentration.exact_quadratic_mgf([1.0, 1.0], e)),
     ("verify_max_moment", "n_samples", lambda e: concentration.verify_max_moment(10, 2, 1.0, e)),
+    ("verify_mgf_bound", "eigs", lambda e: concentration.verify_mgf_bound([0.1, e], [0.1])),
     ("verify_mgf_bound", "lambda_grid",
-     lambda e: concentration.verify_mgf_bound(None, concentration.SubExpParams(1.0, 0.0),
-                                              [0.1, e], 10**4, exact_eigs=[0.1])),
+     lambda e: concentration.verify_mgf_bound([0.1], [0.1, e])),
     ("shell_indices", "risks", lambda e: criteria.shell_indices([1.0, e], 1.0, 1.0)),
 ]
 
