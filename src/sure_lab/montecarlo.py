@@ -18,7 +18,9 @@ that no member's matrix is formed. Any other family applies every member
 with one matrix product. All three then select the same way. Block boundaries depend only
 on n_reps and the family, and numpy's OpenBLAS runs one thread for every run,
 so a product rounds the same way at any n and results do not depend on the
-worker count; workers take turns drawing the noise.
+worker count. Each worker draws its own block's noise, a few long draws by
+chunks of replicates (sequence_model.standard_normal_rows), so workers draw
+at once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import itertools
 import math
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -105,8 +106,11 @@ class ReplicateRecords:
     With z the replicate's noise, y = theta0 + z and j the member SURE selects,
     `columns` holds:
 
-      replicate_index         i, with z = sigma * derive_stream(master_seed, i)
-                              .standard_normal(n)
+      replicate_index         i, with z = sigma * row i % m of
+                              derive_stream(master_seed, i // m)
+                              .standard_normal((m, n)), where
+                              m = max(1, sequence_model
+                              .NOISE_CHUNK_FLOATS // n)
       selected                j, an index into `labels` (the CSV writes the label)
       sure_min                SURE(j) = ||y - H_j y||^2 + 2 sigma^2 tr H_j
       loss_selected           ||H_j y - theta0||^2
@@ -224,7 +228,7 @@ class _Context:
                                                       f * (1.0 - f) * t])
                 # The draws, their rotation, one square (y∘y, then u∘u) and the
                 # three products' 6 |S| columns. A 277-row block at n = 200,
-                # |S| = 24 peaked at 1.59 MiB (tracemalloc, drawing included).
+                # |S| = 24 peaked at 1.58 MiB (tracemalloc, drawing included).
                 row_floats = 4 * self.n + 6 * len(family)
                 self._select = _Context._spectral  # unbound: a bound method would be a cycle
             elif family.neighbours is not None:
@@ -237,12 +241,12 @@ class _Context:
                 self.h_theta_c = (np.cumsum(self.theta0[self.ranks], axis=0)[self.ks - 1]
                                   / self.ks[:, None])
                 # The draws and three arrays (y, the running sums, one rank's values,
-                # which later hold the products), and every member's residual norm;
-                # row_floats leaves out the k_max-row residual table they are read
-                # from. A 319-row block at n = 200, |S| = 20, k_max = 39 peaked at
-                # 2.13 MiB (tracemalloc, drawing included), 4.4 n-vectors a row.
+                # which later hold the products), the k_max-row residual table and
+                # every member's residual norm read from it. A 305-row block at
+                # n = 200, |S| = 20, k_max = 39 peaked at 2.04 MiB (tracemalloc,
+                # drawing included), 4.4 n-vectors a row.
                 # The pick's n x n 0/1 matrix is grown over the third array.
-                row_floats = 4 * self.n + len(family)
+                row_floats = 4 * self.n + len(family) + len(self.ranks)
                 self._select = _Context._knn
             else:
                 self.theta_c = self.theta0
@@ -251,7 +255,7 @@ class _Context:
                 self.h_flat = np.concatenate([m.h for m in members])
                 # The products H_s y of one replicate, beside the draws and y. A
                 # 65-row block of 20 nested projections at n = 200 peaked at
-                # 2.46 MiB (tracemalloc, drawing included).
+                # 2.45 MiB (tracemalloc, drawing included).
                 row_floats = len(family) * self.n
                 self._select = _Context._dense
             self.bias_c = self.theta_c - self.h_theta_c
@@ -449,15 +453,9 @@ def _run(ctx: _Context, n_reps: int, master_seed: int, n_threads: int) -> Replic
     """Replicates 0 .. n_reps-1 in blocks of ctx.block_len, reduced in index
     order; a record column with an entry beyond the float range raises."""
     starts = range(0, n_reps, ctx.block_len)
-    # One worker at a time draws: the per-row loop gives up and retakes the
-    # interpreter lock on every row, and two workers in it at once drew 0.75x
-    # the rows a second of one (161-row blocks, n = 200).
-    drawing = threading.Lock()
 
     def run_block(lo):
-        hi = min(lo + ctx.block_len, n_reps)
-        with drawing:
-            z = standard_normal_rows(master_seed, lo, hi, ctx.n)
+        z = standard_normal_rows(master_seed, lo, min(lo + ctx.block_len, n_reps), ctx.n)
         z *= ctx.sigma
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             return ctx.block(z, lo)
@@ -551,12 +549,14 @@ def run_experiment(family: SmootherFamily, model: GaussianSequenceModel,
                    keep_records: bool = False):
     """Run n_reps seeded replicates and reduce them in index order.
 
-    Replicate i always draws derive_stream(master_seed, i)'s noise, block
-    boundaries depend only on n_reps and the family's shape, and BLAS runs one
-    thread for every run, so results are byte-identical at any n_threads and
-    any n, whatever the scheduling. At most min(n_threads, blocks, CPUs this
-    process may run on) worker threads run; n_threads=None means every such
-    CPU. Returns (summary, records); records is None unless keep_records is set.
+    Replicate i's noise depends only on (master_seed, i, n): it is row i % m of
+    chunk i // m (sequence_model.standard_normal_rows), so families of one n
+    run on one seed see the same draws. Block boundaries depend only on n_reps
+    and the family's shape, and BLAS runs one thread for every run, so results
+    are byte-identical at any n_threads and any n, whatever the scheduling. At
+    most min(n_threads, blocks, CPUs this process may run on) worker threads
+    run; n_threads=None means every such CPU. Returns (summary, records);
+    records is None unless keep_records is set.
     """
     n_reps = validate.integer(n_reps, "n_reps", 1)
     n_threads = _cpu_count() if n_threads is None else validate.integer(n_threads, "n_threads", 1)

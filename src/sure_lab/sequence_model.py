@@ -84,46 +84,44 @@ def make_theta0(kind: str, n: int, **params) -> np.ndarray:
     return validate.array(params["values"], "theta0.values", (n,))
 
 
-_MASK64 = 2**64 - 1
+# Replicate noise is drawn in chunks of max(1, NOISE_CHUNK_FLOATS // n) rows,
+# one stream a chunk, so a block makes a few long draws instead of one a row.
+NOISE_CHUNK_FLOATS = 2**13
 
 
-def _philox(master_seed: int, replicate_index: int) -> np.random.Philox:
-    return np.random.Philox(key=validate.seed(master_seed, "master_seed"),
-                            counter=validate.integer(replicate_index, "replicate_index", 0) << 64)
+def derive_stream(master_seed: int, stream: int) -> np.random.Generator:
+    """Counter-based stream number `stream` of a master seed.
 
-
-def derive_stream(master_seed: int, replicate_index: int) -> np.random.Generator:
-    """Counter-based stream for one replicate.
-
-    Uses Philox keyed on the master seed with the counter offset by the
-    replicate index, so streams are collision-free and replicate i's noise
-    never depends on execution order or worker scheduling. Gaussian draws use
-    numpy's ziggurat standard_normal; golden outputs are stable within this
-    repo, while cross-implementation comparisons should be statistical.
+    Uses Philox keyed on the master seed with the counter offset by
+    stream << 64, so streams are collision-free and a draw never depends on
+    execution order or worker scheduling. Stream c holds chunk c of the
+    replicate noise (see standard_normal_rows); the lemma battery numbers
+    its own streams. Gaussian draws use numpy's ziggurat standard_normal;
+    golden outputs are stable within this repo, while cross-implementation
+    comparisons should be statistical.
     """
-    return np.random.Generator(_philox(master_seed, replicate_index))
+    return np.random.Generator(np.random.Philox(
+        key=validate.seed(master_seed, "master_seed"),
+        counter=validate.integer(stream, "stream", 0) << 64))
 
 
 def standard_normal_rows(master_seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """Standard normal rows for replicates start..stop-1, as a new array of shape
     (stop - start, n).
 
-    Row k is bit-identical to derive_stream(master_seed, start + k)
-    .standard_normal(n). One Philox generator serves the whole range: before
-    each row its counter is reset to (replicate index) << 64 with an empty
-    output buffer, which is the state a fresh derive_stream starts from and
-    costs a fraction of building one.
+    With m = max(1, NOISE_CHUNK_FLOATS // n), replicate i's row is row i % m of
+    derive_stream(master_seed, i // m).standard_normal((m, n)), so it depends
+    only on (master_seed, i, n); at n > NOISE_CHUNK_FLOATS it is
+    derive_stream(master_seed, i).standard_normal(n). Each chunk is one draw
+    into the output; a range that starts inside a chunk first draws and drops
+    that chunk's leading rows, at most m - 1 of them.
     """
-    bitgen = _philox(master_seed, start)
-    gen = np.random.Generator(bitgen)
-    # Plain ints and lists: the state setter reads them about twice as fast as arrays.
-    state = bitgen.state
-    counter = [0] * 4
-    state.update(state={"counter": counter, "key": state["state"]["key"].tolist()},
-                 buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
+    m = max(1, NOISE_CHUNK_FLOATS // n)
     out = np.empty((max(0, stop - start), n))
-    for row, index in enumerate(range(start, stop)):
-        counter[1:] = (index & _MASK64, (index >> 64) & _MASK64, index >> 128)
-        bitgen.state = state
-        gen.standard_normal(out=out[row])
+    for chunk in range(start // m, -(-stop // m)):
+        gen = derive_stream(master_seed, chunk)
+        lo, hi = max(start, chunk * m), min(stop, chunk * m + m)
+        if lo > chunk * m:
+            gen.standard_normal((lo - chunk * m, n))
+        gen.standard_normal(out=out[lo - start:hi - start])
     return out

@@ -71,7 +71,8 @@ def test_doc_example_is_accepted(block):
 
 def _readme_block_rules():
     """{kernel name: block-length rule} from the README's engine bullets, each
-    rule `clamp(2 MiB // (EXPR), 1, 1024)` turned into a function of (n, S)."""
+    rule `clamp(2 MiB // (EXPR), 1, 1024)` turned into a function of (n, S,
+    k_max), k_max being the largest k of a k-NN family."""
     text = (ROOT / "README.md").read_text()
     rules = {}
     for kernel, expr in re.findall(r"^- \*\*(\S+) kernel\.\*\*.*?"
@@ -79,7 +80,7 @@ def _readme_block_rules():
                                    text, re.DOTALL | re.MULTILINE):
         expr = re.sub(r"(\d)(?=[A-Za-z(])", r"\1*", expr.replace("|S|", "S"))
         expr = re.sub(r"(?<=[\w)]) +(?=[\w(])", "*", expr)  # "8 S n" -> "8*S*n"
-        rules[kernel] = eval(f"lambda n, S: min(max(2 * 1024 * 1024 // ({expr}), 1), 1024)")
+        rules[kernel] = eval(f"lambda n, S, k_max: min(max(2 * 1024 * 1024 // ({expr}), 1), 1024)")
     return rules
 
 
@@ -100,4 +101,5 @@ def test_readme_block_length_rules_match_engine():
     for kernel, members in families.items():
         family = smoothers.SmootherFamily.of(members)
         ctx = montecarlo._Context(family, model)
-        assert ctx.block_len == rules[kernel](n, len(family)) < 1024, kernel
+        k_max = max(m.params.get("k", 0) for m in members)
+        assert ctx.block_len == rules[kernel](n, len(family), k_max) < 1024, kernel

@@ -6,7 +6,6 @@ import json
 import os
 import sys
 import threading
-import time
 import tracemalloc
 import weakref
 
@@ -37,7 +36,14 @@ from sure_lab import (
 from sure_lab.cli import main
 from sure_lab.criteria import DegenerateFamilyError
 from sure_lab.montecarlo import RECORD_CSV_COLUMNS
-from sure_lab.sequence_model import standard_normal_rows
+from sure_lab.sequence_model import NOISE_CHUNK_FLOATS, standard_normal_rows
+
+
+def noise_row(master_seed, i, n):
+    """Replicate i's standard-normal noise by the chunk rule: row i % m of
+    derive_stream(master_seed, i // m).standard_normal((m, n))."""
+    m = max(1, NOISE_CHUNK_FLOATS // n)
+    return derive_stream(master_seed, i // m).standard_normal((m, n))[i % m]
 
 
 def one_row(family, model, z, index=0):
@@ -408,7 +414,7 @@ def test_block_kernel_matches_criteria(n):
         oracle = min(family.members, key=lambda m: risk(m, model))
         cols = records.columns
         for i in range(len(records)):
-            z = model.sigma * derive_stream(9, cols["replicate_index"][i]).standard_normal(n)
+            z = model.sigma * noise_row(9, cols["replicate_index"][i], n)
             y = model.theta0 + z
             selected = family.labels[cols["selected"][i]]
             assert selected == sure_select(family, y, model.sigma).selected
@@ -644,7 +650,7 @@ def test_knn_kernel_matches_dense_in_blocks_shorter_than_n(monkeypatch):
     n = 20
     family = _knn_family(rng, n, [1, 2, 4, 7, 12, n], 2)
     model = GaussianSequenceModel(theta0=rng.normal(scale=1.0, size=n), sigma=1.0)
-    monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 3 * 8 * (4 * n + len(family)))
+    monkeypatch.setattr(montecarlo, "BLOCK_BYTES", 3 * 8 * (4 * n + len(family) + n))  # k_max = n
     ctx = montecarlo._Context(family, model)
     assert _kernel(ctx) == "knn" and ctx.block_len == 3
     oracle_rows = _assert_knn_matches_dense(family, model, 301, 8)
@@ -720,7 +726,7 @@ def test_engine_rows_match_replicate():
     _, records = run_experiment(family, model, block + 1, 3, keep_records=True)
     cols = records.columns
     for i in (0, block - 1, block):
-        one = one_row(family, model, derive_stream(3, i).standard_normal(n), i)
+        one = one_row(family, model, noise_row(3, i, n), i)
         assert cols["replicate_index"][i] == one["replicate_index"] == i
         assert cols["selected"][i] == one["selected"] and cols["shell"][i] == one["shell"]
         for name in ("sure_min", "edf_total", "basic_inequality_slack"):
@@ -801,37 +807,57 @@ def test_outputs_byte_identical_across_threads_at_large_n():
         set_threads(before)
 
 
-def test_workers_take_turns_drawing_noise(monkeypatch):
-    """The per-row noise loop admits one worker at a time; each entry waits a
-    little, so two workers let in together would overlap."""
+def test_workers_draw_noise_at_once(monkeypatch):
+    """No lock around the noise: the first two draws of a 3-worker run each
+    wait inside standard_normal_rows for the other, and the records are
+    byte-identical at 1, 2 and 3 workers, with blocks that start inside a
+    chunk of the noise."""
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)  # let 3 workers really run
-    inside, most, calls, count = [0], [0], [0], threading.Lock()
+    calls, count = [0], threading.Lock()
+    both_inside = threading.Barrier(2, timeout=10)  # broken if the other never comes in
     draw = montecarlo.standard_normal_rows
 
-    def counting_draw(*args):
+    def meeting_draw(*args):
         with count:
-            inside[0] += 1
-            most[0] = max(most[0], inside[0])
             calls[0] += 1
-        try:
-            time.sleep(0.002)  # a window for a second worker to come in
-            return draw(*args)
-        finally:
-            with count:
-                inside[0] -= 1
+            first_two = calls[0] <= 2
+        if first_two:
+            both_inside.wait()
+        return draw(*args)
 
-    monkeypatch.setattr(montecarlo, "standard_normal_rows", counting_draw)
-    n = 16
+    monkeypatch.setattr(montecarlo, "standard_normal_rows", meeting_draw)
+    n = 48
     family = SmootherFamily.of([from_matrix(f"m{i}", np.eye(n) * i / 4) for i in range(5)])
     model = GaussianSequenceModel(theta0=np.ones(n), sigma=1.0)
     block = montecarlo._Context(family, model).block_len
+    assert block % (NOISE_CHUNK_FLOATS // n) != 0
+    outputs = set()
     switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
+    sys.setswitchinterval(1e-5)  # workers swap often: blocks must not mix
     try:
-        run_experiment(family, model, 30 * block, 3, n_threads=3)
+        for threads in (3, 2, 1):
+            summary, records = run_experiment(family, model, 6 * block + 7, 3,
+                                              n_threads=threads, keep_records=True)
+            outputs.add((json.dumps(summary.to_json_dict(), sort_keys=True), csv_text(records)))
     finally:
         sys.setswitchinterval(switch)
-    assert calls[0] == 30 and most[0] == 1
+    assert calls[0] == 3 * 7 and len(outputs) == 1
+
+
+def test_families_of_one_n_and_seed_draw_the_same_noise():
+    """A k-NN and a KRR family of one n, run on one model and seed with other
+    block lengths, see the same draws: their columns of the noise alone are equal."""
+    rng = np.random.default_rng(12)
+    n = 100
+    model = GaussianSequenceModel(theta0=rng.standard_normal(n), sigma=1.5)
+    knn_grid = _knn_family(rng, n, range(1, 10, 2), d=1)
+    krr_grid = _krr_grid(rng, n, 4, singular=False)
+    lens = {montecarlo._Context(family, model).block_len for family in (knn_grid, krr_grid)}
+    assert len(lens) == 2 and max(lens) < 1500
+    columns = [run_experiment(family, model, 1500, 21, keep_records=True)[1].columns
+               for family in (knn_grid, krr_grid)]
+    for name in ("noise_sq_gap", "signal_cross"):
+        assert np.array_equal(columns[0][name], columns[1][name]), name
 
 
 class RecordingPool:

@@ -9,6 +9,7 @@ from sure_lab import (
     standard_normal_rows,
 )
 from sure_lab import _validate as validate
+from sure_lab.sequence_model import NOISE_CHUNK_FLOATS
 from sure_lab.smoothers import SmootherFamily, from_matrix
 
 
@@ -98,15 +99,33 @@ def test_derive_stream_takes_the_config_seed_range():
         derive_stream(validate.MAX_SEED + 1, 0)
 
 
-def test_standard_normal_rows_match_derive_stream():
-    block = 65  # block length of a 20-member family at n = 200
-    rows = standard_normal_rows(42, 0, block + 1, 200)
-    for i in (0, block - 1, block):
-        assert np.array_equal(rows[i], derive_stream(42, i).standard_normal(200))
-    for start in (2**40, 2**64 + 3, 2**128 + 5):  # every counter word of the index
-        far = standard_normal_rows(42, start, start + 2, 7)
-        for k in range(2):
-            assert np.array_equal(far[k], derive_stream(42, start + k).standard_normal(7))
+def test_standard_normal_rows_follow_the_chunk_rule():
+    """Replicate i's row is row i % m of derive_stream(seed, i // m)
+    .standard_normal((m, n)), m = max(1, NOISE_CHUNK_FLOATS // n), wherever a
+    range starts; at n > NOISE_CHUNK_FLOATS, m = 1 and row i is stream i's."""
+    def chunk_row(i, n):
+        m = max(1, NOISE_CHUNK_FLOATS // n)
+        return derive_stream(42, i // m).standard_normal((m, n))[i % m]
+
+    n = 200
+    m = NOISE_CHUNK_FLOATS // n  # 40 rows a chunk
+    rows = standard_normal_rows(42, 0, m + 1, n)
+    for i in (0, m - 1, m):
+        assert np.array_equal(rows[i], chunk_row(i, n))
+    inside = standard_normal_rows(42, m + 3, 3 * m + 5, n)  # starts inside chunk 1
+    for k in (0, m - 4, m - 3, 2 * m - 3, len(inside) - 1):
+        assert np.array_equal(inside[k], chunk_row(m + 3 + k, n))
+    for chunk in (2**40, 2**64 + 3, 2**128 + 5):  # every counter word of the chunk index
+        far = standard_normal_rows(42, chunk * m - 1, chunk * m + 2, n)
+        for k in range(3):
+            assert np.array_equal(far[k], chunk_row(chunk * m - 1 + k, n))
+    ones = standard_normal_rows(42, NOISE_CHUNK_FLOATS - 2, NOISE_CHUNK_FLOATS + 1, 1)
+    for k in range(3):
+        assert ones[k, 0] == chunk_row(NOISE_CHUNK_FLOATS - 2 + k, 1)[0]
+    wide = NOISE_CHUNK_FLOATS + 1
+    rows = standard_normal_rows(42, 5, 7, wide)
+    for k in range(2):
+        assert np.array_equal(rows[k], derive_stream(42, 5 + k).standard_normal(wide))
     with pytest.raises(ValueError):
         standard_normal_rows(-1, 0, 1, 3)
 
